@@ -10,8 +10,8 @@
 // Bookkeeping is allocation-free on the steady state: delivered completions
 // drain through a reusable ring over a flat vector (storage is recycled,
 // never reallocated once warm), and the in-flight compute/timer tables are
-// small flat vectors scanned linearly — both stay at pool size, where a
-// scan beats a hash table.
+// FlatMaps (O(1) find and erase, lazy compaction, iteration in order of
+// last insertion) whose slot vectors and indexes are reused once warm.
 #pragma once
 
 #include <vector>

@@ -401,8 +401,11 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       wave.push_back(
           OpRequest::transfer(token, sh.sub, picked, chunk_input(chunk)));
       sh.ledger.record(token, {picked, chunk, now, chunk_work(chunk), 0});
-      sh.log.append({resil::ReplicaRecordKind::Assign, token, picked, 0, 0,
-                     0.0, {}});
+      // Only the liveness tick flushes the log and only a promotion reads
+      // it, so without resilience there is nothing to replicate.
+      if (resil_on)
+        sh.log.append({resil::ReplicaRecordKind::Assign, token, picked, 0, 0,
+                       0.0, {}});
       sh.busy[picked] = 1;
       sh.inflight_tasks += chunk.size();
       trace(gridsim::TraceEventKind::TaskDispatched, picked, chunk.front().id,
@@ -916,8 +919,9 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         }
         if (kind == OpKind::ChunkIn) {
           const OpToken next = make_token(OpKind::ChunkCompute, k, seq++);
+          // The replica log is not re-keyed: rollback reads only the task
+          // lists of Complete records, never their tokens.
           sh.ledger.rekey(token, next);
-          sh.log.retarget(token, next);
           auto [found, moved] = asg.take(token);
           moved.compute_started = now;
           backend.submit_compute(next, moved.node, chunk_work(moved.chunk));
@@ -945,7 +949,6 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
           }
           const OpToken next = make_token(OpKind::ChunkOut, k, seq++);
           sh.ledger.rekey(token, next);
-          sh.log.retarget(token, next);
           auto [found, moved] = asg.take(token);
           backend.submit_transfer(next, moved.node, sh.sub,
                                   chunk_output(moved.chunk));
@@ -953,8 +956,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         } else {  // ChunkOut: the chunk is home
           auto [found, fin] = asg.take(token);
           (void)sh.ledger.complete(token);
-          sh.log.append({resil::ReplicaRecordKind::Complete, token, fin.node,
-                         0, 0, chunk_output(fin.chunk).value, fin.chunk});
+          if (resil_on)
+            sh.log.append({resil::ReplicaRecordKind::Complete, token,
+                           fin.node, 0, 0, chunk_output(fin.chunk).value,
+                           fin.chunk});
           sh.inflight_tasks -=
               std::min(sh.inflight_tasks, fin.chunk.size());
           sh.busy[fin.node] = 0;

@@ -369,11 +369,10 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   arm_monitor();
 
   // ---- Streaming state. -------------------------------------------------
-  // Flat insertion-ordered tables (support/flat_map.hpp): the live sets are
-  // bounded by the stage count and the source window, where a linear scan
-  // beats hashing on every per-event lookup — the same conversion the farm's
-  // in-flight table got in the hot-path overhaul — and iteration order is
-  // deterministic, which the loss-handling sweeps below rely on.
+  // FlatMaps (support/flat_map.hpp): O(1) find and erase with lazy
+  // compaction, no per-element allocation, and iteration in order of last
+  // insertion — the deterministic order the loss-handling sweeps below rely
+  // on.
   FlatMap<std::uint64_t, ItemState> items;
   FlatMap<OpToken, PendingOp> ops;
   auto item_at = [&](std::uint64_t id) -> ItemState& {

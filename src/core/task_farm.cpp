@@ -266,9 +266,9 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   };
 
   // Chunks currently travelling the input -> compute -> output chain.  At
-  // most one per worker (plus reissue twins), so a flat insertion-ordered
-  // table: the per-completion find/erase that used to dominate profiles is
-  // a short linear scan, and iteration order is deterministic.
+  // most one per worker (plus reissue twins).  A FlatMap: O(1)
+  // per-completion find/erase, and the reissue/steal scans walk it in order
+  // of last insertion, so their choices are deterministic.
   FlatMap<OpToken, Assignment> in_flight;
   // Tokens of chunks surrendered to crash recovery; their completions (the
   // zombies) are swallowed when the backend eventually delivers them.

@@ -18,12 +18,12 @@
 // of re-dispatching), and only the un-checkpointed suffix is charged as
 // wasted work and re-dispatched.
 //
-// Storage is a flat insertion-ordered table (support/flat_map.hpp): the
-// live set is at most one entry per worker, where a linear scan beats a
-// hash table, and insertion order makes fail_node's surrender order — and
-// therefore re-dispatch order — deterministic.  The per-tick checkpoint
-// pass applies all of a tick's progress reports through `checkpoint_batch`
-// in one call.
+// Storage is a FlatMap (support/flat_map.hpp): O(1) find and erase, with
+// lazy compaction, and iteration in order of last insertion.  That order
+// makes fail_node's surrender order — and therefore re-dispatch order —
+// deterministic; a rekey re-inserts, so a re-keyed entry moves to the end.
+// The per-tick checkpoint pass applies all of a tick's progress reports
+// through `checkpoint_batch` in one call.
 #pragma once
 
 #include <cstddef>

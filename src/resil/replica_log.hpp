@@ -140,7 +140,9 @@ class ReplicaLog {
   /// output): retained records naming the old token follow it, so a
   /// post-crash rollback still finds the entry whose checkpoint mark it
   /// must revert.  Records already compacted away need no retarget — every
-  /// standby holds them, so they can never roll back.
+  /// standby holds them, so they can never roll back.  Costs O(retained
+  /// records): a caller must flush every tick so the retained suffix stays
+  /// short.
   void retarget(core::OpToken old_token, core::OpToken new_token);
 
  private:

@@ -162,6 +162,55 @@ TEST(HierChurnProperty, SubFarmerCrashRedispatchesOnlyTheSuffix) {
   EXPECT_LT(r.redispatched, r.shard_summaries[0].tasks_completed);
 }
 
+/// Rollback of un-replicated completions.  Shard 0's only standby drops
+/// off the network after the liveness tick that last reaches it and comes
+/// back just after the tick on which the root declares the dead sub-farmer.
+/// It is never itself suspected, so it is promoted, but it missed every
+/// flush in between: completions that landed in that window exist only in
+/// the dead coordinator's log.  Promotion must retract those not yet at
+/// the root (each one a lost result, traced once) and re-run them, and the
+/// root must still count every task exactly once.
+TEST(HierChurnProperty, SubFarmerCrashRetractsUnflushedCompletions) {
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  for (int i = 0; i <= 16; ++i) b.add_node(s, 100.0);
+  gridsim::Grid grid = b.build();
+  std::vector<NodeId> workers;
+  std::vector<double> speeds;
+  for (std::uint64_t i = 1; i <= 16; ++i) {
+    workers.push_back(NodeId{i});
+    speeds.push_back(100.0);
+  }
+  const auto plan = core::plan_shards(workers, speeds, 2);
+  const NodeId victim = plan[0].front();
+  std::vector<NodeId> by_id = plan[0];
+  std::sort(by_id.begin(), by_id.end());
+  const NodeId standby = by_id.front() == victim ? by_id[1] : by_id.front();
+
+  // Heartbeats every 1 s, timeout 4 s: the sub-farmer's last beat is at
+  // t=13, so the root declares it at t=18.  The standby beats at t=14,
+  // misses t=15..18 (silence 4 s, not yet suspect) and is back by t=19.
+  grid.node(victim).add_downtime({Seconds{13.5}, Seconds{1e9}});
+  grid.node(standby).add_downtime({Seconds{14.5}, Seconds{18.5}});
+  grid.set_churn(gridsim::ChurnTimeline(
+      {{Seconds{13.5}, gridsim::ChurnEventKind::Crash, victim},
+       {Seconds{14.5}, gridsim::ChurnEventKind::Crash, standby},
+       {Seconds{18.5}, gridsim::ChurnEventKind::Rejoin, standby}}));
+
+  HierFarmParams p = hier_params();
+  p.workers_per_shard = 8;
+  p.standby_count = 1;
+  core::SimBackend backend(grid);
+  const workloads::TaskSet ts = hier_tasks(480, 500.0, 37);
+  const HierFarmReport r = HierFarm(p).run(backend, grid, grid.node_ids(), ts);
+
+  check_hier_invariants(r, 480);
+  ASSERT_EQ(r.promotions, 1u);
+  EXPECT_EQ(r.shard_summaries[0].sub_farmer, standby);
+  EXPECT_GT(r.results_lost, 0u);
+  EXPECT_EQ(r.results_lost, r.trace.count(TraceEventKind::TaskResultLost));
+}
+
 // ------------------------------------------------------ planted worker loss
 
 TEST(HierChurnProperty, WorkerCrashStaysLocalToItsShard) {
