@@ -375,27 +375,11 @@ int main(int argc, char** argv) {
     const resil::ResilienceReport snap =
         resil::ResilienceMetrics::register_in(telemetry.metrics)
             .snapshot(telemetry.metrics);
-    const auto& res = r.resilience;
-    const bool registry_matches =
-        snap.crashes_detected == res.crashes_detected &&
-        snap.leaves == res.leaves && snap.joins == res.joins &&
-        snap.admissions == res.admissions &&
-        snap.rejections == res.rejections &&
-        snap.evictions == res.evictions &&
-        snap.chunks_lost == res.chunks_lost &&
-        snap.tasks_redispatched == res.tasks_redispatched &&
-        snap.zombie_completions == res.zombie_completions &&
-        snap.wasted_mops == res.wasted_mops &&
-        snap.checkpoints == res.checkpoints &&
-        snap.tasks_recovered == res.tasks_recovered &&
-        snap.recovered_mops == res.recovered_mops &&
-        snap.checkpoint_state_bytes == res.checkpoint_state_bytes &&
-        snap.failovers == res.failovers &&
-        snap.failover_latency_s == res.failover_latency_s &&
-        snap.standby_recruits == res.standby_recruits &&
-        snap.results_rolled_back == res.results_rolled_back &&
-        snap.replication_records == res.replication_records &&
-        snap.replication_bytes == res.replication_bytes;
+    bool registry_matches = true;
+    resil::for_each_field(snap, r.resilience,
+                          [&](const char*, auto x, auto y) {
+                            registry_matches = registry_matches && x == y;
+                          });
     if (!registry_matches) {
       std::cerr << "bench_e13 --smoke: registry snapshot != resilience "
                    "report\n";

@@ -13,8 +13,9 @@
 //
 // --trace-out writes a Chrome trace-event file of the run's causal spans
 // (chunks, calibrations, checkpoint passes, the crash->promotion->handshake
-// arc) — load it in Perfetto / chrome://tracing.  --metrics-out writes the
-// metrics registry and span stream as JSONL.
+// arc) plus the instants the engine emits for membership, checkpoint and
+// failover events — load it in Perfetto / chrome://tracing.  --metrics-out
+// writes the metrics registry and span stream as JSONL.
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -22,7 +23,6 @@
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
 #include "gridsim/scenarios.hpp"
-#include "obs/bridge.hpp"
 #include "obs/flight_recorder.hpp"
 #include "support/config.hpp"
 #include "support/table.hpp"
@@ -81,11 +81,6 @@ int main(int argc, char** argv) {
   const core::FarmReport farm =
       core::TaskFarm(params).run(backend, grid, grid.node_ids(), tasks);
 
-  // Fold the engine trace into the span stream (instants for membership /
-  // coordination events; per-chunk spans are already recorded natively).
-  obs::BridgeOptions bridge_opts;
-  bridge_opts.task_spans = false;
-  obs::bridge_trace(farm.trace, telemetry.spans, bridge_opts);
   if (!bench::export_telemetry(telemetry, obs_opts)) return 1;
 
   std::cout << "farmer-failover run: " << nodes << " nodes + " << spares

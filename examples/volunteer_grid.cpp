@@ -9,6 +9,9 @@
 //
 //   ./volunteer_grid [key=value ...] [--trace-out t.json] [--metrics-out m.jsonl]
 //   e.g.  ./volunteer_grid mtbf=120 --trace-out trace.json
+//
+// The trace carries the farm's chunk spans and one instant per membership,
+// checkpoint or failover event the engine emitted.
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -16,7 +19,6 @@
 #include "core/baselines.hpp"
 #include "core/grasp.hpp"
 #include "gridsim/scenarios.hpp"
-#include "obs/bridge.hpp"
 #include "obs/flight_recorder.hpp"
 #include "support/config.hpp"
 #include "support/table.hpp"
@@ -71,10 +73,6 @@ int main(int argc, char** argv) {
   const core::RunSummary summary = program.compile(grid).execute();
   const core::FarmReport& farm = *summary.farm;
 
-  // Membership instants from the engine trace join the native span stream.
-  obs::BridgeOptions bridge_opts;
-  bridge_opts.task_spans = false;
-  obs::bridge_trace(farm.trace, telemetry.spans, bridge_opts);
   if (!bench::export_telemetry(telemetry, obs_opts)) return 1;
 
   std::cout << "application: " << summary.application

@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "support/ids.hpp"
 
 namespace grasp::core {
@@ -151,6 +152,18 @@ class Backend {
   /// Number of operations submitted but not yet returned by wait_next.
   /// Pending timers are excluded.
   [[nodiscard]] virtual std::size_t in_flight() const = 0;
+};
+
+/// The engines' obs::Clock: spans and emitted events are stamped from the
+/// backend's clock (virtual seconds on the simulator, wall seconds on the
+/// threaded backend).
+class BackendClock final : public obs::Clock {
+ public:
+  explicit BackendClock(const Backend& backend) : backend_(backend) {}
+  [[nodiscard]] double now_s() const override { return backend_.now().value; }
+
+ private:
+  const Backend& backend_;
 };
 
 }  // namespace grasp::core

@@ -58,7 +58,7 @@ CalibrationResult Calibrator::run(Backend& backend,
                                   const std::vector<NodeId>& pool,
                                   TaskSource& tasks,
                                   perfmon::MonitorDaemon* monitor,
-                                  gridsim::TraceRecorder* trace,
+                                  obs::Emitter* emit,
                                   TokenAllocator& tokens,
                                   const ForeignOps* foreign) {
   if (pool.empty()) throw std::invalid_argument("Calibrator: empty pool");
@@ -72,10 +72,9 @@ CalibrationResult Calibrator::run(Backend& backend,
 
   CalibrationResult result;
   result.started = backend.now();
-  if (trace)
-    trace->record({backend.now(), gridsim::TraceEventKind::CalibrationStarted,
-                   root, TaskId::invalid(), static_cast<double>(pool.size()),
-                   "pool"});
+  if (emit)
+    emit->emit(gridsim::TraceEventKind::CalibrationStarted, root,
+               TaskId::invalid(), static_cast<double>(pool.size()), "pool");
 
   // Dispatch one sample to every node concurrently (Algorithm 1 line 1).
   std::unordered_map<OpToken, SampleOp> in_flight;
@@ -106,9 +105,9 @@ CalibrationResult Calibrator::run(Backend& backend,
     if (!window_begin.count(node)) window_begin[node] = op.sample_start;
     const OpToken token = tokens.alloc();
     backend.submit_transfer(token, root, node, op.task.input);
-    if (trace && !op.is_probe)
-      trace->record({backend.now(), gridsim::TraceEventKind::TaskDispatched,
-                     node, op.task.id, op.task.work.value, "calibration"});
+    if (emit && !op.is_probe)
+      emit->emit(gridsim::TraceEventKind::TaskDispatched, node, op.task.id,
+                 op.task.work.value, "calibration");
     in_flight.emplace(token, std::move(op));
   };
 
@@ -193,10 +192,9 @@ CalibrationResult Calibrator::run(Backend& backend,
         // checkpoint recovery of a lost chunk that also carried it).
         if (!op.is_probe && tasks.mark_completed(op.task.id)) {
           ++result.tasks_consumed;
-          if (trace)
-            trace->record({backend.now(),
-                           gridsim::TraceEventKind::TaskCompleted, op.node,
-                           op.task.id, elapsed.value, "calibration"});
+          if (emit)
+            emit->emit(gridsim::TraceEventKind::TaskCompleted, op.node,
+                       op.task.id, elapsed.value, "calibration");
         }
         if (op.samples_left > 0) launch_sample(op.node, op.samples_left - 1);
         break;
@@ -328,11 +326,10 @@ CalibrationResult Calibrator::run(Backend& backend,
   }
   result.baseline_spm = baseline.mean();
   result.finished = backend.now();
-  if (trace)
-    trace->record({backend.now(),
-                   gridsim::TraceEventKind::CalibrationFinished, root,
-                   TaskId::invalid(), static_cast<double>(result.chosen.size()),
-                   "chosen"});
+  if (emit)
+    emit->emit(gridsim::TraceEventKind::CalibrationFinished, root,
+               TaskId::invalid(), static_cast<double>(result.chosen.size()),
+               "chosen");
   GRASP_LOG_INFO("calibration")
       << "selected " << result.chosen.size() << "/" << pool.size()
       << " nodes, baseline " << result.baseline_spm << " s/Mop";

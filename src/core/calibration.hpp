@@ -23,7 +23,7 @@
 #include "core/backend.hpp"
 #include "core/skeleton_traits.hpp"
 #include "core/task_source.hpp"
-#include "gridsim/trace.hpp"
+#include "obs/emit.hpp"
 #include "perfmon/monitor.hpp"
 
 namespace grasp::core {
@@ -144,13 +144,15 @@ class Calibrator {
   /// Run Algorithm 1 on `pool`.  Consumes up to samples*|pool| tasks from
   /// `tasks` (marking them completed); when the queue runs dry a synthetic
   /// probe of the last seen shape is used instead.  `monitor` may be null
-  /// (statistical strategies then degrade to TimeOnly).  Requires every
-  /// backend operation in flight to be accounted for by `foreign`.
+  /// (statistical strategies then degrade to TimeOnly).  `emit` (may be
+  /// null) receives the pass's calibration and sample-task events.
+  /// Requires every backend operation in flight to be accounted for by
+  /// `foreign`.
   [[nodiscard]] CalibrationResult run(Backend& backend,
                                       const std::vector<NodeId>& pool,
                                       TaskSource& tasks,
                                       perfmon::MonitorDaemon* monitor,
-                                      gridsim::TraceRecorder* trace,
+                                      obs::Emitter* emit,
                                       TokenAllocator& tokens,
                                       const ForeignOps* foreign = nullptr);
 

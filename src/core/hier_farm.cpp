@@ -22,6 +22,7 @@
 
 #include "mp/tree_reduce.hpp"
 #include "obs/critical_path.hpp"
+#include "obs/emit.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/span.hpp"
 #include "resil/chunk_ledger.hpp"
@@ -59,18 +60,6 @@ constexpr std::uint64_t kShardShift = 40;
 [[nodiscard]] std::size_t token_shard(OpToken token) {
   return static_cast<std::size_t>((token >> kShardShift) & 0xFFFF);
 }
-
-/// Span clock over the backend (virtual seconds).
-class BackendClock final : public obs::Clock {
- public:
-  explicit BackendClock(const Backend& backend) : backend_(backend) {}
-  [[nodiscard]] double now_s() const override {
-    return backend_.now().value;
-  }
-
- private:
-  const Backend& backend_;
-};
 
 constexpr double kReduceHopBytes = 128.0;  // one folded monitor sample
 constexpr double kSpmBlend = 0.5;          // EWMA weight of a new sample
@@ -260,11 +249,20 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     }
   };
 
+  using Kind = gridsim::TraceEventKind;
+  // Reserved up front and never reallocated: each shard's emitter (the one
+  // emission point for its events, see obs/emit.hpp) points at its spans.
   std::vector<Shard> shards;
   shards.reserve(plan.size());
+  std::vector<obs::Emitter> shard_ev;
+  shard_ev.reserve(plan.size());
   resil::FailureDetector root_det(params_.detector);
   for (std::size_t k = 0; k < plan.size(); ++k) {
-    Shard sh(params_.detector);
+    Shard& sh = shards.emplace_back(params_.detector);
+    sh.spans.set_clock(&clock);
+    sh.spans.set_enabled(tel.detail_enabled());
+    obs::Emitter& ev =
+        shard_ev.emplace_back(clock, report.trace, sh.spans, tel.flight);
     sh.members = plan[k];
     sh.initial_workers = sh.members.size();
     sh.sub = sh.members.front();
@@ -279,16 +277,12 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       if (m == sh.sub || recruited == params_.standby_count) continue;
       sh.log.add_replica(m);
       ++recruited;
-      report.trace.record({t0, gridsim::TraceEventKind::StandbyRecruited, m,
-                           TaskId::invalid(), static_cast<double>(k), ""});
+      ev.emit(Kind::StandbyRecruited, m, TaskId::invalid(),
+              static_cast<double>(k));
     }
-    sh.spans.set_clock(&clock);
-    sh.spans.set_enabled(tel.detail_enabled());
     if (grasp)
-      report.trace.record({t0, gridsim::TraceEventKind::CalibrationStarted,
-                           sh.sub, TaskId::invalid(), static_cast<double>(k),
-                           ""});
-    shards.push_back(std::move(sh));
+      ev.emit(Kind::CalibrationStarted, sh.sub, TaskId::invalid(),
+              static_cast<double>(k));
   }
   report.shards = shards.size();
   if (params_.slos.any())
@@ -298,8 +292,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
   // ------------------------------------------------------------ counters
   std::size_t root_events = 0, shard_events = 0, grants_total = 0;
-  std::size_t calibration_tasks = 0, recalibrations = 0, promotions = 0;
-  std::size_t redispatched_total = 0, results_lost = 0, zombies = 0;
+  std::size_t calibration_tasks = 0, recalibrations = 0;
+  std::size_t redispatched_total = 0, zombies = 0;
   std::size_t monitor_rounds = 0, reduction_messages = 0;
   bool finished = false;
   Seconds finish_time = t0;
@@ -317,12 +311,6 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   OpToken monitor_token = 0, liveness_token = 0;
 
   const auto now_s = [&] { return backend.now(); };
-
-  // -------------------------------------------------------- trace helpers
-  const auto trace = [&](gridsim::TraceEventKind kind, NodeId node,
-                         TaskId task, double value) {
-    report.trace.record({now_s(), kind, node, task, value, ""});
-  };
 
   // ---------------------------------------------------- chunk size policy
   const auto chunk_len = [&](const Shard& sh, NodeId node) -> std::size_t {
@@ -408,8 +396,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
                        0.0, {}});
       sh.busy[picked] = 1;
       sh.inflight_tasks += chunk.size();
-      trace(gridsim::TraceEventKind::TaskDispatched, picked, chunk.front().id,
-            static_cast<double>(chunk.size()));
+      shard_ev[k].emit(Kind::TaskDispatched, picked, chunk.front().id,
+                       static_cast<double>(chunk.size()));
       Asg a;
       a.shard = k;
       a.node = picked;
@@ -443,8 +431,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
   // Requeue a surrendered chunk's unfinished tasks at the front of the
   // shard queue (reverse push keeps task order) and account the loss.
-  const auto requeue_lost = [&](Shard& sh, const resil::ChunkLedger::Entry& e,
+  const auto requeue_lost = [&](std::size_t k,
+                                const resil::ChunkLedger::Entry& e,
                                 NodeId node) {
+    Shard& sh = shards[k];
     std::size_t back = 0;
     for (auto it = e.tasks.rbegin(); it != e.tasks.rend(); ++it) {
       if (is_done(it->id)) continue;
@@ -454,8 +444,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     if (back > 0) {
       sh.redispatched += back;
       redispatched_total += back;
-      trace(gridsim::TraceEventKind::ChunkRedispatched, node, e.tasks.front().id,
-            static_cast<double>(back));
+      shard_ev[k].emit(Kind::ChunkRedispatched, node, e.tasks.front().id,
+                       static_cast<double>(back));
     }
   };
 
@@ -472,8 +462,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
                      ? static_cast<double>(sh.members.size()) / cap
                      : 0.0;
     sh.obs_spm = sh.cal_spm;
-    trace(gridsim::TraceEventKind::CalibrationFinished, sh.sub,
-          TaskId::invalid(), static_cast<double>(k));
+    shard_ev[k].emit(Kind::CalibrationFinished, sh.sub, TaskId::invalid(),
+                     static_cast<double>(k));
   };
 
   const auto recruit_standby = [&](std::size_t k) {
@@ -489,8 +479,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         }
       if (!best.is_valid()) return;
       sh.log.add_replica(best);
-      trace(gridsim::TraceEventKind::StandbyRecruited, best, TaskId::invalid(),
-            static_cast<double>(k));
+      shard_ev[k].emit(Kind::StandbyRecruited, best, TaskId::invalid(),
+                       static_cast<double>(k));
     }
   };
 
@@ -503,13 +493,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
   const auto worker_crash = [&](std::size_t k, NodeId w) {
     Shard& sh = shards[k];
-    trace(gridsim::TraceEventKind::NodeCrashDetected, w, TaskId::invalid(),
-          static_cast<double>(k));
-    sh.spans.instant("crash_detected", 0, w, TaskId::invalid(),
-                     static_cast<double>(k), "heartbeat timeout");
-    if (flight != nullptr)
-      flight->note(now_s().value, "crash", "worker", w,
-                   static_cast<double>(k));
+    shard_ev[k].emit(Kind::NodeCrashDetected, w, TaskId::invalid(),
+                     static_cast<double>(k));
     sh.detector.unwatch(w);
     sh.drop_member(w);
     sh.busy[w] = 0;
@@ -519,7 +504,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         sh.spans.end(a.span, 0.0, "lost");
       swallow.insert(token);
       sh.inflight_tasks -= std::min(sh.inflight_tasks, entry.tasks.size());
-      requeue_lost(sh, entry, w);
+      requeue_lost(k, entry, w);
     }
     if (sh.log.has_replica(w)) {
       sh.log.remove_replica(w);
@@ -540,7 +525,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       if (a.shard == k) mine.push_back(tok);
     for (OpToken token : mine) {
       if (auto entry = sh.ledger.invalidate(token, is_done); entry)
-        requeue_lost(sh, *entry, entry->node);
+        requeue_lost(k, *entry, entry->node);
       if (auto [found, a] = asg.take(token); found)
         sh.spans.end(a.span, 0.0, "lost");
       swallow.insert(token);
@@ -552,8 +537,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     for (auto it = sh.unreported.rbegin(); it != sh.unreported.rend(); ++it) {
       if (is_done(it->id)) continue;
       root_queue.push_front(*it);
-      ++results_lost;
-      trace(gridsim::TraceEventKind::TaskResultLost, sh.sub, it->id, 0.0);
+      shard_ev[k].emit(Kind::TaskResultLost, sh.sub, it->id);
     }
     sh.unreported.clear();
     sh.unreported_bytes = 0.0;
@@ -574,13 +558,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     Shard& sh = shards[k];
     const NodeId dead_sub = sh.sub;
     const Seconds now = now_s();
-    trace(gridsim::TraceEventKind::FarmerCrashDetected, dead_sub,
-          TaskId::invalid(), static_cast<double>(k));
-    sh.spans.instant("crash_detected", 0, dead_sub, TaskId::invalid(),
-                     static_cast<double>(k), "sub-farmer silent");
-    if (flight != nullptr)
-      flight->note(now.value, "failover", "sub_farmer_down", dead_sub,
-                   static_cast<double>(k));
+    shard_ev[k].emit(Kind::FarmerCrashDetected, dead_sub, TaskId::invalid(),
+                     static_cast<double>(k));
     root_det.unwatch(dead_sub);
     sh.drop_member(dead_sub);
     abort_reduction();  // the round routed through a corpse; drop it
@@ -615,7 +594,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       if (a.shard == k) mine.push_back(tok);
     for (OpToken token : mine) {
       if (auto entry = sh.ledger.invalidate(token, is_done); entry)
-        requeue_lost(sh, *entry, entry->node);
+        requeue_lost(k, *entry, entry->node);
       if (auto [found, a] = asg.take(token); found)
         sh.spans.end(a.span, 0.0, "lost");
       swallow.insert(token);
@@ -647,9 +626,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
             if (is_done(it->id)) continue;
             sh.queue.push_front(*it);
             retracted.insert(it->id);
-            ++results_lost;
-            trace(gridsim::TraceEventKind::TaskResultLost, dead_sub, it->id,
-                  0.0);
+            shard_ev[k].emit(Kind::TaskResultLost, dead_sub, it->id);
           }
         });
     if (!retracted.empty()) {
@@ -667,18 +644,14 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     sh.log.remove_replica(promoted);  // the new authority shadows nobody
     sh.sub = promoted;
     ++sh.promotions;
-    ++promotions;
     // The new coordinator starts a fresh watch over its peers.
     sh.detector = resil::FailureDetector(params_.detector);
     for (NodeId m : sh.members)
       if (m != promoted) sh.detector.watch(m, now);
     root_det.watch(promoted, now);
     recruit_standby(k);
-    trace(gridsim::TraceEventKind::FarmerPromoted, promoted, TaskId::invalid(),
-          params_.promotion_handshake.value);
-    if (flight != nullptr)
-      flight->note(now.value, "failover", "promoted", promoted,
-                   static_cast<double>(k));
+    shard_ev[k].emit(Kind::FarmerPromoted, promoted, TaskId::invalid(),
+                     params_.promotion_handshake.value);
     sh.promoting = true;
     backend.submit_timer(make_token(OpKind::PromoteTimer, k, seq++),
                          params_.promotion_handshake);
@@ -730,10 +703,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         ++recalibrations;
         sh.calibrated = false;
         for (NodeId m : sh.members) sh.probed[m] = 0;
-        trace(gridsim::TraceEventKind::RecalibrationTriggered, sh.sub,
-              TaskId::invalid(), drift);
-        trace(gridsim::TraceEventKind::CalibrationStarted, sh.sub,
-              TaskId::invalid(), static_cast<double>(k));
+        shard_ev[k].emit(Kind::RecalibrationTriggered, sh.sub,
+                         TaskId::invalid(), drift);
+        shard_ev[k].emit(Kind::CalibrationStarted, sh.sub, TaskId::invalid(),
+                         static_cast<double>(k));
         dispatch_shard(k);
       }
     }
@@ -864,8 +837,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
             if (it == index.end() || done[it->second] != 0) continue;
             done[it->second] = 1;
             ++global_done;
-            trace(gridsim::TraceEventKind::TaskCompleted, shards[k].sub,
-                  t.id, 0.0);
+            shard_ev[k].emit(Kind::TaskCompleted, shards[k].sub, t.id);
           }
         }
         Shard& sh = shards[k];
@@ -909,7 +881,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
           if (auto entry = sh.ledger.invalidate(token, is_done); entry) {
             sh.inflight_tasks -=
                 std::min(sh.inflight_tasks, entry->tasks.size());
-            requeue_lost(sh, *entry, a->node);
+            requeue_lost(k, *entry, a->node);
           }
           sh.spans.end(a->span, 0.0, "zombie");
           sh.busy[a->node] = 0;
@@ -1001,9 +973,9 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   report.monitor_rounds = monitor_rounds;
   report.reduction_messages = reduction_messages;
   report.recalibrations = recalibrations;
-  report.promotions = promotions;
+  report.promotions = report.trace.count(Kind::FarmerPromoted);
   report.redispatched = redispatched_total;
-  report.results_lost = results_lost;
+  report.results_lost = report.trace.count(Kind::TaskResultLost);
   report.zombie_completions = zombies;
   for (std::size_t k = 0; k < shards.size(); ++k) {
     const Shard& sh = shards[k];
@@ -1030,7 +1002,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   met.set_counter(met.counter("hier.shard_events"), shard_events);
   met.set_counter(met.counter("hier.grants"), grants_total);
   met.set_counter(met.counter("hier.monitor_rounds"), monitor_rounds);
-  met.set_counter(met.counter("hier.promotions"), promotions);
+  met.set_counter(met.counter("hier.promotions"), report.promotions);
   met.set_counter(met.counter("hier.redispatched"), redispatched_total);
   met.set_counter(met.counter("hier.shards"), shards.size());
   met.set(met.gauge("hier.makespan_s"), report.makespan.value);

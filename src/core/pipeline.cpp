@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/critical_path.hpp"
+#include "obs/emit.hpp"
 #include "obs/flight_recorder.hpp"
 #include "resil/adaptive_policy.hpp"
 #include "resil/membership.hpp"
@@ -150,19 +151,16 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   obs::Telemetry& tel =
       params_.telemetry != nullptr ? *params_.telemetry : private_telemetry;
   obs::MetricsRegistry& met = tel.metrics;
-  struct BackendClock final : obs::Clock {
-    explicit BackendClock(Backend& b) : backend(b) {}
-    [[nodiscard]] double now_s() const override {
-      return backend.now().value;
-    }
-    Backend& backend;
-  } obs_clock{backend};
+  const BackendClock obs_clock(backend);
   struct ClockGuard {
     obs::Telemetry& tel;
     ~ClockGuard() { tel.set_clock(nullptr); }
   } clock_guard{tel};
   tel.set_clock(&obs_clock);
   const resil::ResilienceMetrics rm = resil::ResilienceMetrics::register_in(met);
+  // The one emission point for engine events (see obs/emit.hpp).
+  obs::Emitter ev(obs_clock, report.trace, tel.spans, tel.flight, &met, &rm);
+  using Kind = gridsim::TraceEventKind;
   // Whole-registry pre-run baseline: the report delta is one generic
   // subtraction, decoded by metric name (resil::from_snapshot).
   const obs::MetricsSnapshot base_snap = met.snapshot();
@@ -254,17 +252,9 @@ PipelineReport Pipeline::run_engine(Backend& backend,
           case gridsim::ChurnEventKind::Crash:
           case gridsim::ChurnEventKind::Leave: {
             const bool crashed = e.kind == gridsim::ChurnEventKind::Crash;
-            if (lost_nodes.insert(e.node.value).second) {
-              if (crashed)
-                met.inc(rm.crashes_detected);
-              else
-                met.inc(rm.leaves);
-              report.trace.record(
-                  {at,
-                   crashed ? gridsim::TraceEventKind::NodeCrashDetected
-                           : gridsim::TraceEventKind::NodeLeftPool,
-                   e.node, TaskId::invalid(), 0.0, "calibration"});
-            }
+            if (lost_nodes.insert(e.node.value).second)
+              ev.emit(crashed ? Kind::NodeCrashDetected : Kind::NodeLeftPool,
+                      e.node, TaskId::invalid(), 0.0, "calibration");
             newly_dead_cal.push_back(e.node);
             // A joiner dying before the mapping exists must not be parked
             // for admission — its crash event is consumed here and would
@@ -292,8 +282,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
 
   const obs::SpanId cal_span = tel.spans.begin("calibration");
   const CalibrationResult calibration =
-      calibrator.run(backend, present, probe_source, &monitor, &report.trace,
-                     tokens, &cal_foreign);
+      calibrator.run(backend, present, probe_source, &monitor, &ev, tokens,
+                     &cal_foreign);
   tel.spans.end(cal_span, static_cast<double>(calibration.tasks_consumed),
                 "initial");
   if (calibration.ranking.size() < initial_nodes)
@@ -470,10 +460,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
           rep.node = *best;
           spares.erase(best);
           ++report.remaps;
-          report.trace.record({backend.now(),
-                               gridsim::TraceEventKind::StageRemapped,
-                               rep.node, TaskId::invalid(),
-                               static_cast<double>(s), "failover"});
+          ev.emit(Kind::StageRemapped, rep.node, TaskId::invalid(),
+                  static_cast<double>(s), "failover");
           GRASP_LOG_INFO("pipeline") << "stage " << s << " failed over "
                                      << node.value << " -> "
                                      << rep.node.value;
@@ -536,19 +524,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
     }
     if (first_loss) {
       if (params_.adaptive_patience) down_at[node.value] = backend.now();
-      if (crashed) {
-        met.inc(rm.crashes_detected);
-        tel.spans.instant("crash_detected", 0, node);
-        if (flight != nullptr)
-          flight->note(backend.now().value, "crash", "stage lost", node, 0.0);
-      } else {
-        met.inc(rm.leaves);
-      }
-      report.trace.record({backend.now(),
-                           crashed
-                               ? gridsim::TraceEventKind::NodeCrashDetected
-                               : gridsim::TraceEventKind::NodeLeftPool,
-                           node, TaskId::invalid(), 0.0, ""});
+      ev.emit(crashed ? Kind::NodeCrashDetected : Kind::NodeLeftPool, node);
     }
     arm_monitor();
   };
@@ -556,16 +532,13 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   // A node joined: revive a down replica if any stage is starving,
   // otherwise park it as a spare for remaps/replications.
   auto handle_join = [&](NodeId node) {
-    met.inc(rm.joins);
     last_activity = backend.now();
     lost_nodes.erase(node.value);
     if (const auto it = down_at.find(node.value); it != down_at.end()) {
       outage_stats.add((backend.now() - it->second).value);
       down_at.erase(it);
     }
-    report.trace.record({backend.now(),
-                         gridsim::TraceEventKind::NodeJoinedPool, node,
-                         TaskId::invalid(), 0.0, ""});
+    ev.emit(Kind::NodeJoinedPool, node);
     if (std::find(observed.begin(), observed.end(), node) == observed.end()) {
       observed.push_back(node);
       monitor.rewatch(observed);
@@ -577,10 +550,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
         rep.node = node;
         ++report.remaps;
         met.inc(rm.admissions);
-        report.trace.record({backend.now(),
-                             gridsim::TraceEventKind::StageRemapped, node,
-                             TaskId::invalid(), static_cast<double>(s),
-                             "revive"});
+        ev.emit(Kind::StageRemapped, node, TaskId::invalid(),
+                static_cast<double>(s), "revive");
         arm_monitor();
         return;
       }
@@ -645,9 +616,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
                                               Bytes{params_.stage_state_bytes}));
     ops.emplace(token,
                 PendingOp{OpKind::Migration, s, st.pending_remap_replica, 0});
-    report.trace.record({backend.now(), gridsim::TraceEventKind::StageRemapped,
-                         target, TaskId::invalid(), static_cast<double>(s),
-                         "migrating"});
+    ev.emit(Kind::StageRemapped, target, TaskId::invalid(),
+            static_cast<double>(s), "migrating");
     GRASP_LOG_INFO("pipeline") << "stage " << s << " remapping "
                                << rep.node.value << " -> " << target.value;
     ++report.remaps;
@@ -715,7 +685,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   // Structural action: farm out the bottleneck stage onto one more node.
   auto maybe_replicate = [&] {
     if (params_.replicate_imbalance_factor <= 0.0) return;
-    if (report.replications >= params_.max_replications) return;
+    if (report.trace.count(Kind::StageReplicated) >= params_.max_replications)
+      return;
     if (spares.empty() || any_structural_in_flight()) return;
     std::vector<double> effective(depth, 0.0);
     for (std::size_t s = 0; s < depth; ++s) {
@@ -747,14 +718,11 @@ PipelineReport Pipeline::run_engine(Backend& backend,
                             target, Bytes{params_.stage_state_bytes});
     ops.emplace(token, PendingOp{OpKind::Migration, worst,
                                  stages[worst].replicas.size() - 1, 0});
-    report.trace.record({backend.now(),
-                         gridsim::TraceEventKind::StageReplicated, target,
-                         TaskId::invalid(), static_cast<double>(worst),
-                         "seeding"});
+    ev.emit(Kind::StageReplicated, target, TaskId::invalid(),
+            static_cast<double>(worst), "seeding");
     GRASP_LOG_INFO("pipeline")
         << "stage " << worst << " replicating onto " << target.value << " ("
         << stages[worst].replicas.size() << " replicas)";
-    ++report.replications;
   };
 
   auto consider_adaptation = [&] {
@@ -817,7 +785,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
 
   // ---- Main loop. -------------------------------------------------------
   consume_membership();
-  while (report.items_completed < item_count) {
+  while (report.trace.count(Kind::ItemCompleted) < item_count) {
     schedule();
     const auto completion = backend.wait_next();
     if (!completion)
@@ -926,13 +894,11 @@ PipelineReport Pipeline::run_engine(Backend& backend,
         break;
       }
       case OpKind::SinkOut: {
-        ++report.items_completed;
         last_done = backend.now();
         latencies.push_back((backend.now() - item_at(op.item).entered).value);
         met.observe(h_item_latency, latencies.back());
-        report.trace.record({backend.now(),
-                             gridsim::TraceEventKind::ItemCompleted, source,
-                             TaskId{op.item}, latencies.back(), ""});
+        ev.emit(Kind::ItemCompleted, source, TaskId{op.item},
+                latencies.back());
         items.erase(op.item);
         break;
       }
@@ -948,10 +914,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
           break;
         }
         arm_monitor();
-        report.trace.record({backend.now(),
-                             gridsim::TraceEventKind::StageRemapped, rep.node,
-                             TaskId::invalid(),
-                             static_cast<double>(op.stage), "resumed"});
+        ev.emit(Kind::StageRemapped, rep.node, TaskId::invalid(),
+                static_cast<double>(op.stage), "resumed");
         break;
       }
     }
@@ -988,6 +952,9 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   // baseline, so a Telemetry reused across runs still yields per-run
   // numbers); mirror the pipeline scalars for dashboards/exporters.
   report.resilience = resil::from_snapshot(met.snapshot().diff(base_snap));
+  // Report fields that count one event kind are read off the trace.
+  report.items_completed = report.trace.count(Kind::ItemCompleted);
+  report.replications = report.trace.count(Kind::StageReplicated);
   met.set_counter(met.counter("pipeline.items_completed"),
                   report.items_completed);
   met.set_counter(met.counter("pipeline.remaps"), report.remaps);

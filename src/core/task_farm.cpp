@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/critical_path.hpp"
+#include "obs/emit.hpp"
 #include "obs/flight_recorder.hpp"
 #include "resil/adaptive_policy.hpp"
 #include "resil/chunk_ledger.hpp"
@@ -117,15 +118,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   obs::Telemetry& tel =
       params_.telemetry != nullptr ? *params_.telemetry : private_telemetry;
   obs::MetricsRegistry& met = tel.metrics;
-  // Spans are stamped from the backend's clock: virtual seconds on the
-  // simulator, wall seconds on the threaded backend.
-  struct BackendClock final : obs::Clock {
-    explicit BackendClock(Backend& b) : backend(b) {}
-    [[nodiscard]] double now_s() const override {
-      return backend.now().value;
-    }
-    Backend& backend;
-  } obs_clock{backend};
+  const BackendClock obs_clock(backend);
   struct ClockGuard {  // the adapter dies with this frame; detach on exit
     obs::Telemetry& tel;
     ~ClockGuard() { tel.set_clock(nullptr); }
@@ -133,12 +126,12 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   tel.set_clock(&obs_clock);
   const resil::ResilienceMetrics rm =
       resil::ResilienceMetrics::register_in(met);
+  // Every engine event goes out through this one emitter (trace record,
+  // resilience counter, span instant, flight note: see obs/emit.hpp).
+  obs::Emitter ev(obs_clock, report.trace, tel.spans, tel.flight, &met, &rm);
+  using Kind = gridsim::TraceEventKind;
   // Baseline snapshot: a Telemetry reused across runs keeps accumulating,
-  // and this run's report is the delta against these values.  The typed
-  // baseline feeds the component-total imports at the end of the run (they
-  // re-add it under set_counter); the generic whole-registry snapshot is
-  // what the report delta is actually computed from.
-  const resil::ResilienceReport resil_base = rm.snapshot(met);
+  // and this run's report is the delta against these values.
   const obs::MetricsSnapshot base_snap = met.snapshot();
   const obs::HistogramHandle h_service =
       met.histogram("farm.task_service_seconds", {1e-3, 2.0, 48});
@@ -150,10 +143,10 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       met.histogram("farm.checkpoint_interval_seconds", {1e-3, 2.0, 48});
   const obs::HistogramHandle h_wave =
       met.histogram("farm.dispatch_wave_size", {1.0, 2.0, 16});
-  // Detection & dispatch-economics instrumentation.  The counters record
-  // unconditionally (zero-cost when the policies are off); the effective-
-  // timeout histogram shows what leash the accrual detector actually gave
-  // each node it declared dead.
+  // Detection & dispatch-economics instrumentation.  The counters mirror
+  // the report's totals at the end of the run; the effective-timeout
+  // histogram shows what leash the accrual detector actually gave each
+  // node it declared dead.
   const obs::CounterHandle c_suppressed =
       met.counter("farm.econ.reissues_suppressed");
   const obs::CounterHandle c_econ_evictions =
@@ -165,7 +158,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   // liveness ticks and the crash-declaration path below.
   std::optional<obs::Watchdog> watchdog;
   if (params_.slos.any()) watchdog.emplace(params_.slos, tel);
-  // Crash flight recorder: load-bearing events only, noted when attached.
+  // Crash flight recorder: run bounds and chunk losses are noted here;
+  // engine events reach it through the emitter.
   obs::FlightRecorder* const flight = tel.flight;
   const Seconds run_started = backend.now();
   if (flight != nullptr)
@@ -331,29 +325,19 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     if (is_probe || !task.id.is_valid() || source.is_completed(task.id))
       return;
     source.push_front(task);
-    met.inc(rm.tasks_redispatched);
-    report.trace.record({backend.now(),
-                         gridsim::TraceEventKind::ChunkRedispatched, node,
-                         task.id, 0.0, "calibration"});
+    ev.emit(Kind::ChunkRedispatched, node, task.id, 0.0, "calibration");
   };
 
   // ---- Phase: calibration (Algorithm 1) -------------------------------
   in_calibration = true;
   calibration_opened_s = backend.now().value;
-  if (flight != nullptr)
-    flight->note(calibration_opened_s, "calibration", "begin", root,
-                 static_cast<double>(initial_members.size()));
   const obs::SpanId cal_span = tel.spans.begin("calibration");
-  CalibrationResult calibration =
-      calibrator.run(backend, initial_members, source, &monitor,
-                     &report.trace, tokens, &foreign);
+  CalibrationResult calibration = calibrator.run(
+      backend, initial_members, source, &monitor, &ev, tokens, &foreign);
   tel.spans.end(cal_span,
                 static_cast<double>(calibration.tasks_consumed), "initial");
   in_calibration = false;
   calibration_opened_s = -1.0;
-  if (flight != nullptr)
-    flight->note(backend.now().value, "calibration", "end", root,
-                 static_cast<double>(calibration.chosen.size()));
   report.calibration_tasks += calibration.tasks_consumed;
   // Only the initial calibration warm-starts from the shared cache: a
   // recalibration is triggered by evidence that conditions moved, so it
@@ -440,11 +424,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
             std::clamp<std::size_t>(ideal, 1, params_.max_chunk);
         if (clamped != node_chunk[n]) {
           node_chunk[n] = clamped;
-          ++report.chunk_resizes;
-          report.trace.record({backend.now(),
-                               gridsim::TraceEventKind::ChunkResized, n,
-                               TaskId::invalid(), static_cast<double>(clamped),
-                               "chunk"});
+          ev.emit(Kind::ChunkResized, n, TaskId::invalid(),
+                  static_cast<double>(clamped), "chunk");
         }
         want = clamped;
       }
@@ -452,7 +433,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     if (const std::size_t cap = econ_chunk_cap(n); cap < want) {
       want = cap;
       ++report.econ_chunk_caps;
-      met.inc(c_chunk_caps);
     }
     return want;
   };
@@ -480,10 +460,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     const OpToken token = tokens.alloc();
     dispatch_wave.push_back(OpRequest::transfer(token, farmer, node, input));
     for (const auto& t : a.chunk)
-      report.trace.record({backend.now(),
-                           is_reissue ? gridsim::TraceEventKind::TaskReissued
-                                      : gridsim::TraceEventKind::TaskDispatched,
-                           node, t.id, t.work.value, ""});
+      ev.emit(is_reissue ? Kind::TaskReissued : Kind::TaskDispatched, node,
+              t.id, t.work.value);
     busy[node] = true;
     if (resil_on)
       ledger.record(token, {node, a.chunk, a.dispatched, a.work()});
@@ -506,10 +484,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     for (auto it = chunk.rbegin(); it != chunk.rend(); ++it) {
       if (source.is_completed(it->id)) continue;
       source.push_front(*it);
-      met.inc(rm.tasks_redispatched);
-      report.trace.record({backend.now(),
-                           gridsim::TraceEventKind::ChunkRedispatched, from,
-                           it->id, 0.0, ""});
+      ev.emit(Kind::ChunkRedispatched, from, it->id);
     }
   };
 
@@ -525,10 +500,9 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       if (!t.id.is_valid() || !source.mark_completed(t.id)) continue;
       ++report.tasks_completed;
       if (failover_on) marked.push_back(t);
-      report.trace.record({backend.now(), gridsim::TraceEventKind::TaskRecovered,
-                           entry.node, t.id, t.work.value, "checkpoint"});
-      report.trace.record({backend.now(), gridsim::TraceEventKind::TaskCompleted,
-                           entry.node, t.id, 0.0, "recovered"});
+      ev.emit(Kind::TaskRecovered, entry.node, t.id, t.work.value,
+              "checkpoint");
+      ev.emit(Kind::TaskCompleted, entry.node, t.id, 0.0, "recovered");
     }
     if (!marked.empty()) {
       // Recovered results are freshly authoritative farmer state: the next
@@ -571,7 +545,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           {resil::ReplicaRecordKind::Membership, 0, node, 0, 0, 0.0, {}});
       if (failover->is_standby(node)) failover->standby_lost(node);
     }
-    met.inc(rm.crashes_detected);
     // Detection latency: now minus the actual crash instant (the latest
     // Crash event for this node).  Rare path, so the timeline scan is
     // affordable.  Computed when either consumer wants it: the detail-tier
@@ -592,14 +565,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
         break;
       }
     }
-    if (met.enabled())
-      tel.spans.instant("crash_detected", 0, node, TaskId::invalid(), 0.0,
-                        why);
-    if (flight != nullptr)
-      flight->note(backend.now().value, "crash", why, node, 0.0);
-    report.trace.record({backend.now(),
-                         gridsim::TraceEventKind::NodeCrashDetected, node,
-                         TaskId::invalid(), 0.0, why});
+    ev.emit(Kind::NodeCrashDetected, node, TaskId::invalid(), 0.0, why);
     GRASP_LOG_INFO("farm") << "node " << node.value << " declared dead ("
                            << why << ") at t=" << backend.now().value;
     const auto already_done = [&](TaskId id) { return source.is_completed(id); };
@@ -662,18 +628,16 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
                     failover->log().flush(live_member_now));
                 if (failover_span == 0)
                   failover_span = tel.spans.begin("failover", 0, e.node);
-                report.trace.record(
-                    {now, gridsim::TraceEventKind::FarmerCrashDetected,
-                     e.node, TaskId::invalid(), 0.0, "announced departure"});
+                ev.emit(Kind::FarmerCrashDetected, e.node, TaskId::invalid(),
+                        0.0, "announced departure");
               }
             }
-            met.inc(rm.leaves);
             // A calibration running right now must abandon this node's
             // samples (it can no longer be chosen); execution-phase chunks
             // still drain gracefully.
             newly_dead.push_back(e.node);
-            report.trace.record({now, gridsim::TraceEventKind::NodeLeftPool,
-                                 e.node, TaskId::invalid(), 0.0, "announced"});
+            ev.emit(Kind::NodeLeftPool, e.node, TaskId::invalid(), 0.0,
+                    "announced");
             monitor.rewatch(farmer_live_view());
             exec_monitor.arm(exec_monitor.baseline_spm(), elastic.workers(),
                              now);
@@ -681,12 +645,9 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           break;
         case gridsim::ChurnEventKind::Join:
         case gridsim::ChurnEventKind::Rejoin:
-          met.inc(rm.joins);
-          report.trace.record({now, gridsim::TraceEventKind::NodeJoinedPool,
-                               e.node, TaskId::invalid(), 0.0,
-                               e.kind == gridsim::ChurnEventKind::Rejoin
-                                   ? "rejoin"
-                                   : "join"});
+          ev.emit(Kind::NodeJoinedPool, e.node, TaskId::invalid(), 0.0,
+                  e.kind == gridsim::ChurnEventKind::Rejoin ? "rejoin"
+                                                            : "join");
           detector->watch(e.node, now);
           if (failover_on)
             failover->log().append({resil::ReplicaRecordKind::Membership, 0,
@@ -759,10 +720,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
         if (failover_on)
           failover->log().append({resil::ReplicaRecordKind::Checkpoint, token,
                                   a.node, prev, done, state_bytes, {}});
-        report.trace.record({backend.now(),
-                             gridsim::TraceEventKind::ChunkCheckpointed,
-                             a.node, TaskId::invalid(),
-                             static_cast<double>(done), ""});
+        ev.emit(Kind::ChunkCheckpointed, a.node, TaskId::invalid(),
+                static_cast<double>(done));
       }
       // Mid-chunk degradation check (only meaningful once some progress
       // exists to estimate speed from).  Measured from the compute phase's
@@ -803,12 +762,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
             if (stay_s > params_.econ.evict_break_even * redo_s &&
                 elastic.force_evict(a.node)) {
               abandoned.push_back(token);
-              ++report.econ_evictions;
-              met.inc(c_econ_evictions);
-              report.trace.record({backend.now(),
-                                   gridsim::TraceEventKind::EconEvicted,
-                                   a.node, TaskId::invalid(), stay_s - redo_s,
-                                   "stay cost exceeded redo"});
+              ev.emit(Kind::EconEvicted, a.node, TaskId::invalid(),
+                      stay_s - redo_s, "stay cost exceeded redo");
             }
           }
         } else if (params_.resilience.pool.evict_ratio > 0.0) {
@@ -836,9 +791,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       dead_tokens.insert(token);
       evicted_tokens.insert(token);
       tel.spans.end(a.span, 0.0, "evicted");
-      report.trace.record({backend.now(), gridsim::TraceEventKind::NodeEvicted,
-                           a.node, TaskId::invalid(), 0.0,
-                           "mid-chunk degradation"});
+      ev.emit(Kind::NodeEvicted, a.node, TaskId::invalid(), 0.0,
+              "mid-chunk degradation");
       GRASP_LOG_INFO("farm") << "node " << a.node.value
                              << " evicted mid-chunk at t="
                              << backend.now().value;
@@ -870,15 +824,9 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           if (!it->id.is_valid() || !source.unmark_completed(it->id))
             continue;
           --report.tasks_completed;
-          met.inc(rm.results_rolled_back);
           source.push_front(*it);
-          met.inc(rm.tasks_redispatched);
-          report.trace.record({backend.now(),
-                               gridsim::TraceEventKind::TaskResultLost,
-                               r.node, it->id, it->work.value, ""});
-          report.trace.record({backend.now(),
-                               gridsim::TraceEventKind::ChunkRedispatched,
-                               r.node, it->id, 0.0, "failover"});
+          ev.emit(Kind::TaskResultLost, r.node, it->id, it->work.value);
+          ev.emit(Kind::ChunkRedispatched, r.node, it->id, 0.0, "failover");
         }
         if (finished && !source.all_done()) finished = false;
         break;
@@ -912,9 +860,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       if (!pick.is_valid()) return;  // nobody to recruit right now
       const double snapshot_bytes = 256.0 + ledger.snapshot_bytes();
       failover->recruit(pick, snapshot_bytes);
-      report.trace.record({backend.now(),
-                           gridsim::TraceEventKind::StandbyRecruited, pick,
-                           TaskId::invalid(), snapshot_bytes, ""});
+      ev.emit(Kind::StandbyRecruited, pick, TaskId::invalid(),
+              snapshot_bytes);
       GRASP_LOG_INFO("farm") << "standby " << pick.value
                              << " recruited at t=" << backend.now().value;
     }
@@ -959,13 +906,10 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
         return;
       if (failover_span == 0)
         failover_span = tel.spans.begin("failover", 0, farmer);
-      report.trace.record({now, gridsim::TraceEventKind::FarmerCrashDetected,
-                           farmer, TaskId::invalid(), 0.0,
-                           "heartbeat timeout"});
+      ev.emit(Kind::FarmerCrashDetected, farmer, TaskId::invalid(), 0.0,
+              "heartbeat timeout");
       GRASP_LOG_INFO("farm") << "farmer " << farmer.value
                              << " declared dead at t=" << now.value;
-      if (flight != nullptr)
-        flight->note(now.value, "failover", "farmer_down", farmer, 0.0);
       declare_dead(farmer, "farmer silent");  // its worker-side chunks
     }
     // Promotion waits out an in-flight Algorithm 1 pass: the calibration
@@ -1204,12 +1148,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           // Reported once per chunk: the scan re-evaluates each round.
           if (!a.suppress_noted) {
             a.suppress_noted = true;
-            ++report.reissues_suppressed;
-            met.inc(c_suppressed);
-            report.trace.record({backend.now(),
-                                 gridsim::TraceEventKind::ReissueSuppressed,
-                                 a.node, pending.front().id, saved,
-                                 "below waste budget"});
+            ev.emit(Kind::ReissueSuppressed, a.node, pending.front().id,
+                    saved, "below waste budget");
           }
           continue;  // idle slot stays free for a worse candidate
         }
@@ -1311,9 +1251,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           if (source.mark_completed(t.id)) {
             ++report.tasks_completed;
             if (failover_on) marked.push_back(t);
-            report.trace.record({backend.now(),
-                                 gridsim::TraceEventKind::TaskCompleted,
-                                 a.node, t.id, elapsed, ""});
+            ev.emit(Kind::TaskCompleted, a.node, t.id, elapsed);
           }
         }
         if (!marked.empty()) {
@@ -1331,9 +1269,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           const bool admitted = elastic.admit(
               a.node, spm, std::max(1e-9, exec_monitor.baseline_spm()));
           if (admitted) {
-            report.trace.record({backend.now(),
-                                 gridsim::TraceEventKind::NodeAdmitted,
-                                 a.node, TaskId::invalid(), spm, ""});
+            ev.emit(Kind::NodeAdmitted, a.node, TaskId::invalid(), spm);
             exec_monitor.arm(exec_monitor.baseline_spm(), elastic.workers(),
                              backend.now());
             GRASP_LOG_INFO("farm")
@@ -1344,10 +1280,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           exec_monitor.observe(a.node, spm, backend.now());
           if (resil_on &&
               elastic.observe(a.node, spm, exec_monitor.baseline_spm())) {
-            report.trace.record({backend.now(),
-                                 gridsim::TraceEventKind::NodeEvicted,
-                                 a.node, TaskId::invalid(), spm,
-                                 "persistent degradation"});
+            ev.emit(Kind::NodeEvicted, a.node, TaskId::invalid(), spm,
+                    "persistent degradation");
             exec_monitor.arm(exec_monitor.baseline_spm(), elastic.workers(),
                              backend.now());
           }
@@ -1374,9 +1308,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       // rejoin and resume from its watermark.
       tel.spans.end(handshake_span, 0.0, "successor died");
       handshake_span = 0;
-      report.trace.record({now, gridsim::TraceEventKind::FarmerCrashDetected,
-                           chosen, TaskId::invalid(), 0.0,
-                           "died during promotion"});
+      ev.emit(Kind::FarmerCrashDetected, chosen, TaskId::invalid(), 0.0,
+              "died during promotion");
       GRASP_LOG_INFO("farm") << "successor " << chosen.value
                              << " died during promotion at t=" << now.value;
       return;
@@ -1393,17 +1326,13 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
                   pending_is_recovery ? "recovered" : "promoted");
     failover_span = 0;
     farmer = chosen;
-    report.trace.record({now, gridsim::TraceEventKind::FarmerPromoted, farmer,
-                         TaskId::invalid(), promotion_latency,
-                         pending_is_recovery  ? "self-recovery"
-                         : promotion_waited   ? "waited"
-                                              : "prompt"});
+    ev.emit(Kind::FarmerPromoted, farmer, TaskId::invalid(),
+            promotion_latency,
+            pending_is_recovery ? "self-recovery"
+            : promotion_waited  ? "waited"
+                                : "prompt");
     GRASP_LOG_INFO("farm") << "farmer promoted: node " << farmer.value
                            << " at t=" << now.value;
-    if (flight != nullptr)
-      flight->note(now.value, "failover",
-                   pending_is_recovery ? "recovered" : "promoted", farmer,
-                   promotion_latency);
     // Re-root the support daemons on the new coordinator.
     monitor.reroot(farmer);
     cal_params.root = farmer;
@@ -1440,10 +1369,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
 
   auto recalibrate = [&] {
     ++recalibrations;
-    report.trace.record({backend.now(),
-                         gridsim::TraceEventKind::RecalibrationTriggered,
-                         farmer, TaskId::invalid(),
-                         static_cast<double>(recalibrations), ""});
+    ev.emit(Kind::RecalibrationTriggered, farmer, TaskId::invalid(),
+            static_cast<double>(recalibrations));
     GRASP_LOG_INFO("farm") << "recalibration #" << recalibrations << " at t="
                            << backend.now().value;
     // Resilient runs calibrate concurrently with execution (in-flight
@@ -1470,20 +1397,13 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     newly_dead.clear();
     in_calibration = true;
     calibration_opened_s = backend.now().value;
-    if (flight != nullptr)
-      flight->note(calibration_opened_s, "calibration", "begin", farmer,
-                   static_cast<double>(recal_pool.size()));
     const obs::SpanId recal_span = tel.spans.begin("calibration");
-    CalibrationResult recal =
-        calibrator.run(backend, recal_pool, source, &monitor, &report.trace,
-                       tokens, &foreign);
+    CalibrationResult recal = calibrator.run(backend, recal_pool, source,
+                                             &monitor, &ev, tokens, &foreign);
     tel.spans.end(recal_span, static_cast<double>(recal.tasks_consumed),
                   "recalibration");
     in_calibration = false;
     calibration_opened_s = -1.0;
-    if (flight != nullptr)
-      flight->note(backend.now().value, "calibration", "end", farmer,
-                   static_cast<double>(recal.chosen.size()));
     report.calibration_tasks += recal.tasks_consumed;
     if (!finished && source.all_done()) {
       finished = true;
@@ -1500,9 +1420,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     report.final_baseline_spm = recal.baseline_spm;
     for (const NodeId n : recal.chosen) {
       if (std::find(previous.begin(), previous.end(), n) == previous.end())
-        report.trace.record({backend.now(),
-                             gridsim::TraceEventKind::NodeSwapped, n,
-                             TaskId::invalid(), 1.0, "joined"});
+        ev.emit(Kind::NodeSwapped, n, TaskId::invalid(), 1.0, "joined");
     }
   };
 
@@ -1593,48 +1511,33 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   report.recalibrations = recalibrations;
   report.rounds = exec_monitor.rounds_completed();
   report.final_chosen = elastic.workers();
-  // Import the component-owned totals into the registry (on top of any
-  // pre-run baseline), then read the whole resilience report back out as
-  // a snapshot delta: registry and report cannot disagree.
+  // Report fields that count one event kind are read off the trace.
+  report.chunk_resizes = report.trace.count(Kind::ChunkResized);
+  report.reissues_suppressed = report.trace.count(Kind::ReissueSuppressed);
+  report.econ_evictions = report.trace.count(Kind::EconEvicted);
+  // Add the component-owned totals of this run to the registry (nothing
+  // else writes these slots during a resilient run), then read the whole
+  // resilience report back out as a snapshot delta: registry and report
+  // cannot disagree.
   if (resil_on) {
-    met.set_counter(rm.admissions,
-                    resil_base.admissions + elastic.admissions());
-    met.set_counter(rm.rejections,
-                    resil_base.rejections + elastic.rejections());
-    met.set_counter(rm.evictions,
-                    resil_base.evictions + elastic.evictions());
-    met.set_counter(rm.chunks_lost,
-                    resil_base.chunks_lost + ledger.chunks_lost());
-    met.set(rm.wasted_mops, resil_base.wasted_mops + ledger.wasted_mops());
-    met.set_counter(rm.checkpoints,
-                    resil_base.checkpoints + ledger.checkpoints());
-    met.set_counter(rm.tasks_recovered,
-                    resil_base.tasks_recovered + ledger.tasks_recovered());
-    met.set(rm.recovered_mops,
-            resil_base.recovered_mops + ledger.recovered_mops());
-    met.set(rm.checkpoint_state_bytes,
-            resil_base.checkpoint_state_bytes +
-                ledger.checkpoint_state_bytes());
+    met.inc(rm.admissions, elastic.admissions());
+    met.inc(rm.rejections, elastic.rejections());
+    met.inc(rm.evictions, elastic.evictions());
+    met.inc(rm.chunks_lost, ledger.chunks_lost());
+    met.add(rm.wasted_mops, ledger.wasted_mops());
+    met.inc(rm.checkpoints, ledger.checkpoints());
+    met.inc(rm.tasks_recovered, ledger.tasks_recovered());
+    met.add(rm.recovered_mops, ledger.recovered_mops());
+    met.add(rm.checkpoint_state_bytes, ledger.checkpoint_state_bytes());
   }
   if (failover_on) {
-    met.set_counter(rm.failovers,
-                    resil_base.failovers + failover->failovers());
-    met.set(rm.failover_latency_s,
-            resil_base.failover_latency_s + failover->failover_latency_s());
-    met.set_counter(rm.standby_recruits,
-                    resil_base.standby_recruits + failover->recruits());
-    met.set_counter(
-        rm.replication_records,
-        resil_base.replication_records + failover->replication_records());
-    met.set(rm.replication_bytes,
-            resil_base.replication_bytes + failover->replication_bytes());
-    met.set(rm.handshake_cost_s,
-            resil_base.handshake_cost_s + failover->handshake_cost_s());
+    met.inc(rm.failovers, failover->failovers());
+    met.add(rm.failover_latency_s, failover->failover_latency_s());
+    met.inc(rm.standby_recruits, failover->recruits());
+    met.inc(rm.replication_records, failover->replication_records());
+    met.add(rm.replication_bytes, failover->replication_bytes());
+    met.add(rm.handshake_cost_s, failover->handshake_cost_s());
   }
-  // One generic subtraction replaces the old per-field resil copy: the
-  // report is the registry delta against the run-start snapshot, decoded
-  // by metric name.  resil::subtract(rm.snapshot(met), resil_base) is the
-  // equivalent typed spelling (pinned by a test).
   report.resilience = resil::from_snapshot(met.snapshot().diff(base_snap));
   // Mirror the farm-level scalars so the registry carries the full run
   // summary too (absolute values of the latest run; RunSummary reads the

@@ -1,6 +1,8 @@
 #include "gridsim/churn_trace.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -45,11 +47,13 @@ ChurnTimeline load_availability_trace(std::istream& in) {
     Interval iv;
     iv.up = up;
     if (down_text != "-") {
-      try {
-        iv.down = std::stod(down_text);
-      } catch (const std::exception&) {
+      // The whole field must be one finite number: strtod alone would take
+      // "12abc" as 12, and NaN / infinity slip past every ordering check.
+      char* end = nullptr;
+      iv.down = std::strtod(down_text.c_str(), &end);
+      if (end != down_text.c_str() + down_text.size() ||
+          !std::isfinite(iv.down))
         fail(line_no, "bad down time '" + down_text + "'");
-      }
       if (iv.down < iv.up) fail(line_no, "interval closes before it opens");
     }
     if (fields >> kind_text) {
@@ -58,6 +62,8 @@ ChurnTimeline load_availability_trace(std::istream& in) {
       else fail(line_no, "end kind must be 'crash' or 'leave'");
       if (iv.down < 0.0)
         fail(line_no, "an open interval cannot name an end kind");
+      std::string extra;
+      if (fields >> extra) fail(line_no, "unexpected field '" + extra + "'");
     }
     auto& list = intervals[node];
     if (!list.empty()) {

@@ -3,7 +3,10 @@
 // Skeleton runs emit a stream of timestamped events (task dispatch and
 // completion, calibration rounds, adaptation actions).  The recorder stores
 // them and derives the series the experiments plot: throughput over time,
-// per-node utilisation, adaptation timelines.
+// per-node utilisation, adaptation timelines.  Engines write it only
+// through obs::Emitter (obs/emit.hpp), whose per-kind table derives the
+// matching counter, span instant and flight note from the same record; a
+// new TraceEventKind needs a row there too (a static_assert checks).
 #pragma once
 
 #include <array>

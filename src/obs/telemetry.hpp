@@ -1,11 +1,12 @@
 // Telemetry: the bundle an engine run records into.
 //
 // One MetricsRegistry (counters always live; histograms gated) plus one
-// SpanRecorder (gated with the histograms).  Engines accept a
-// `Telemetry*` in their params; when none is supplied they record into a
-// private detail-disabled instance so reports can still be read out of
-// the registry — the "no telemetry" configuration is just "nobody else is
-// looking".
+// SpanRecorder (gated with the histograms) plus an optional flight
+// recorder.  Engines accept a `Telemetry*` in their params; when none is
+// supplied they record into a private detail-disabled instance so reports
+// can still be read out of the registry — the "no telemetry" configuration
+// is just "nobody else is looking".  Engine events reach all three through
+// one obs::Emitter per run (obs/emit.hpp), never sink by sink.
 //
 // Pass a fresh Telemetry per run when you want per-run numbers; a reused
 // one keeps accumulating counters, which the engines tolerate by
@@ -23,8 +24,8 @@ struct Telemetry {
   MetricsRegistry metrics;
   SpanRecorder spans;
   /// Optional crash flight recorder (non-owning; must outlive the runs
-  /// recording into it).  Engines note load-bearing events here when set;
-  /// null costs one pointer compare per event site.
+  /// recording into it).  The emitter notes the event kinds its table
+  /// names here when set; null costs one pointer compare per such event.
   FlightRecorder* flight = nullptr;
 
   /// `detail` gates histograms + spans; counters are always live.

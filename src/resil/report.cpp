@@ -5,122 +5,34 @@ namespace grasp::resil {
 ResilienceMetrics ResilienceMetrics::register_in(
     obs::MetricsRegistry& metrics) {
   ResilienceMetrics rm;
-  rm.crashes_detected = metrics.counter("resil.crashes_detected");
-  rm.leaves = metrics.counter("resil.leaves");
-  rm.joins = metrics.counter("resil.joins");
-  rm.admissions = metrics.counter("resil.admissions");
-  rm.rejections = metrics.counter("resil.rejections");
-  rm.evictions = metrics.counter("resil.evictions");
-  rm.chunks_lost = metrics.counter("resil.chunks_lost");
-  rm.tasks_redispatched = metrics.counter("resil.tasks_redispatched");
-  rm.zombie_completions = metrics.counter("resil.zombie_completions");
-  rm.wasted_mops = metrics.gauge("resil.wasted_mops");
-  rm.checkpoints = metrics.counter("resil.checkpoints");
-  rm.tasks_recovered = metrics.counter("resil.tasks_recovered");
-  rm.recovered_mops = metrics.gauge("resil.recovered_mops");
-  rm.checkpoint_state_bytes = metrics.gauge("resil.checkpoint_state_bytes");
-  rm.failovers = metrics.counter("resil.failovers");
-  rm.failover_latency_s = metrics.gauge("resil.failover_latency_s");
-  rm.standby_recruits = metrics.counter("resil.standby_recruits");
-  rm.results_rolled_back = metrics.counter("resil.results_rolled_back");
-  rm.replication_records = metrics.counter("resil.replication_records");
-  rm.replication_bytes = metrics.gauge("resil.replication_bytes");
-  rm.handshake_cost_s = metrics.gauge("resil.handshake_cost_s");
+  for (const auto& f : kResilienceCounts) rm.*f.handle = metrics.counter(f.name);
+  for (const auto& f : kResilienceAmounts) rm.*f.handle = metrics.gauge(f.name);
   return rm;
 }
 
 ResilienceReport ResilienceMetrics::snapshot(
     const obs::MetricsRegistry& metrics) const {
   ResilienceReport report;
-  report.crashes_detected = metrics.counter_value(crashes_detected);
-  report.leaves = metrics.counter_value(leaves);
-  report.joins = metrics.counter_value(joins);
-  report.admissions = metrics.counter_value(admissions);
-  report.rejections = metrics.counter_value(rejections);
-  report.evictions = metrics.counter_value(evictions);
-  report.chunks_lost = metrics.counter_value(chunks_lost);
-  report.tasks_redispatched = metrics.counter_value(tasks_redispatched);
-  report.zombie_completions = metrics.counter_value(zombie_completions);
-  report.wasted_mops = metrics.gauge_value(wasted_mops);
-  report.checkpoints = metrics.counter_value(checkpoints);
-  report.tasks_recovered = metrics.counter_value(tasks_recovered);
-  report.recovered_mops = metrics.gauge_value(recovered_mops);
-  report.checkpoint_state_bytes = metrics.gauge_value(checkpoint_state_bytes);
-  report.failovers = metrics.counter_value(failovers);
-  report.failover_latency_s = metrics.gauge_value(failover_latency_s);
-  report.standby_recruits = metrics.counter_value(standby_recruits);
-  report.results_rolled_back = metrics.counter_value(results_rolled_back);
-  report.replication_records = metrics.counter_value(replication_records);
-  report.replication_bytes = metrics.gauge_value(replication_bytes);
-  report.handshake_cost_s = metrics.gauge_value(handshake_cost_s);
+  for (const auto& f : kResilienceCounts)
+    report.*f.field = metrics.counter_value(this->*f.handle);
+  for (const auto& f : kResilienceAmounts)
+    report.*f.field = metrics.gauge_value(this->*f.handle);
   return report;
 }
 
 ResilienceReport from_snapshot(const obs::MetricsSnapshot& snap) {
-  const auto counter = [&](const char* name) -> std::size_t {
-    for (const auto& [n, v] : snap.counters)
+  // First entry named `name`, or zero.
+  const auto find = [](const auto& entries, const char* name) {
+    for (const auto& [n, v] : entries)
       if (n == name) return v;
-    return 0;
-  };
-  const auto gauge = [&](const char* name) -> double {
-    for (const auto& [n, v] : snap.gauges)
-      if (n == name) return v;
-    return 0.0;
+    return decltype(entries.front().second){};
   };
   ResilienceReport report;
-  report.crashes_detected = counter("resil.crashes_detected");
-  report.leaves = counter("resil.leaves");
-  report.joins = counter("resil.joins");
-  report.admissions = counter("resil.admissions");
-  report.rejections = counter("resil.rejections");
-  report.evictions = counter("resil.evictions");
-  report.chunks_lost = counter("resil.chunks_lost");
-  report.tasks_redispatched = counter("resil.tasks_redispatched");
-  report.zombie_completions = counter("resil.zombie_completions");
-  report.wasted_mops = gauge("resil.wasted_mops");
-  report.checkpoints = counter("resil.checkpoints");
-  report.tasks_recovered = counter("resil.tasks_recovered");
-  report.recovered_mops = gauge("resil.recovered_mops");
-  report.checkpoint_state_bytes = gauge("resil.checkpoint_state_bytes");
-  report.failovers = counter("resil.failovers");
-  report.failover_latency_s = gauge("resil.failover_latency_s");
-  report.standby_recruits = counter("resil.standby_recruits");
-  report.results_rolled_back = counter("resil.results_rolled_back");
-  report.replication_records = counter("resil.replication_records");
-  report.replication_bytes = gauge("resil.replication_bytes");
-  report.handshake_cost_s = gauge("resil.handshake_cost_s");
+  for (const auto& f : kResilienceCounts)
+    report.*f.field = find(snap.counters, f.name);
+  for (const auto& f : kResilienceAmounts)
+    report.*f.field = find(snap.gauges, f.name);
   return report;
-}
-
-ResilienceReport subtract(const ResilienceReport& after,
-                          const ResilienceReport& before) {
-  ResilienceReport d;
-  d.crashes_detected = after.crashes_detected - before.crashes_detected;
-  d.leaves = after.leaves - before.leaves;
-  d.joins = after.joins - before.joins;
-  d.admissions = after.admissions - before.admissions;
-  d.rejections = after.rejections - before.rejections;
-  d.evictions = after.evictions - before.evictions;
-  d.chunks_lost = after.chunks_lost - before.chunks_lost;
-  d.tasks_redispatched = after.tasks_redispatched - before.tasks_redispatched;
-  d.zombie_completions =
-      after.zombie_completions - before.zombie_completions;
-  d.wasted_mops = after.wasted_mops - before.wasted_mops;
-  d.checkpoints = after.checkpoints - before.checkpoints;
-  d.tasks_recovered = after.tasks_recovered - before.tasks_recovered;
-  d.recovered_mops = after.recovered_mops - before.recovered_mops;
-  d.checkpoint_state_bytes =
-      after.checkpoint_state_bytes - before.checkpoint_state_bytes;
-  d.failovers = after.failovers - before.failovers;
-  d.failover_latency_s = after.failover_latency_s - before.failover_latency_s;
-  d.standby_recruits = after.standby_recruits - before.standby_recruits;
-  d.results_rolled_back =
-      after.results_rolled_back - before.results_rolled_back;
-  d.replication_records =
-      after.replication_records - before.replication_records;
-  d.replication_bytes = after.replication_bytes - before.replication_bytes;
-  d.handshake_cost_s = after.handshake_cost_s - before.handshake_cost_s;
-  return d;
 }
 
 }  // namespace grasp::resil

@@ -92,18 +92,82 @@ struct ResilienceMetrics {
       const obs::MetricsRegistry& metrics) const;
 };
 
+/// One report field: its metric name, its report member and its handle.
+template <typename Value, typename Handle>
+struct ResilienceField {
+  const char* name;
+  Value ResilienceReport::*field;
+  Handle ResilienceMetrics::*handle;
+};
+
+/// The field list, in declaration order within each kind: counts are
+/// registry counters, amounts registry gauges.  Registration, snapshots,
+/// from_snapshot and every report comparison iterate these two tables.
+inline constexpr ResilienceField<std::size_t, obs::CounterHandle>
+    kResilienceCounts[] = {
+        {"resil.crashes_detected", &ResilienceReport::crashes_detected,
+         &ResilienceMetrics::crashes_detected},
+        {"resil.leaves", &ResilienceReport::leaves,
+         &ResilienceMetrics::leaves},
+        {"resil.joins", &ResilienceReport::joins, &ResilienceMetrics::joins},
+        {"resil.admissions", &ResilienceReport::admissions,
+         &ResilienceMetrics::admissions},
+        {"resil.rejections", &ResilienceReport::rejections,
+         &ResilienceMetrics::rejections},
+        {"resil.evictions", &ResilienceReport::evictions,
+         &ResilienceMetrics::evictions},
+        {"resil.chunks_lost", &ResilienceReport::chunks_lost,
+         &ResilienceMetrics::chunks_lost},
+        {"resil.tasks_redispatched", &ResilienceReport::tasks_redispatched,
+         &ResilienceMetrics::tasks_redispatched},
+        {"resil.zombie_completions", &ResilienceReport::zombie_completions,
+         &ResilienceMetrics::zombie_completions},
+        {"resil.checkpoints", &ResilienceReport::checkpoints,
+         &ResilienceMetrics::checkpoints},
+        {"resil.tasks_recovered", &ResilienceReport::tasks_recovered,
+         &ResilienceMetrics::tasks_recovered},
+        {"resil.failovers", &ResilienceReport::failovers,
+         &ResilienceMetrics::failovers},
+        {"resil.standby_recruits", &ResilienceReport::standby_recruits,
+         &ResilienceMetrics::standby_recruits},
+        {"resil.results_rolled_back", &ResilienceReport::results_rolled_back,
+         &ResilienceMetrics::results_rolled_back},
+        {"resil.replication_records", &ResilienceReport::replication_records,
+         &ResilienceMetrics::replication_records},
+};
+inline constexpr ResilienceField<double, obs::GaugeHandle>
+    kResilienceAmounts[] = {
+        {"resil.wasted_mops", &ResilienceReport::wasted_mops,
+         &ResilienceMetrics::wasted_mops},
+        {"resil.recovered_mops", &ResilienceReport::recovered_mops,
+         &ResilienceMetrics::recovered_mops},
+        {"resil.checkpoint_state_bytes",
+         &ResilienceReport::checkpoint_state_bytes,
+         &ResilienceMetrics::checkpoint_state_bytes},
+        {"resil.failover_latency_s", &ResilienceReport::failover_latency_s,
+         &ResilienceMetrics::failover_latency_s},
+        {"resil.replication_bytes", &ResilienceReport::replication_bytes,
+         &ResilienceMetrics::replication_bytes},
+        {"resil.handshake_cost_s", &ResilienceReport::handshake_cost_s,
+         &ResilienceMetrics::handshake_cost_s},
+};
+
+/// Visit every field of two reports: `fn(name, a_value, b_value)`, counts
+/// (std::size_t) first, then amounts (double).  Report comparisons use
+/// this instead of spelling the field list again.
+template <typename Fn>
+void for_each_field(const ResilienceReport& a, const ResilienceReport& b,
+                    Fn&& fn) {
+  for (const auto& f : kResilienceCounts) fn(f.name, a.*f.field, b.*f.field);
+  for (const auto& f : kResilienceAmounts) fn(f.name, a.*f.field, b.*f.field);
+}
+
 /// Rebuild a report from a generic registry snapshot by its "resil.<field>"
 /// metric names.  Combined with `MetricsSnapshot::diff` this is the
-/// centralized per-run baseline subtraction: engines capture
+/// per-run baseline subtraction: engines capture
 /// `base = metrics.snapshot()` at run start and read
 /// `from_snapshot(metrics.snapshot().diff(base))` at the end.  Names absent
 /// from the snapshot read as zero.
 [[nodiscard]] ResilienceReport from_snapshot(const obs::MetricsSnapshot& snap);
-
-/// Field-wise `after - before`.  Engines snapshot a baseline at run start
-/// so a Telemetry reused across runs still yields per-run reports
-/// (counters in the registry keep accumulating; reports are deltas).
-[[nodiscard]] ResilienceReport subtract(const ResilienceReport& after,
-                                        const ResilienceReport& before);
 
 }  // namespace grasp::resil

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 namespace grasp::gridsim {
 namespace {
@@ -99,6 +100,19 @@ TEST(ChurnTrace, RejectsMalformedInput) {
   EXPECT_THROW(load("0 0 50 vanish\n"), std::runtime_error);  // bad kind
   EXPECT_THROW(load("0 0 -\n0 60 90 crash\n"),
                std::runtime_error);  // interval after an open one
+  EXPECT_THROW(load("1 0 nan crash\n"), std::runtime_error);  // NaN down
+  EXPECT_THROW(load("1 0 inf crash\n"), std::runtime_error);  // infinite down
+  EXPECT_THROW(load("1 0 12abc\n"), std::runtime_error);  // partial number
+  EXPECT_THROW(load("1 0 10 crash extra junk\n"),
+               std::runtime_error);  // trailing fields
+  // The error names the offending line.
+  try {
+    (void)load("0 0 -\n1 0 nan crash\n");
+    ADD_FAILURE() << "NaN down time accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
   EXPECT_NO_THROW(load("# only comments\n\n"));
 }
 

@@ -1,0 +1,480 @@
+// The emitter (one emit() per engine event, every sink derived from the
+// per-kind table) and the emission fingerprint: seeded runs of every
+// engine, reduced to digests of what they emitted — the TraceRecorder
+// sequence (at, kind, node, task, value, note), its per-kind counts, every
+// report field and the blame split of the span stream.  The expected
+// digests pin the engines' observable output; any change to what an engine
+// emits (or when) shows up here as a digest mismatch.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "core/backend_sim.hpp"
+#include "core/baselines.hpp"
+#include "core/hier_farm.hpp"
+#include "core/pipeline.hpp"
+#include "core/task_farm.hpp"
+#include "gridsim/scenarios.hpp"
+#include "obs/critical_path.hpp"
+#include "obs/emit.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/telemetry.hpp"
+#include "svc/grid_service.hpp"
+#include "workloads/applications.hpp"
+#include "workloads/generators.hpp"
+
+namespace grasp::obs {
+namespace {
+
+using gridsim::TraceEventKind;
+
+class ManualClock final : public Clock {
+ public:
+  [[nodiscard]] double now_s() const override { return t; }
+  double t = 0.0;
+};
+
+TEST(EmitTable, CrashKindsCarryTheBlameMarker) {
+  for (const TraceEventKind k : {TraceEventKind::NodeCrashDetected,
+                                 TraceEventKind::FarmerCrashDetected})
+    EXPECT_STREQ(kEmitTable[static_cast<std::size_t>(k)].instant,
+                 "crash_detected");
+  // Per-task kinds stay trace-only: they sit on the hot path.
+  for (const TraceEventKind k :
+       {TraceEventKind::TaskDispatched, TraceEventKind::TaskCompleted,
+        TraceEventKind::ItemCompleted}) {
+    const EmitRow& row = kEmitTable[static_cast<std::size_t>(k)];
+    EXPECT_EQ(row.counter, nullptr);
+    EXPECT_EQ(row.instant, nullptr);
+    EXPECT_EQ(row.flight_kind, nullptr);
+  }
+}
+
+TEST(Emitter, OneEmitWritesEverySinkItsRowNames) {
+  ManualClock clock;
+  clock.t = 7.5;
+  Telemetry tel;  // detail on
+  tel.set_clock(&clock);
+  FlightRecorder flight(8);
+  const resil::ResilienceMetrics rm =
+      resil::ResilienceMetrics::register_in(tel.metrics);
+  gridsim::TraceRecorder trace;
+  Emitter ev(clock, trace, tel.spans, &flight, &tel.metrics, &rm);
+
+  ev.emit(TraceEventKind::NodeCrashDetected, NodeId{3}, TaskId::invalid(),
+          0.0, "heartbeat timeout");
+  ASSERT_EQ(trace.events().size(), 1u);
+  EXPECT_DOUBLE_EQ(trace.events()[0].at.value, 7.5);
+  EXPECT_EQ(trace.events()[0].node, NodeId{3});
+  EXPECT_EQ(trace.events()[0].note, "heartbeat timeout");
+  EXPECT_EQ(tel.metrics.counter_value(rm.crashes_detected), 1u);
+  ASSERT_EQ(tel.spans.records().size(), 1u);
+  const SpanRecord& instant = tel.spans.records()[0];
+  EXPECT_TRUE(instant.instant);
+  EXPECT_STREQ(instant.name, "crash_detected");
+  EXPECT_STREQ(instant.detail, "heartbeat timeout");
+  EXPECT_DOUBLE_EQ(instant.begin_s, 7.5);
+  const auto notes = flight.events();
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_STREQ(notes[0].kind, "crash");
+  EXPECT_STREQ(notes[0].name, "node_down");
+  EXPECT_STREQ(notes[0].detail, "heartbeat timeout");
+  EXPECT_EQ(notes[0].node, NodeId{3});
+
+  // A per-task kind is a trace record and nothing else.
+  clock.t = 8.0;
+  ev.emit(TraceEventKind::TaskCompleted, NodeId{3}, TaskId{11}, 2.0);
+  EXPECT_EQ(trace.events().size(), 2u);
+  EXPECT_EQ(trace.count(TraceEventKind::TaskCompleted), 1u);
+  EXPECT_EQ(tel.spans.records().size(), 1u);
+  EXPECT_EQ(flight.seen(), 1u);
+}
+
+TEST(Emitter, DetailOffKeepsTraceCountersAndFlight) {
+  ManualClock clock;
+  Telemetry tel(/*detail=*/false);
+  tel.set_clock(&clock);
+  FlightRecorder flight(8);
+  const resil::ResilienceMetrics rm =
+      resil::ResilienceMetrics::register_in(tel.metrics);
+  gridsim::TraceRecorder trace;
+  Emitter ev(clock, trace, tel.spans, &flight, &tel.metrics, &rm);
+  ev.emit(TraceEventKind::TaskResultLost, NodeId{1}, TaskId{4}, 3.0);
+  ev.emit(TraceEventKind::ChunkRedispatched, NodeId{1}, TaskId{4});
+  EXPECT_EQ(trace.events().size(), 2u);
+  EXPECT_EQ(tel.metrics.counter_value(rm.results_rolled_back), 1u);
+  EXPECT_EQ(tel.metrics.counter_value(rm.tasks_redispatched), 1u);
+  EXPECT_TRUE(tel.spans.records().empty());  // instants are detail tier
+}
+
+TEST(Emitter, WithoutCountersOrFlightOnlyTraceAndSpansAreWritten) {
+  ManualClock clock;
+  SpanRecorder spans;
+  spans.set_clock(&clock);
+  gridsim::TraceRecorder trace;
+  Emitter ev(clock, trace, spans, nullptr);
+  ev.emit(TraceEventKind::FarmerCrashDetected, NodeId{2}, TaskId::invalid(),
+          1.0);
+  EXPECT_EQ(trace.count(TraceEventKind::FarmerCrashDetected), 1u);
+  ASSERT_EQ(spans.records().size(), 1u);
+  EXPECT_STREQ(spans.records()[0].name, "crash_detected");
+  EXPECT_DOUBLE_EQ(spans.records()[0].value, 1.0);
+}
+
+/// FNV-1a over the fields' bytes; doubles go in as raw bits so the digest
+/// sees every ulp.
+class Digest {
+ public:
+  Digest& add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+    return *this;
+  }
+  Digest& add(double v) { return add(std::bit_cast<std::uint64_t>(v)); }
+  Digest& add(const std::string& s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+    return *this;
+  }
+  [[nodiscard]] std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  void byte(unsigned char c) {
+    h_ ^= c;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::string trace_digest(const gridsim::TraceRecorder& trace) {
+  Digest d;
+  for (const auto& e : trace.events())
+    d.add(e.at.value)
+        .add(static_cast<std::uint64_t>(e.kind))
+        .add(e.node.value)
+        .add(e.task.value)
+        .add(e.value)
+        .add(e.note);
+  return d.hex();
+}
+
+std::string count_digest(const gridsim::TraceRecorder& trace) {
+  Digest d;
+  for (std::size_t k = 0; k < gridsim::kTraceEventKindCount; ++k)
+    d.add(static_cast<std::uint64_t>(
+        trace.count(static_cast<TraceEventKind>(k))));
+  return d.hex();
+}
+
+void add_resilience(Digest& d, const resil::ResilienceReport& r) {
+  d.add(std::uint64_t{r.crashes_detected})
+      .add(std::uint64_t{r.leaves})
+      .add(std::uint64_t{r.joins})
+      .add(std::uint64_t{r.admissions})
+      .add(std::uint64_t{r.rejections})
+      .add(std::uint64_t{r.evictions})
+      .add(std::uint64_t{r.chunks_lost})
+      .add(std::uint64_t{r.tasks_redispatched})
+      .add(std::uint64_t{r.zombie_completions})
+      .add(r.wasted_mops)
+      .add(std::uint64_t{r.checkpoints})
+      .add(std::uint64_t{r.tasks_recovered})
+      .add(r.recovered_mops)
+      .add(r.checkpoint_state_bytes)
+      .add(std::uint64_t{r.failovers})
+      .add(r.failover_latency_s)
+      .add(std::uint64_t{r.standby_recruits})
+      .add(std::uint64_t{r.results_rolled_back})
+      .add(std::uint64_t{r.replication_records})
+      .add(r.replication_bytes)
+      .add(r.handshake_cost_s);
+}
+
+std::string report_digest(const core::FarmReport& r) {
+  Digest d;
+  d.add(r.makespan.value)
+      .add(std::uint64_t{r.tasks_completed})
+      .add(std::uint64_t{r.calibration_tasks})
+      .add(std::uint64_t{r.recalibrations})
+      .add(std::uint64_t{r.reissues})
+      .add(std::uint64_t{r.reissues_suppressed})
+      .add(std::uint64_t{r.econ_evictions})
+      .add(std::uint64_t{r.econ_chunk_caps})
+      .add(std::uint64_t{r.chunk_resizes})
+      .add(std::uint64_t{r.monitor_samples})
+      .add(std::uint64_t{r.rounds})
+      .add(r.final_baseline_spm);
+  for (const NodeId n : r.final_chosen) d.add(n.value);
+  add_resilience(d, r.resilience);
+  return d.hex();
+}
+
+std::string report_digest(const core::PipelineReport& r) {
+  Digest d;
+  d.add(r.makespan.value)
+      .add(std::uint64_t{r.items_completed})
+      .add(std::uint64_t{r.remaps})
+      .add(std::uint64_t{r.replications})
+      .add(std::uint64_t{r.rounds})
+      .add(r.mean_latency_s)
+      .add(r.p95_latency_s)
+      .add(std::uint64_t{r.output_in_order});
+  for (const auto& s : r.stages)
+    d.add(s.stage.value)
+        .add(s.node.value)
+        .add(std::uint64_t{s.replicas})
+        .add(std::uint64_t{s.items})
+        .add(s.mean_service_s)
+        .add(s.busy_fraction);
+  for (const NodeId n : r.final_mapping) d.add(n.value);
+  add_resilience(d, r.resilience);
+  return d.hex();
+}
+
+std::string report_digest(const core::HierFarmReport& r) {
+  Digest d;
+  d.add(r.makespan.value)
+      .add(std::uint64_t{r.tasks_completed})
+      .add(std::uint64_t{r.calibration_tasks})
+      .add(std::uint64_t{r.shards})
+      .add(std::uint64_t{r.root_events})
+      .add(std::uint64_t{r.shard_events})
+      .add(std::uint64_t{r.monitor_rounds})
+      .add(std::uint64_t{r.reduction_messages})
+      .add(std::uint64_t{r.recalibrations})
+      .add(std::uint64_t{r.promotions})
+      .add(std::uint64_t{r.redispatched})
+      .add(std::uint64_t{r.results_lost})
+      .add(std::uint64_t{r.zombie_completions});
+  for (const auto& s : r.shard_summaries)
+    d.add(s.sub_farmer.value)
+        .add(std::uint64_t{s.workers})
+        .add(std::uint64_t{s.tasks_completed})
+        .add(std::uint64_t{s.grants})
+        .add(std::uint64_t{s.events})
+        .add(std::uint64_t{s.promotions})
+        .add(std::uint64_t{s.redispatched})
+        .add(s.capacity_mops);
+  return d.hex();
+}
+
+void add_breakdown(Digest& d, const BlameBreakdown& b) {
+  d.add(b.calibration_s)
+      .add(b.dispatch_wait_s)
+      .add(b.compute_s)
+      .add(b.detection_recovery_s)
+      .add(b.failover_s)
+      .add(b.idle_tail_s);
+}
+
+/// Per-cause blame seconds of the whole run, every grafted group and every
+/// node row: the crash/rollback markers the engines emit steer the idle-gap
+/// split, so this pins the marker column as the blame analysis reads it.
+std::string blame_digest(const Telemetry& tel, double makespan_s) {
+  const BlameReport blame = analyze_blame(tel.spans.records(), makespan_s);
+  Digest d;
+  add_breakdown(d, blame.total);
+  for (const auto& g : blame.groups) {
+    d.add(g.key).add(g.window_s);
+    add_breakdown(d, g.blame);
+  }
+  for (const auto& g : blame.nodes) {
+    d.add(g.key).add(g.window_s);
+    add_breakdown(d, g.blame);
+  }
+  return d.hex();
+}
+
+struct Fingerprint {
+  std::string trace, counts, report, blame;
+};
+
+void expect_fingerprint(const Fingerprint& got, const Fingerprint& want) {
+  EXPECT_EQ(got.trace, want.trace) << "trace sequence";
+  EXPECT_EQ(got.counts, want.counts) << "per-kind counts";
+  EXPECT_EQ(got.report, want.report) << "report fields";
+  EXPECT_EQ(got.blame, want.blame) << "blame seconds";
+}
+
+workloads::TaskSet task_set(std::size_t n, double mean_mops, double cv,
+                            std::uint64_t seed) {
+  workloads::TaskSetParams wl;
+  wl.count = n;
+  wl.mean_mops = mean_mops;
+  wl.cv = cv;
+  wl.seed = seed;
+  return workloads::make_task_set(wl);
+}
+
+// TaskFarm with every emitting subsystem on: churn (nobody protected, the
+// farmer included), checkpoints, a hot standby, accrual detection and
+// dispatch economics, plus adaptive chunk sizing.
+TEST(EmitFingerprint, TaskFarmChurnCheckpointFailoverEcon) {
+  gridsim::ChurnScenarioParams scenario;
+  scenario.grid.node_count = 12;
+  scenario.grid.dynamics = gridsim::Dynamics::Walk;
+  scenario.grid.seed = 42;
+  scenario.spare_nodes = 4;
+  scenario.mtbf = 90.0;
+  scenario.protected_prefix = 0;
+  scenario.churn_seed = 49;
+  gridsim::Grid grid = gridsim::make_churn_grid(scenario);
+
+  core::FarmParams params = core::make_adaptive_farm_params();
+  params.chunk_size = 4;
+  params.resilience.enabled = true;
+  params.resilience.detector.heartbeat_period = Seconds{1.0};
+  params.resilience.detector.timeout = Seconds{5.0};
+  params.resilience.detector.mode = resil::DetectionMode::Accrual;
+  params.resilience.checkpoint_period = Seconds{4.0};
+  params.resilience.failover.standby_count = 1;
+  params.resilience.failover.handshake = Seconds{2.0};
+  params.econ.enabled = true;
+  params.adaptive_chunking = true;
+  Telemetry tel;
+  FlightRecorder flight(64);
+  tel.flight = &flight;
+  params.telemetry = &tel;
+
+  core::SimBackend backend(grid);
+  const core::FarmReport r = core::TaskFarm(params).run(
+      backend, grid, grid.node_ids(), task_set(1200, 120.0, 1.0, 43));
+  ASSERT_GT(r.resilience.crashes_detected, 0u);
+  ASSERT_GT(r.resilience.failovers, 0u);
+  ASSERT_GT(r.resilience.checkpoints, 0u);
+
+  expect_fingerprint(
+      {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
+       blame_digest(tel, r.makespan.value)},
+      {"201b01034d5ad131", "05926f2204410aa2", "0407816ee349f4a4",
+       "87a01c73b1883224"});
+}
+
+// HierFarm with a planted sub-farmer crash (shard 0's initial coordinator
+// dies for good at t=12) and a worker crash in the other shard.
+TEST(EmitFingerprint, HierFarmPlantedSubFarmerCrash) {
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  for (int i = 0; i < 9; ++i) b.add_node(s, 100.0);
+  gridsim::Grid grid = b.build();
+  std::vector<NodeId> workers;
+  std::vector<double> speeds;
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    workers.push_back(NodeId{i});
+    speeds.push_back(100.0);
+  }
+  const auto plan = core::plan_shards(workers, speeds, 2);
+  const NodeId victim = plan[0].front();
+  const NodeId worker = plan[1].back();
+  grid.node(victim).add_downtime({Seconds{12.0}, Seconds{1e9}});
+  grid.node(worker).add_downtime({Seconds{20.0}, Seconds{1e9}});
+  grid.set_churn(gridsim::ChurnTimeline(
+      {{Seconds{12.0}, gridsim::ChurnEventKind::Crash, victim},
+       {Seconds{20.0}, gridsim::ChurnEventKind::Crash, worker}}));
+
+  core::HierFarmParams params;
+  params.workers_per_shard = 4;
+  params.detector.heartbeat_period = Seconds{1.0};
+  params.detector.timeout = Seconds{4.0};
+  params.standby_count = 2;
+  params.promotion_handshake = Seconds{2.0};
+  Telemetry tel;
+  FlightRecorder flight(64);
+  tel.flight = &flight;
+  params.telemetry = &tel;
+
+  core::SimBackend backend(grid);
+  const core::HierFarmReport r = core::HierFarm(params).run(
+      backend, grid, grid.node_ids(), task_set(160, 2000.0, 0.6, 17));
+  ASSERT_EQ(r.promotions, 1u);
+  ASSERT_GT(r.trace.count(TraceEventKind::NodeCrashDetected), 0u);
+
+  expect_fingerprint(
+      {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
+       blame_digest(tel, r.makespan.value)},
+      {"dba89eab61588e52", "3a2f5f18f5c2a85f", "b99e2376437da706",
+       "c30692936a44956d"});
+}
+
+// Pipeline on a churning pool: a crash inside the initial calibration, a
+// joiner, and a mid-run crash that forces a stage failover.  Both crashes
+// leave a crash_detected marker, so nodes 2 and 5 each get a blame row.
+TEST(EmitFingerprint, PipelineChurn) {
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  for (int i = 0; i < 7; ++i) b.add_node(s, 120.0);
+  gridsim::Grid grid = b.build();
+  grid.node(NodeId{5}).add_downtime({Seconds{0.1}, Seconds{20000.1}});
+  grid.node(NodeId{2}).add_downtime({Seconds{40.0}, Seconds{20040.0}});
+  grid.set_churn(gridsim::ChurnTimeline(
+      {{Seconds{0.1}, gridsim::ChurnEventKind::Crash, NodeId{5}},
+       {Seconds{0.15}, gridsim::ChurnEventKind::Join, NodeId{6}},
+       {Seconds{40.0}, gridsim::ChurnEventKind::Crash, NodeId{2}}},
+      {NodeId{6}}));
+
+  core::PipelineParams params;
+  params.monitor.period = Seconds{1.0};
+  Telemetry tel;
+  FlightRecorder flight(64);
+  tel.flight = &flight;
+  params.telemetry = &tel;
+
+  core::SimBackend backend(grid);
+  const core::PipelineReport r = core::Pipeline(params).run(
+      backend, grid, grid.node_ids(),
+      workloads::make_uniform_pipeline(4, 30.0, 1e4), 400);
+  ASSERT_GE(r.resilience.crashes_detected, 2u);
+
+  expect_fingerprint(
+      {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
+       blame_digest(tel, r.makespan.value)},
+      {"93118014c72bed11", "ad856343d8b7385f", "8420e35f2ae3abf9",
+       "5be0a48dabb7be1a"});
+}
+
+// Two tenants sharing one pool through the GridService: the second
+// arrives while the first is running.
+TEST(EmitFingerprint, GridServiceTwoJobStream) {
+  const gridsim::Grid grid = gridsim::make_uniform_grid(8, 100.0);
+  core::SimBackend backend(grid);
+  svc::GridService service(backend, grid, grid.node_ids());
+  svc::JobOptions opt_a;
+  opt_a.name = "tenant-a";
+  opt_a.max_share = 0.5;
+  svc::JobOptions opt_b;
+  opt_b.name = "tenant-b";
+  opt_b.max_share = 0.5;
+  const svc::JobHandle a = service.submit(
+      svc::FarmJob{core::make_adaptive_farm_params(),
+                   task_set(120, 100.0, 0.6, 1)},
+      opt_a);
+  const svc::JobHandle b = service.submit_at(
+      Seconds{5.0},
+      svc::FarmJob{core::make_adaptive_farm_params(),
+                   task_set(120, 100.0, 0.6, 2)},
+      opt_b);
+  service.wait_all();
+  ASSERT_EQ(a.status(), svc::JobStatus::Completed);
+  ASSERT_EQ(b.status(), svc::JobStatus::Completed);
+
+  const core::FarmReport& ra = a.farm_report();
+  const core::FarmReport& rb = b.farm_report();
+  expect_fingerprint({trace_digest(ra.trace), count_digest(ra.trace),
+                      report_digest(ra), ""},
+                     {"1d60b38c7aa6540c", "237e84ac9d312165",
+                      "4dc35f779987d13a", ""});
+  expect_fingerprint({trace_digest(rb.trace), count_digest(rb.trace),
+                      report_digest(rb), ""},
+                     {"0531df4649487087", "237e84ac9d312165",
+                      "2abca2f51c4c390e", ""});
+}
+
+}  // namespace
+}  // namespace grasp::obs

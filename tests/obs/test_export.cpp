@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "gridsim/trace.hpp"
-#include "obs/bridge.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_jsonl.hpp"
 #include "obs/export_text.hpp"
@@ -154,54 +152,6 @@ TEST(ObsExportJsonl, MetricsAndSpansRoundTripLineByLine) {
   EXPECT_EQ(spans, 3u);
   EXPECT_EQ(instants, 1u);
   EXPECT_EQ(logs, 1u);
-}
-
-TEST(ObsBridge, TraceEventsBecomeSpansAndInstants) {
-  gridsim::TraceRecorder trace;
-  using gridsim::TraceEventKind;
-  trace.record({Seconds{1.0}, TraceEventKind::TaskDispatched, NodeId{2},
-                TaskId{7}, 0.0, ""});
-  trace.record({Seconds{2.0}, TraceEventKind::NodeCrashDetected, NodeId{4},
-                TaskId::invalid(), 0.0, ""});
-  trace.record({Seconds{3.0}, TraceEventKind::TaskCompleted, NodeId{2},
-                TaskId{7}, 2.0, ""});
-  trace.record({Seconds{4.0}, TraceEventKind::TaskDispatched, NodeId{3},
-                TaskId{8}, 0.0, ""});  // never completes
-
-  SpanRecorder spans;
-  bridge_trace(trace, spans);
-  const auto& recs = spans.records();
-
-  std::size_t task_spans = 0, open_spans = 0, crash_instants = 0;
-  for (const SpanRecord& r : recs) {
-    if (std::string(r.name) == "task") {
-      ++task_spans;
-      if (r.open()) {
-        ++open_spans;
-        EXPECT_EQ(r.task, TaskId{8});
-      } else {
-        EXPECT_EQ(r.task, TaskId{7});
-        EXPECT_DOUBLE_EQ(r.begin_s, 1.0);
-        EXPECT_DOUBLE_EQ(r.end_s, 3.0);
-      }
-    } else if (r.instant) {
-      ++crash_instants;
-      EXPECT_EQ(std::string(r.name),
-                std::string(to_string(TraceEventKind::NodeCrashDetected)));
-    }
-  }
-  EXPECT_EQ(task_spans, 2u);
-  EXPECT_EQ(open_spans, 1u);
-  EXPECT_EQ(crash_instants, 1u);
-
-  // task_spans=false keeps every record an instant.
-  SpanRecorder instants_only;
-  BridgeOptions opts;
-  opts.task_spans = false;
-  bridge_trace(trace, instants_only, opts);
-  for (const SpanRecord& r : instants_only.records())
-    EXPECT_TRUE(r.instant);
-  EXPECT_EQ(instants_only.records().size(), 4u);
 }
 
 TEST(ObsExportText, DashboardListsMetricsAndSpans) {

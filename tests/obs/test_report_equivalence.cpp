@@ -4,6 +4,8 @@
 // the same (still warm) registry must still yield a correct per-run delta.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/backend_sim.hpp"
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
@@ -43,27 +45,12 @@ core::FarmParams resilient_params(Telemetry* telemetry) {
 
 void expect_report_equals(const resil::ResilienceReport& a,
                           const resil::ResilienceReport& b) {
-  EXPECT_EQ(a.crashes_detected, b.crashes_detected);
-  EXPECT_EQ(a.leaves, b.leaves);
-  EXPECT_EQ(a.joins, b.joins);
-  EXPECT_EQ(a.admissions, b.admissions);
-  EXPECT_EQ(a.rejections, b.rejections);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.chunks_lost, b.chunks_lost);
-  EXPECT_EQ(a.tasks_redispatched, b.tasks_redispatched);
-  EXPECT_EQ(a.zombie_completions, b.zombie_completions);
-  EXPECT_DOUBLE_EQ(a.wasted_mops, b.wasted_mops);
-  EXPECT_EQ(a.checkpoints, b.checkpoints);
-  EXPECT_EQ(a.tasks_recovered, b.tasks_recovered);
-  EXPECT_DOUBLE_EQ(a.recovered_mops, b.recovered_mops);
-  EXPECT_DOUBLE_EQ(a.checkpoint_state_bytes, b.checkpoint_state_bytes);
-  EXPECT_EQ(a.failovers, b.failovers);
-  EXPECT_DOUBLE_EQ(a.failover_latency_s, b.failover_latency_s);
-  EXPECT_DOUBLE_EQ(a.handshake_cost_s, b.handshake_cost_s);
-  EXPECT_EQ(a.standby_recruits, b.standby_recruits);
-  EXPECT_EQ(a.results_rolled_back, b.results_rolled_back);
-  EXPECT_EQ(a.replication_records, b.replication_records);
-  EXPECT_DOUBLE_EQ(a.replication_bytes, b.replication_bytes);
+  resil::for_each_field(a, b, [](const char* name, auto x, auto y) {
+    if constexpr (std::is_same_v<decltype(x), double>)
+      EXPECT_DOUBLE_EQ(x, y) << name;
+    else
+      EXPECT_EQ(x, y) << name;
+  });
 }
 
 TEST(ObsReportEquivalence, RegistrySnapshotMatchesReportOnChurnRun) {
@@ -96,62 +83,19 @@ TEST(ObsReportEquivalence, RegistrySnapshotMatchesReportOnChurnRun) {
 
   // Second run against the same registry: absolute counters keep
   // accumulating, yet the report must still be this run's delta.
-  const resil::ResilienceReport before = rm.snapshot(telemetry.metrics);
+  const MetricsSnapshot before = telemetry.metrics.snapshot();
   gridsim::Grid grid2 = churn_grid();
   core::SimBackend backend2(grid2);
   const core::FarmReport report2 =
       core::TaskFarm(resilient_params(&telemetry))
           .run(backend2, grid2, grid2.node_ids(), tasks);
   expect_report_equals(
-      resil::subtract(rm.snapshot(telemetry.metrics), before),
+      resil::from_snapshot(telemetry.metrics.snapshot().diff(before)),
       report2.resilience);
   // Identical seeds: the two runs are the same run, so the registry now
   // holds exactly twice the per-run counters.
   EXPECT_EQ(telemetry.metrics.counter_value(rm.crashes_detected),
             2 * report.resilience.crashes_detected);
-}
-
-TEST(ObsReportEquivalence, FromSnapshotDiffMatchesTypedSubtract) {
-  // The engines build report.resilience through the generic
-  // from_snapshot(after.diff(before)) path; this pins it to the typed
-  // ResilienceMetrics::snapshot + resil::subtract spelling on a warm
-  // registry, so the centralised baseline subtraction can never drift
-  // from the field-by-field one.
-  const workloads::TaskSet tasks = [] {
-    workloads::TaskSetParams wl;
-    wl.count = 1000;
-    wl.mean_mops = 120.0;
-    wl.cv = 1.0;
-    wl.seed = 43;
-    return workloads::make_task_set(wl);
-  }();
-
-  Telemetry telemetry;
-  const resil::ResilienceMetrics rm =
-      resil::ResilienceMetrics::register_in(telemetry.metrics);
-
-  // Warm the registry with one run, then delta the second both ways.
-  gridsim::Grid grid = churn_grid();
-  core::SimBackend backend(grid);
-  (void)core::TaskFarm(resilient_params(&telemetry))
-      .run(backend, grid, grid.node_ids(), tasks);
-
-  const MetricsSnapshot generic_before = telemetry.metrics.snapshot();
-  const resil::ResilienceReport typed_before = rm.snapshot(telemetry.metrics);
-
-  gridsim::Grid grid2 = churn_grid();
-  core::SimBackend backend2(grid2);
-  const core::FarmReport report =
-      core::TaskFarm(resilient_params(&telemetry))
-          .run(backend2, grid2, grid2.node_ids(), tasks);
-  EXPECT_GT(report.resilience.crashes_detected, 0u);
-
-  const resil::ResilienceReport generic = resil::from_snapshot(
-      telemetry.metrics.snapshot().diff(generic_before));
-  const resil::ResilienceReport typed =
-      resil::subtract(rm.snapshot(telemetry.metrics), typed_before);
-  expect_report_equals(generic, typed);
-  expect_report_equals(generic, report.resilience);
 }
 
 TEST(ObsReportEquivalence, PrivateTelemetryStillFillsTheReport) {
