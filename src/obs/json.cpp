@@ -3,10 +3,20 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <utility>
 
 namespace grasp::obs {
 
 namespace {
+
+/// Build a parsed value in place inside the optional.  Returning a
+/// JsonValue temporary instead would move-construct the variant, and
+/// GCC 12 then warns (-Wmaybe-uninitialized) about the alternatives the
+/// temporary never held.
+template <typename T>
+std::optional<JsonValue> value_of(T&& v) {
+  return std::optional<JsonValue>(std::in_place, std::forward<T>(v));
+}
 
 class Parser {
  public:
@@ -68,17 +78,17 @@ class Parser {
       case '"': {
         std::optional<std::string> s = parse_string();
         if (!s) return std::nullopt;
-        return JsonValue(std::move(*s));
+        return value_of(std::move(*s));
       }
       case 't':
         if (!expect_literal("true")) return std::nullopt;
-        return JsonValue(true);
+        return value_of(true);
       case 'f':
         if (!expect_literal("false")) return std::nullopt;
-        return JsonValue(false);
+        return value_of(false);
       case 'n':
         if (!expect_literal("null")) return std::nullopt;
-        return JsonValue(nullptr);
+        return value_of(nullptr);
       default: return parse_number();
     }
   }
@@ -87,7 +97,7 @@ class Parser {
     ++pos_;  // '{'
     JsonObject obj;
     skip_ws();
-    if (consume('}')) return JsonValue(std::move(obj));
+    if (consume('}')) return value_of(std::move(obj));
     while (true) {
       skip_ws();
       if (at_end() || text_[pos_] != '"') {
@@ -106,7 +116,7 @@ class Parser {
       obj.insert_or_assign(std::move(*key), std::move(*value));
       skip_ws();
       if (consume(',')) continue;
-      if (consume('}')) return JsonValue(std::move(obj));
+      if (consume('}')) return value_of(std::move(obj));
       fail("expected ',' or '}' in object");
       return std::nullopt;
     }
@@ -116,14 +126,14 @@ class Parser {
     ++pos_;  // '['
     JsonArray arr;
     skip_ws();
-    if (consume(']')) return JsonValue(std::move(arr));
+    if (consume(']')) return value_of(std::move(arr));
     while (true) {
       std::optional<JsonValue> value = parse_value();
       if (!value) return std::nullopt;
       arr.push_back(std::move(*value));
       skip_ws();
       if (consume(',')) continue;
-      if (consume(']')) return JsonValue(std::move(arr));
+      if (consume(']')) return value_of(std::move(arr));
       fail("expected ',' or ']' in array");
       return std::nullopt;
     }
@@ -235,7 +245,7 @@ class Parser {
       fail("number out of range");
       return std::nullopt;
     }
-    return JsonValue(value);
+    return value_of(value);
   }
 
   std::string_view text_;

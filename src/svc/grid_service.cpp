@@ -67,7 +67,7 @@ GridService::~GridService() {
       }
     if (victim == nullptr) break;  // unreachable under the turn protocol
     victim->deliver_nullopt = true;
-    grant_turn(lk, *victim);
+    hand_turn(lk, victim, nullptr);
   }
 }
 
@@ -222,7 +222,7 @@ void GridService::pump_until(std::unique_lock<std::mutex>& lk,
       for (const auto& job : running_) {
         if (!job->blocked) continue;
         job->deliver_nullopt = true;
-        grant_turn(lk, *job);
+        hand_turn(lk, job.get(), nullptr);
         progressed = true;
         break;
       }
@@ -232,32 +232,62 @@ void GridService::pump_until(std::unique_lock<std::mutex>& lk,
 }
 
 bool GridService::pump_one(std::unique_lock<std::mutex>& lk) {
-  auto completion = backend_.wait_next();
+  const auto completion = backend_.wait_next();
   if (!completion.has_value()) return false;
-  const std::uint64_t seq = detail::seq_of(completion->token);
+  detail::JobState* owner = route(*completion);
+  if (owner != nullptr && owner->blocked) {
+    // Everything reaped, nothing to admit: until a turn comes back here,
+    // the service would only pump again, so the turn holders may.
+    tenants_pump_ = queue_.empty();
+    hand_turn(lk, owner, nullptr);
+    tenants_pump_ = false;
+  }
+  return true;
+}
+
+detail::JobState* GridService::route(core::Completion completion) {
+  const std::uint64_t seq = detail::seq_of(completion.token);
   if (seq == 0) {
     // Service arrival timer: the scheduled job materialises now.
-    const auto it = pending_arrivals_.find(completion->token);
-    if (it == pending_arrivals_.end()) return true;  // cancelled
+    const auto it = pending_arrivals_.find(completion.token);
+    if (it == pending_arrivals_.end()) return nullptr;  // cancelled
     const StatePtr job = it->second;
     pending_arrivals_.erase(it);
     if (queue_.size() >= params_.max_queued_jobs) {
       job->status = JobStatus::Rejected;
       ++rejected_;
       if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.rejected);
-      return true;
+      return nullptr;
     }
     job->submitted_at = backend_.now();
     queue_.push_back(job);
     update_gauges();
-    return true;
+    return nullptr;
   }
-  const StatePtr owner = find_running(seq);
-  if (owner == nullptr) return true;  // tenant retired: swallow the zombie
-  completion->token = detail::to_local(completion->token);
-  owner->inbox.push_back(*completion);
-  if (owner->blocked) grant_turn(lk, *owner);
-  return true;
+  detail::JobState* owner = find_running(seq);
+  if (owner == nullptr) return nullptr;  // tenant retired: drop the zombie
+  completion.token = detail::to_local(completion.token);
+  owner->inbox.push_back(completion);
+  return owner;
+}
+
+void GridService::await_completion(std::unique_lock<std::mutex>& lk,
+                                   detail::JobState& job) {
+  detail::JobState* next = nullptr;  // nullptr: back to the service
+  if (tenants_pump_) {
+    // The service's next steps would be exactly these two calls.
+    invalidate_departed(backend_.now());
+    if (const auto completion = backend_.wait_next()) {
+      next = route(*completion);
+      if (next == &job) return;  // our own: keep the turn, no switch
+    }
+  }
+  // Anything but another tenant's completion goes back to the service (an
+  // arrival, a zombie, end-of-stream, or a turn granted outside pump_one):
+  // it may have a job to reap, admit or unwind before it pumps again.
+  job.blocked = true;
+  hand_turn(lk, next, &job);
+  job.blocked = false;
 }
 
 void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
@@ -344,7 +374,7 @@ void GridService::start_job(std::unique_lock<std::mutex>& lk,
   update_gauges();
   job->thread = std::thread([this, job] { job_thread_main(job); });
   // First turn: the engine runs until it parks in wait_next (or exits).
-  grant_turn(lk, *job);
+  hand_turn(lk, job.get(), nullptr);
 }
 
 void GridService::run_inline(std::unique_lock<std::mutex>& lk) {
@@ -375,11 +405,17 @@ void GridService::run_inline(std::unique_lock<std::mutex>& lk) {
   finalize(job);
 }
 
-void GridService::grant_turn(std::unique_lock<std::mutex>& lk,
-                             detail::JobState& job) {
-  turn_ = job.seq;
-  cv_.notify_all();
-  cv_.wait(lk, [&] { return turn_ == 0; });
+void GridService::hand_turn(std::unique_lock<std::mutex>& lk,
+                            detail::JobState* to, detail::JobState* self) {
+  turn_ = to != nullptr ? to->seq : 0;
+  // Wake only the actor whose turn it is, after unlocking so it does not
+  // block on the mutex this thread still holds.  Waits are predicate-
+  // guarded, so a wakeup that lands before the target waits is not lost.
+  lk.unlock();
+  (to != nullptr ? to->cv : cv_).notify_one();
+  lk.lock();
+  const std::uint64_t me = self != nullptr ? self->seq : 0;
+  (self != nullptr ? self->cv : cv_).wait(lk, [&] { return turn_ == me; });
 }
 
 void GridService::reap(std::unique_lock<std::mutex>& lk) {
@@ -456,7 +492,7 @@ void GridService::job_thread_main(StatePtr job) {
     // Do nothing — not even engine construction — before the first turn
     // grant: the admitting thread still owns the backend until then.
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return turn_ == job->seq; });
+    job->cv.wait(lk, [&] { return turn_ == job->seq; });
   }
   detail::JobBackend proxy(*this, *job);
   try {
@@ -471,10 +507,14 @@ void GridService::job_thread_main(StatePtr job) {
       job->error_message = "unknown exception";
     }
   }
-  const std::lock_guard<std::mutex> lk(mu_);
+  // The service must reap this job before anything else runs, so the
+  // last turn always goes back to it.  It joins this thread before it can
+  // be destroyed, so notifying after the unlock is safe.
+  std::unique_lock<std::mutex> lk(mu_);
   job->thread_done = true;
   turn_ = 0;
-  cv_.notify_all();
+  lk.unlock();
+  cv_.notify_one();
 }
 
 void GridService::execute(detail::JobState& job, core::Backend& backend) {
@@ -513,9 +553,9 @@ void GridService::prepare_params(detail::JobState& job) {
   job.telemetry = *tel;
 }
 
-GridService::StatePtr GridService::find_running(std::uint64_t seq) const {
+detail::JobState* GridService::find_running(std::uint64_t seq) const {
   for (const auto& job : running_)
-    if (job->seq == seq) return job;
+    if (job->seq == seq) return job.get();
   return nullptr;
 }
 

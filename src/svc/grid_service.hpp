@@ -17,13 +17,23 @@
 // and each *running* job owns one engine thread driving the unmodified
 // run_engine loop against a JobBackend proxy.  Determinism is preserved
 // by a strict turn-based handoff: a single token (`turn_`: 0 = the
-// service, else a job's seq) says who may run; everyone else is parked
-// on the condition variable.  The service pumps the real backend one
-// completion at a time, routes it to its owner's inbox and hands the
-// turn over; the engine runs until it blocks in wait_next again, handing
-// the turn back.  Exactly one actor touches the backend at any moment
-// and every handoff is an acquire/release pair on the one mutex, so runs
-// are deterministic and TSan-clean.
+// service, else a job's seq) says who may run.  Every actor parks on a
+// wait object of its own (the service's `cv_`, each job's JobState::cv),
+// and a handoff sets `turn_` and wakes exactly the actor whose turn it is,
+// notifying after releasing the mutex so the woken thread does not block
+// on it.  The service pumps the real backend one completion at a time and
+// routes it (arrival timer → queue, job op → owner's inbox, retired
+// tenant's zombie → dropped); a completion for a parked job hands that job
+// the turn.  While the service sits in that grant with an empty queue,
+// the turn holder pumps: an engine that blocks in wait_next with nothing
+// routed to it calls the real backend itself and keeps the turn for its
+// own completions, hands it straight to the tenant that owns the next
+// one, and hands it back to the service for anything else (an arrival, a
+// zombie, end-of-stream, a non-empty queue, or a handoff outside that
+// grant, such as an engine's first turn).  The backend sees every call in
+// the order the service alone would make them, exactly one actor touches
+// it at any moment, and every handoff is an acquire/release pair on the
+// one mutex, so runs are deterministic and TSan-clean.
 //
 // Inline fast path: with exactly one live job, no scheduled arrivals and
 // force_threaded off, the service skips threads entirely and runs the
@@ -158,20 +168,37 @@ class GridService {
   /// job's engine params (in place, pre-run).
   void prepare_params(detail::JobState& job);
 
-  // Scheduler core; every method below requires mu_ held via `lk` and the
-  // service turn (turn_ == 0).
+  // Scheduler core; every method below requires mu_ held (via `lk` where
+  // it takes one) and the service turn (turn_ == 0), except
+  // await_completion, which a tenant runs on its own turn, and route,
+  // hand_turn and invalidate_departed, which it calls.
   void pump_until(std::unique_lock<std::mutex>& lk,
                   const std::function<bool()>& done);
   bool pump_one(std::unique_lock<std::mutex>& lk);
+  /// Deliver one completion off the real backend: an arrival timer queues
+  /// (or rejects) its job, a job op lands in its owner's inbox, a retired
+  /// tenant's zombie is dropped.  Returns the owner when it is a running
+  /// job, else nullptr.
+  detail::JobState* route(core::Completion completion);
+  /// A tenant blocked in wait_next with an empty inbox.  While the service
+  /// sits in pump_one's grant (tenants_pump_), pump one completion: keep
+  /// the turn if it is `job`'s own, else hand it to the tenant it was
+  /// routed to, or back to the service.  Otherwise hand the turn back.
+  /// Returns once `job` holds the turn again.
+  void await_completion(std::unique_lock<std::mutex>& lk,
+                        detail::JobState& job);
   void try_admit(std::unique_lock<std::mutex>& lk);
   void start_job(std::unique_lock<std::mutex>& lk, const StatePtr& job,
                  std::vector<NodeId> allocation);
   void run_inline(std::unique_lock<std::mutex>& lk);
   void reap(std::unique_lock<std::mutex>& lk);
   void finalize(const StatePtr& job);
-  void grant_turn(std::unique_lock<std::mutex>& lk, detail::JobState& job);
+  /// Hand the turn from `self` to `to` (nullptr = the service, for
+  /// either) and park `self` until the turn comes back to it.
+  void hand_turn(std::unique_lock<std::mutex>& lk, detail::JobState* to,
+                 detail::JobState* self);
   [[nodiscard]] bool inline_eligible() const;
-  [[nodiscard]] StatePtr find_running(std::uint64_t seq) const;
+  [[nodiscard]] detail::JobState* find_running(std::uint64_t seq) const;
   [[nodiscard]] double capacity_mops(NodeId node) const;
   /// Drop cached spm for nodes with a churn Crash/Leave in
   /// (churn_scan_, now]; advances the watermark.  No-op without a churn
@@ -198,9 +225,17 @@ class GridService {
   std::optional<obs::Watchdog> watchdog_;
 
   mutable std::mutex mu_;
+  /// The service's own wait object; each job parks on JobState::cv.
   std::condition_variable cv_;
   /// Whose move it is: 0 = the service loop, else a job's seq.
   std::uint64_t turn_ = 0;
+  /// Set while the service is parked in pump_one's grant with an empty
+  /// queue: the turn holder may pump the backend itself
+  /// (JobBackend::wait_next).  Only an arrival can fill the queue, and it
+  /// hands the turn back.  Every other turn (an engine's first, or one
+  /// granted by the destructor) hands back to the service, which may have
+  /// jobs to reap, admit or unwind before the next pump.
+  bool tenants_pump_ = false;
 
   std::uint64_t next_seq_ = 1;
   std::vector<StatePtr> all_jobs_;

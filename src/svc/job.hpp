@@ -9,11 +9,13 @@
 //
 // detail::JobState is the service-side record.  Mutation discipline: the
 // service thread owns lifecycle fields under the service mutex; the
-// threaded-mode plumbing block is shared between the job's engine thread
-// and the service loop, always under that same mutex (see GridService for
-// the turn-based handoff protocol that makes this deterministic).
+// threaded-mode plumbing block is shared between the job's engine thread,
+// the service loop and whichever tenant holds the turn while pumping,
+// always under that same mutex (see GridService for the turn-based
+// handoff protocol that makes this deterministic).
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -122,8 +124,11 @@ struct JobState {
   obs::Telemetry* telemetry = nullptr;
   std::unique_ptr<obs::Telemetry> own_telemetry;
 
-  // ---- threaded-mode plumbing (service mutex; see grid_service.cpp) ----
+  // ---- threaded-mode plumbing (service mutex; see grid_service.hpp) ----
   std::thread thread;
+  /// This actor's wait object: notified only when the turn is handed to
+  /// this job, so a handoff wakes one thread, not every tenant.
+  std::condition_variable cv;
   bool thread_done = false;      ///< engine returned or threw
   bool blocked = false;          ///< parked inside JobBackend::wait_next
   bool deliver_nullopt = false;  ///< next wait_next resolves to nullopt

@@ -9,7 +9,7 @@ namespace grasp::svc::detail {
 // Every method serialises on the service mutex.  That is cheap here, not
 // contended: the turn protocol guarantees the owning engine thread is the
 // only live actor while these run (the service loop and all other job
-// threads are parked on the condition variable), so the lock is taken
+// threads are parked, each on its own wait object), so the lock is taken
 // uncontended — it exists for the acquire/release edges that make each
 // turn handoff a happens-before, which is what keeps the whole service
 // TSan-clean and deterministic.
@@ -97,13 +97,9 @@ std::optional<core::Completion> JobBackend::wait_next() {
     // engine deadlock-detection path).
     if (job_.outstanding == 0 && job_.pending_timers == 0)
       return std::nullopt;
-    // Park: hand the turn to the service loop, wake when it routes a
-    // completion to this job and grants the turn back.
-    job_.blocked = true;
-    service_.turn_ = 0;
-    service_.cv_.notify_all();
-    service_.cv_.wait(lock, [&] { return service_.turn_ == job_.seq; });
-    job_.blocked = false;
+    // Pump the backend on this turn, or park until a completion has been
+    // routed here.
+    service_.await_completion(lock, job_);
   }
 }
 

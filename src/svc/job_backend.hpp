@@ -9,14 +9,17 @@
 // completion coming off the real backend back to its owner (sequence 0 is
 // reserved for the service's own job-arrival timers).
 //
-// wait_next is where the turn-based handoff lives: when the job's inbox
-// is empty but it still has work in flight, the proxy parks the engine
-// thread and hands the turn back to the service loop, which pumps the
-// real backend and routes completions one at a time (grid_service.cpp
-// documents the full protocol).  When the job has nothing in flight and
-// no pending timer, wait_next returns nullopt immediately — the exact
-// semantics a standalone backend gives a deadlocked engine, so engine
-// error paths behave identically under the service.
+// wait_next is where the turn-based handoff lives.  When the job's inbox
+// is empty but it still has work in flight, the turn holder pumps if the
+// service sits in pump_one's grant with an empty queue: it pumps the real
+// backend itself, keeps the turn while the completions are its own, and
+// hands the turn straight to the tenant that owns the next one.  In every
+// other case it parks the engine thread on the job's own wait object and
+// hands the turn back to the service (grid_service.hpp documents the full
+// protocol).  When the job has nothing in flight and no pending timer,
+// wait_next returns nullopt immediately — the exact semantics a
+// standalone backend gives a deadlocked engine, so engine error paths
+// behave identically under the service.
 #pragma once
 
 #include <optional>

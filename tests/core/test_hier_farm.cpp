@@ -65,7 +65,7 @@ TEST(HierFarm, PlanShardsBalancesCapacityDeterministically) {
   std::vector<double> speeds;
   const double table[] = {400, 200, 100, 50, 400, 200, 100, 50};
   for (std::size_t i = 0; i < 8; ++i) {
-    workers.push_back(NodeId{static_cast<std::int64_t>(i + 1)});
+    workers.push_back(NodeId{i + 1});
     speeds.push_back(table[i]);
   }
   const auto plan = plan_shards(workers, speeds, 2);

@@ -7,9 +7,7 @@
 // emits (or when) shows up here as a digest mismatch.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
 #include "core/backend_sim.hpp"
@@ -23,6 +21,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "svc/grid_service.hpp"
+#include "tests/fingerprint.hpp"
 #include "workloads/applications.hpp"
 #include "workloads/generators.hpp"
 
@@ -124,46 +123,8 @@ TEST(Emitter, WithoutCountersOrFlightOnlyTraceAndSpansAreWritten) {
   EXPECT_DOUBLE_EQ(spans.records()[0].value, 1.0);
 }
 
-/// FNV-1a over the fields' bytes; doubles go in as raw bits so the digest
-/// sees every ulp.
-class Digest {
- public:
-  Digest& add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-    return *this;
-  }
-  Digest& add(double v) { return add(std::bit_cast<std::uint64_t>(v)); }
-  Digest& add(const std::string& s) {
-    add(static_cast<std::uint64_t>(s.size()));
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-    return *this;
-  }
-  [[nodiscard]] std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  void byte(unsigned char c) {
-    h_ ^= c;
-    h_ *= 0x100000001b3ULL;
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-std::string trace_digest(const gridsim::TraceRecorder& trace) {
-  Digest d;
-  for (const auto& e : trace.events())
-    d.add(e.at.value)
-        .add(static_cast<std::uint64_t>(e.kind))
-        .add(e.node.value)
-        .add(e.task.value)
-        .add(e.value)
-        .add(e.note);
-  return d.hex();
-}
+using test::Digest;
+using test::trace_digest;
 
 std::string count_digest(const gridsim::TraceRecorder& trace) {
   Digest d;

@@ -95,7 +95,7 @@ TEST(HierChurnProperty, SubFarmerCrashPromotesWithinTheShard) {
 
   std::vector<NodeId> workers;
   std::vector<double> speeds;
-  for (std::int64_t i = 1; i <= 8; ++i) {
+  for (std::uint64_t i = 1; i <= 8; ++i) {
     workers.push_back(NodeId{i});
     speeds.push_back(100.0);
   }
@@ -138,7 +138,7 @@ TEST(HierChurnProperty, SubFarmerCrashRedispatchesOnlyTheSuffix) {
   gridsim::Grid grid = b.build();
   std::vector<NodeId> workers;
   std::vector<double> speeds;
-  for (std::int64_t i = 1; i <= 8; ++i) {
+  for (std::uint64_t i = 1; i <= 8; ++i) {
     workers.push_back(NodeId{i});
     speeds.push_back(100.0);
   }
@@ -220,7 +220,7 @@ TEST(HierChurnProperty, WorkerCrashStaysLocalToItsShard) {
   gridsim::Grid grid = b.build();
   std::vector<NodeId> workers;
   std::vector<double> speeds;
-  for (std::int64_t i = 1; i <= 8; ++i) {
+  for (std::uint64_t i = 1; i <= 8; ++i) {
     workers.push_back(NodeId{i});
     speeds.push_back(100.0);
   }
