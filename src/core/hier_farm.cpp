@@ -64,6 +64,21 @@ constexpr std::uint64_t kShardShift = 40;
 constexpr double kReduceHopBytes = 128.0;  // one folded monitor sample
 constexpr double kSpmBlend = 0.5;          // EWMA weight of a new sample
 
+/// Root fan-out ceiling (shard_count_for's max_shards).
+constexpr std::size_t kMaxShards = 16;
+/// Ceiling on a Grasp chunk, in tasks.
+constexpr std::size_t kMaxChunk = 64;
+/// The root splits the task set into about this many super-grants in
+/// total, independent of scale: each grant is ceil(T / kGrantRounds) tasks
+/// and shards pull grants on demand, so a fast shard simply pulls more
+/// often.  This is what keeps the root's event rate flat in W.
+constexpr std::size_t kGrantRounds = 32;
+/// Recalibrate a shard when its observed spm drifts from the calibrated
+/// baseline by more than this fraction...
+constexpr double kDriftThreshold = 0.5;
+/// ...at most this many times per run.
+constexpr std::size_t kMaxRecalibrations = 16;
+
 [[nodiscard]] Mops chunk_work(const std::vector<workloads::TaskSpec>& c) {
   Mops total = Mops::zero();
   for (const auto& t : c) total += t.work;
@@ -122,7 +137,27 @@ std::vector<std::vector<NodeId>> plan_shards(
   return shards;
 }
 
-HierFarm::HierFarm(HierFarmParams params) : params_(std::move(params)) {}
+HierFarm::HierFarm(HierFarmParams params) : params_(std::move(params)) {
+  if (params_.workers_per_shard == 0)
+    throw std::invalid_argument(
+        "HierFarm: workers_per_shard must be positive");
+  if (params_.chunk_size == 0)
+    throw std::invalid_argument("HierFarm: chunk_size must be positive");
+  if (params_.reduce_arity == 0)
+    throw std::invalid_argument("HierFarm: reduce_arity must be positive");
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  if (!non_negative(params_.target_chunk_seconds))
+    throw std::invalid_argument(
+        "HierFarm: target_chunk_seconds must be finite and non-negative");
+  if (!non_negative(params_.monitor_period.value))
+    throw std::invalid_argument(
+        "HierFarm: monitor_period must be finite and non-negative");
+  if (!non_negative(params_.promotion_handshake.value))
+    throw std::invalid_argument(
+        "HierFarm: promotion_handshake must be finite and non-negative");
+}
 
 HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
                              const std::vector<NodeId>& pool,
@@ -133,7 +168,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   const Seconds t0 = backend.now();
   const gridsim::ChurnTimeline* churn = grid.churn();
   const bool grasp = params_.mode == HierMode::Grasp;
-  const bool resil_on = params_.resilience && churn != nullptr;
+  const bool resil_on = churn != nullptr;
 
   // ----------------------------------------------------------- topology
   const std::vector<NodeId> live0 =
@@ -151,7 +186,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         "HierFarm: the pool needs at least one worker besides the root");
 
   const std::size_t shard_count = shard_count_for(
-      workers.size(), params_.workers_per_shard, params_.max_shards);
+      workers.size(), params_.workers_per_shard, kMaxShards);
   std::vector<double> speeds;
   speeds.reserve(workers.size());
   for (NodeId n : workers) speeds.push_back(grid.node(n).base_speed_mops());
@@ -163,12 +198,6 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   obs::Telemetry& tel =
       params_.telemetry != nullptr ? *params_.telemetry : private_tel;
   BackendClock clock(backend);
-  // Online SLO watchdogs (observation only), probed on the liveness tick:
-  // one per shard (scoped alert subjects) plus the root's sub-farmer
-  // watch.  Deque: Watchdog holds registry handles, never moves.
-  std::deque<obs::Watchdog> shard_dogs;
-  std::optional<obs::Watchdog> root_dog;
-  if (params_.slos.any()) root_dog.emplace(params_.slos, tel, "root.");
   // Crash flight recorder (non-owning, may be null).
   obs::FlightRecorder* const flight = tel.flight;
   if (flight != nullptr)
@@ -188,9 +217,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
   std::deque<workloads::TaskSpec> root_queue(tasks.tasks.begin(),
                                              tasks.tasks.end());
-  const std::size_t grant_nominal = std::max<std::size_t>(
-      1, (total + params_.grant_rounds - 1) /
-             std::max<std::size_t>(1, params_.grant_rounds));
+  const std::size_t grant_nominal = (total + kGrantRounds - 1) / kGrantRounds;
 
   struct Asg {
     std::size_t shard = 0;
@@ -257,38 +284,37 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   std::vector<obs::Emitter> shard_ev;
   shard_ev.reserve(plan.size());
   resil::FailureDetector root_det(params_.detector);
+  // Top shard k's standbys back up to standby_count: lowest-id members
+  // first, deterministic across runs.
+  const auto recruit_standby = [&](std::size_t k) {
+    Shard& sh = shards[k];
+    std::vector<NodeId> by_id = sh.members;
+    std::sort(by_id.begin(), by_id.end());
+    for (NodeId m : by_id) {
+      if (sh.log.replica_count() >= params_.standby_count) return;
+      if (m == sh.sub || sh.log.has_replica(m)) continue;
+      sh.log.add_replica(m);
+      shard_ev[k].emit(Kind::StandbyRecruited, m, TaskId::invalid(),
+                       static_cast<double>(k));
+    }
+  };
   for (std::size_t k = 0; k < plan.size(); ++k) {
     Shard& sh = shards.emplace_back(params_.detector);
     sh.spans.set_clock(&clock);
     sh.spans.set_enabled(tel.detail_enabled());
-    obs::Emitter& ev =
-        shard_ev.emplace_back(clock, report.trace, sh.spans, tel.flight);
+    shard_ev.emplace_back(clock, report.trace, sh.spans, tel.flight);
     sh.members = plan[k];
     sh.initial_workers = sh.members.size();
     sh.sub = sh.members.front();
     for (NodeId m : sh.members)
       if (m != sh.sub) sh.detector.watch(m, t0);
     root_det.watch(sh.sub, t0);
-    // Standbys: lowest-id members first, deterministic across runs.
-    std::vector<NodeId> by_id = sh.members;
-    std::sort(by_id.begin(), by_id.end());
-    std::size_t recruited = 0;
-    for (NodeId m : by_id) {
-      if (m == sh.sub || recruited == params_.standby_count) continue;
-      sh.log.add_replica(m);
-      ++recruited;
-      ev.emit(Kind::StandbyRecruited, m, TaskId::invalid(),
-              static_cast<double>(k));
-    }
+    recruit_standby(k);
     if (grasp)
-      ev.emit(Kind::CalibrationStarted, sh.sub, TaskId::invalid(),
-              static_cast<double>(k));
+      shard_ev[k].emit(Kind::CalibrationStarted, sh.sub, TaskId::invalid(),
+                       static_cast<double>(k));
   }
   report.shards = shards.size();
-  if (params_.slos.any())
-    for (std::size_t k = 0; k < shards.size(); ++k)
-      shard_dogs.emplace_back(params_.slos, tel,
-                              "shard." + std::to_string(k) + ".");
 
   // ------------------------------------------------------------ counters
   std::size_t root_events = 0, shard_events = 0, grants_total = 0;
@@ -315,12 +341,11 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   // ---------------------------------------------------- chunk size policy
   const auto chunk_len = [&](const Shard& sh, NodeId node) -> std::size_t {
     const double spm = sh.spm.at_or_default(node);
-    if (!grasp || spm <= 0.0)
-      return std::max<std::size_t>(1, params_.chunk_size);
+    if (!grasp || spm <= 0.0) return params_.chunk_size;
     std::size_t n = 0;
     double secs = 0.0;
     for (const auto& t : sh.queue) {
-      if (n >= params_.max_chunk) break;
+      if (n >= kMaxChunk) break;
       if (n > 0 && secs >= params_.target_chunk_seconds) break;
       secs += t.work.value * spm;
       ++n;
@@ -466,24 +491,6 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
                      static_cast<double>(k));
   };
 
-  const auto recruit_standby = [&](std::size_t k) {
-    Shard& sh = shards[k];
-    while (sh.log.replica_count() < params_.standby_count) {
-      NodeId best = NodeId::invalid();
-      std::vector<NodeId> by_id = sh.members;
-      std::sort(by_id.begin(), by_id.end());
-      for (NodeId m : by_id)
-        if (m != sh.sub && !sh.log.has_replica(m)) {
-          best = m;
-          break;
-        }
-      if (!best.is_valid()) return;
-      sh.log.add_replica(best);
-      shard_ev[k].emit(Kind::StandbyRecruited, best, TaskId::invalid(),
-                       static_cast<double>(k));
-    }
-  };
-
   const auto abort_reduction = [&] {
     if (!red.active) return;
     for (const auto& [token, dest] : red_dest) swallow.insert(token);
@@ -515,11 +522,11 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     maybe_ship(k);
   };
 
-  const auto shard_dead = [&](std::size_t k) {
+  // Abandon every chunk shard k has in flight (its coordinator is gone, so
+  // the results have nowhere to land): requeue the unfinished tasks locally
+  // and swallow the tokens.
+  const auto abandon_inflight = [&](std::size_t k) {
     Shard& sh = shards[k];
-    sh.dead = true;
-    // Reclaim everything this shard still owed: in-flight chunks, its
-    // local queue, completions never reported, and any grant on the wire.
     std::vector<OpToken> mine;
     for (const auto& [tok, a] : asg)
       if (a.shard == k) mine.push_back(tok);
@@ -531,6 +538,27 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       swallow.insert(token);
     }
     sh.inflight_tasks = 0;
+  };
+
+  // A grant still flying toward shard k's dead coordinator returns to the
+  // front of the root queue.
+  const auto return_grant = [&](std::size_t k) {
+    Shard& sh = shards[k];
+    if (!sh.grant_in_flight) return;
+    swallow.insert(sh.grant_token);
+    for (auto it = sh.grant_payload.rbegin(); it != sh.grant_payload.rend();
+         ++it)
+      root_queue.push_front(*it);
+    sh.grant_payload.clear();
+    sh.grant_in_flight = false;
+  };
+
+  const auto shard_dead = [&](std::size_t k) {
+    Shard& sh = shards[k];
+    sh.dead = true;
+    // Reclaim everything this shard still owed: in-flight chunks, its
+    // local queue, completions never reported, and any grant on the wire.
+    abandon_inflight(k);
     for (auto it = sh.queue.rbegin(); it != sh.queue.rend(); ++it)
       root_queue.push_front(*it);
     sh.queue.clear();
@@ -541,14 +569,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     }
     sh.unreported.clear();
     sh.unreported_bytes = 0.0;
-    if (sh.grant_in_flight) {
-      swallow.insert(sh.grant_token);
-      for (auto it = sh.grant_payload.rbegin(); it != sh.grant_payload.rend();
-           ++it)
-        root_queue.push_front(*it);
-      sh.grant_payload.clear();
-      sh.grant_in_flight = false;
-    }
+    return_grant(k);
     root_det.unwatch(sh.sub);
     for (std::size_t j = 0; j < shards.size(); ++j)
       if (!shards[j].dead) maybe_grant(j);
@@ -587,30 +608,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       return;
     }
 
-    // Every in-flight chunk was coordinated by the dead sub-farmer: its
-    // workers' results have nowhere to land.  Abandon and requeue.
-    std::vector<OpToken> mine;
-    for (const auto& [tok, a] : asg)
-      if (a.shard == k) mine.push_back(tok);
-    for (OpToken token : mine) {
-      if (auto entry = sh.ledger.invalidate(token, is_done); entry)
-        requeue_lost(k, *entry, entry->node);
-      if (auto [found, a] = asg.take(token); found)
-        sh.spans.end(a.span, 0.0, "lost");
-      swallow.insert(token);
-    }
-    sh.inflight_tasks = 0;
+    // Every in-flight chunk was coordinated by the dead sub-farmer.
+    abandon_inflight(k);
     for (NodeId m : sh.members) sh.busy[m] = 0;
-
-    // A grant still flying toward the corpse returns to the root queue.
-    if (sh.grant_in_flight) {
-      swallow.insert(sh.grant_token);
-      for (auto it = sh.grant_payload.rbegin(); it != sh.grant_payload.rend();
-           ++it)
-        root_queue.push_front(*it);
-      sh.grant_payload.clear();
-      sh.grant_in_flight = false;
-    }
+    return_grant(k);
     // A result batch already on the wire left before the crash; it is
     // delivered normally and the root dedupes.
 
@@ -698,8 +699,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       if (sh.dead || !sh.calibrated || sh.cal_spm <= 0.0 || sh.obs_spm <= 0.0)
         continue;
       const double drift = std::abs(sh.obs_spm / sh.cal_spm - 1.0);
-      if (drift > params_.drift_threshold &&
-          recalibrations < params_.max_recalibrations) {
+      if (drift > kDriftThreshold && recalibrations < kMaxRecalibrations) {
         ++recalibrations;
         sh.calibrated = false;
         for (NodeId m : sh.members) sh.probed[m] = 0;
@@ -729,29 +729,15 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     const auto alive = [&](NodeId n, Seconds t) {
       return churn->is_member(n, t);
     };
-    std::size_t live_shards = 0;
     for (std::size_t k = 0; k < shards.size(); ++k) {
       Shard& sh = shards[k];
       if (sh.dead) continue;
-      ++live_shards;
-      // Staleness SLO before the detector advances: an early-warning bound
-      // tighter than the timeout must fire even on the beat the detector
-      // finally declares the node dead.
-      if (!shard_dogs.empty() &&
-          shard_dogs[k].rules().heartbeat_staleness_s > 0.0)
-        for (NodeId w : sh.detector.watched())
-          shard_dogs[k].check_heartbeat(
-              w, now.value, sh.detector.last_heartbeat(w).value);
       sh.detector.advance(now, alive);
       for (NodeId w : sh.detector.suspects(now)) worker_crash(k, w);
       sh.log.flush([&](NodeId n) { return churn->is_member(n, now); });
       ++sh.events;  // the sub-farmer ran its own tick
       ++shard_events;
     }
-    if (root_dog && root_dog->rules().heartbeat_staleness_s > 0.0)
-      for (NodeId s : root_det.watched())
-        root_dog->check_heartbeat(s, now.value,
-                                  root_det.last_heartbeat(s).value);
     root_det.advance(now, alive);
     for (NodeId s : root_det.suspects(now)) {
       for (std::size_t k = 0; k < shards.size(); ++k)
@@ -766,7 +752,6 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     if (!any_live && global_done < total)
       throw std::runtime_error(
           "HierFarm: every shard was lost with tasks remaining");
-    (void)live_shards;
   };
 
   // ---------------------------------------------------------- bootstrap

@@ -39,7 +39,6 @@
 #include "gridsim/grid.hpp"
 #include "gridsim/trace.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/watchdog.hpp"
 #include "resil/failure_detector.hpp"
 #include "workloads/task.hpp"
 
@@ -54,40 +53,31 @@ struct HierFarmParams {
   HierMode mode = HierMode::Grasp;
 
   // ---------------------------------------------------------- sharding
-  /// Target workers per shard; the shard count is
-  /// clamp(ceil(workers / workers_per_shard), 1, max_shards).
+  /// Target workers per shard (> 0); the shard count is
+  /// clamp(ceil(workers / workers_per_shard), 1, 16).  The root fan-out
+  /// ceiling is fixed (hier_farm.cpp): beyond 16 x workers_per_shard
+  /// workers the shards grow instead, so the root's load stays bounded
+  /// either way.
   std::size_t workers_per_shard = 8;
-  /// Root fan-out ceiling.  Beyond max_shards x workers_per_shard workers
-  /// the shards grow instead — the root's load stays bounded either way.
-  std::size_t max_shards = 16;
 
   // ------------------------------------------------- intra-shard chunks
-  /// Tasks per dispatch in Static mode (and before a node is calibrated).
+  /// Tasks per dispatch (> 0) in Static mode (and before a node is
+  /// calibrated).
   std::size_t chunk_size = 4;
-  /// Grasp: per-node chunks sized so one dispatch costs about this long.
+  /// Grasp: per-node chunks sized so one dispatch costs about this long
+  /// (>= 0; capped at 64 tasks).
   double target_chunk_seconds = 8.0;
-  std::size_t max_chunk = 64;
-
-  // ------------------------------------------------------- super-grants
-  /// The root splits the task set into about this many super-grants in
-  /// total, independent of scale: each grant is ceil(T / grant_rounds)
-  /// tasks and shards pull grants on demand, so a fast shard simply pulls
-  /// more often.  This is what keeps the root's event rate flat in W.
-  std::size_t grant_rounds = 32;
 
   // ------------------------------------------- monitoring / adaptation
-  /// Grasp: period of the tree-aggregated monitor round (0 disables).
+  /// Grasp: period of the tree-aggregated monitor round (>= 0; 0 disables).
+  /// A shard recalibrates when its observed spm drifts from the calibrated
+  /// baseline by more than half (at most 16 times per run).
   Seconds monitor_period{8.0};
-  /// Fan-in of the sub-farmer reduction tree.
+  /// Fan-in of the sub-farmer reduction tree (> 0).
   std::size_t reduce_arity = 4;
-  /// Recalibrate a shard when its observed spm drifts from the calibrated
-  /// baseline by more than this fraction.
-  double drift_threshold = 0.5;
-  std::size_t max_recalibrations = 16;
 
   // ---------------------------------------------------------- resilience
-  /// Master switch; active only when the grid carries a ChurnTimeline.
-  bool resilience = true;
+  // Active whenever the grid carries a ChurnTimeline.
   /// Worker-level detector (one instance per shard, owned by its
   /// sub-farmer) and the root's sub-farmer watch (same settings).  The
   /// detection mode threads through whole: with DetectionMode::Accrual
@@ -98,18 +88,13 @@ struct HierFarmParams {
   resil::FailureDetector::Params detector;
   /// Replica-log standbys per shard (clamped to the shard size - 1).
   std::size_t standby_count = 2;
-  /// Pause between promotion and the new sub-farmer resuming dispatch.
+  /// Pause between promotion and the new sub-farmer resuming dispatch
+  /// (>= 0).
   Seconds promotion_handshake{1.0};
 
   /// Root location; invalid means pool.front().  The root coordinates
   /// only — it is not a member of any shard.
   NodeId root;
-
-  /// Online SLO bounds, evaluated on the liveness tick: heartbeat
-  /// staleness is probed per shard (alert subjects "shard.<k>.node.<id>")
-  /// and for the root's sub-farmer watch ("root.node.<id>").  All-zero
-  /// disables the watchdogs.
-  obs::SloRules slos;
 
   /// Observability sink (non-owning; may be null).  Per-shard counters
   /// land under "shard.<k>." prefixes and each shard's chunk spans are
@@ -177,6 +162,9 @@ struct HierFarmReport {
 
 class HierFarm {
  public:
+  /// Throws std::invalid_argument on a zero workers_per_shard, chunk_size
+  /// or reduce_arity, or a negative or non-finite target_chunk_seconds,
+  /// monitor_period or promotion_handshake.
   explicit HierFarm(HierFarmParams params);
 
   /// Execute `tasks` over `pool` (root = params.root or pool.front(),

@@ -10,7 +10,6 @@
 #include "obs/critical_path.hpp"
 #include "obs/emit.hpp"
 #include "obs/flight_recorder.hpp"
-#include "resil/adaptive_policy.hpp"
 #include "resil/membership.hpp"
 #include "support/flat_map.hpp"
 #include "support/log.hpp"
@@ -18,6 +17,18 @@
 #include "svc/grid_service.hpp"
 
 namespace grasp::core {
+namespace {
+
+/// Remaps allowed per run.
+constexpr std::size_t kMaxRemaps = 16;
+/// Stage state shipped old -> new node on remap (and to seed a replica).
+constexpr Bytes kStageStateBytes{1e6};
+/// How long a pipeline with a down stage (no spare) and nothing at all in
+/// flight keeps ticking while waiting for a joiner before declaring the run
+/// wedged, measured from the last completion or membership event.
+constexpr Seconds kDownStagePatience{1e4};
+
+}  // namespace
 
 Pipeline::Pipeline(PipelineParams params)
     : params_(std::move(params)), traits_(pipeline_traits()) {
@@ -28,17 +39,6 @@ Pipeline::Pipeline(PipelineParams params)
   if (params_.replicate_imbalance_factor < 0.0)
     throw std::invalid_argument(
         "Pipeline: replicate_imbalance_factor must be >= 0");
-  if (params_.adaptive_patience) {
-    if (params_.patience_sigma < 0.0)
-      throw std::invalid_argument("Pipeline: patience_sigma must be >= 0");
-    if (params_.min_patience.value <= 0.0 ||
-        params_.min_patience > params_.down_stage_patience)
-      throw std::invalid_argument(
-          "Pipeline: min_patience must lie in (0, down_stage_patience]");
-    if (params_.patience_min_samples == 0)
-      throw std::invalid_argument(
-          "Pipeline: patience_min_samples must be positive");
-  }
 }
 
 namespace {
@@ -129,8 +129,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
 
   // Membership: map stages over the nodes present at t=0; absent nodes
   // (late joiners) arrive through the tracker as spares.
-  const gridsim::ChurnTimeline* churn =
-      params_.membership_enabled ? grid.churn() : nullptr;
+  const gridsim::ChurnTimeline* churn = grid.churn();
   const std::vector<NodeId> present =
       churn ? churn->members_at(pool, backend.now()) : pool;
   if (present.size() < initial_nodes)
@@ -166,9 +165,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   const obs::MetricsSnapshot base_snap = met.snapshot();
   const obs::HistogramHandle h_item_latency =
       met.histogram("pipeline.item_latency_seconds", {1e-3, 2.0, 48});
-  // Online SLO watchdog (observation only) + crash flight recorder.
-  std::optional<obs::Watchdog> watchdog;
-  if (params_.slos.any()) watchdog.emplace(params_.slos, tel);
+  // Crash flight recorder.
   obs::FlightRecorder* const flight = tel.flight;
   if (flight != nullptr)
     flight->note(backend.now().value, "run", "pipeline_begin", source,
@@ -213,21 +210,6 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   // Last completion or membership event: the reference point for the
   // down-stage patience window while the liveness tick idles.
   Seconds last_activity = backend.now();
-  // Adaptive patience: when a loss is first noticed the node's departure
-  // time is parked here; its rejoin feeds the outage-duration estimator,
-  // which tightens (never loosens — down_stage_patience stays the cap) the
-  // wedged-wait bound once enough rejoins have been seen.
-  std::unordered_map<std::uint64_t, Seconds> down_at;
-  resil::WelfordEstimator outage_stats;
-  auto effective_patience = [&]() -> Seconds {
-    if (!params_.adaptive_patience ||
-        outage_stats.count() < params_.patience_min_samples)
-      return params_.down_stage_patience;
-    const double bound =
-        outage_stats.mean() + params_.patience_sigma * outage_stats.stddev();
-    return Seconds{std::clamp(bound, params_.min_patience.value,
-                              params_.down_stage_patience.value)};
-  };
 
   // ForeignOps for the *initial* calibration, so the t=0 stage mapping
   // tolerates a pool that is already churning: losses crossed mid-probe
@@ -522,10 +504,8 @@ PipelineReport Pipeline::run_engine(Backend& backend,
         ++op_it;
       }
     }
-    if (first_loss) {
-      if (params_.adaptive_patience) down_at[node.value] = backend.now();
+    if (first_loss)
       ev.emit(crashed ? Kind::NodeCrashDetected : Kind::NodeLeftPool, node);
-    }
     arm_monitor();
   };
 
@@ -534,10 +514,6 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   auto handle_join = [&](NodeId node) {
     last_activity = backend.now();
     lost_nodes.erase(node.value);
-    if (const auto it = down_at.find(node.value); it != down_at.end()) {
-      outage_stats.add((backend.now() - it->second).value);
-      down_at.erase(it);
-    }
     ev.emit(Kind::NodeJoinedPool, node);
     if (std::find(observed.begin(), observed.end(), node) == observed.end()) {
       observed.push_back(node);
@@ -613,7 +589,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
     }
     const OpToken token = tokens.alloc();
     submit_wave.push_back(OpRequest::transfer(token, rep.node, target,
-                                              Bytes{params_.stage_state_bytes}));
+                                              kStageStateBytes));
     ops.emplace(token,
                 PendingOp{OpKind::Migration, s, st.pending_remap_replica, 0});
     ev.emit(Kind::StageRemapped, target, TaskId::invalid(),
@@ -715,7 +691,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
     stages[worst].items_since_structural = 0;
     const OpToken token = tokens.alloc();
     backend.submit_transfer(token, stages[worst].replicas.front().node,
-                            target, Bytes{params_.stage_state_bytes});
+                            target, kStageStateBytes);
     ops.emplace(token, PendingOp{OpKind::Migration, worst,
                                  stages[worst].replicas.size() - 1, 0});
     ev.emit(Kind::StageReplicated, target, TaskId::invalid(),
@@ -732,7 +708,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
     if ((traits_.actions & kActionReplicateStage) != 0) maybe_replicate();
     if (!params_.adaptation_enabled) return;
     if ((traits_.actions & kActionRemapStage) == 0) return;
-    if (report.remaps >= params_.max_remaps) return;
+    if (report.remaps >= kMaxRemaps) return;
     if (spares.empty()) return;
     const MonitorVerdict verdict = exec_monitor.check(backend.now());
     if (verdict == MonitorVerdict::None) return;
@@ -797,12 +773,6 @@ PipelineReport Pipeline::run_engine(Backend& backend,
       if (tick_token != 0 && completion->token == tick_token) {
         tick_token = 0;
         arm_tick();
-        // Stream-staleness SLO: the pipeline has no per-node heartbeats, so
-        // the watchdog's heartbeat rule bounds the time since the last
-        // completion or membership event (subject: the source node).
-        if (watchdog)
-          watchdog->check_heartbeat(source, backend.now().value,
-                                    last_activity.value);
         if (ops.empty() && dead_tokens.empty()) {
           // Nothing in flight and no zombie pending.  Re-arming forever
           // would spin, so classify the lull: work schedule() can still
@@ -832,11 +802,11 @@ PipelineReport Pipeline::run_engine(Backend& backend,
                   "Pipeline: deadlock — items remain but nothing "
                   "in flight (stage lost with no spare?)");
             }
-            if (backend.now() - last_activity > effective_patience()) {
+            if (backend.now() - last_activity > kDownStagePatience) {
               backend.cancel_timer(tick_token);
               throw std::runtime_error(
                   "Pipeline: stage down with no spare and no joiner "
-                  "within down_stage_patience");
+                  "within the down-stage patience");
             }
           }
         }

@@ -21,7 +21,6 @@
 #include "gridsim/grid.hpp"
 #include "gridsim/trace.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/watchdog.hpp"
 #include "perfmon/monitor.hpp"
 #include "resil/report.hpp"
 #include "workloads/task.hpp"
@@ -34,11 +33,8 @@ struct PipelineParams {
   perfmon::MonitorDaemon::Params monitor;
 
   bool adaptation_enabled = true;
-  std::size_t max_remaps = 16;
   /// Only remap when the candidate looks at least this much faster.
   double remap_advantage = 1.25;
-  /// Stage state shipped old -> new node on remap (and to seed a replica).
-  double stage_state_bytes = 1e6;
 
   /// Items the source keeps queued at stage 0 (back-pressure bound).
   std::size_t source_window = 4;
@@ -62,46 +58,21 @@ struct PipelineParams {
   /// Where items originate and results are collected; invalid = pool.front().
   NodeId source_node;
 
-  /// Consume grid membership events (churn grids): a crashed or departed
-  /// replica node fails over to the best live spare (items in flight there
-  /// are re-shipped), joined nodes become spares (or revive a stage that
-  /// lost its only replica).  The source node must not churn.
-  bool membership_enabled = true;
-
+  /// On churn grids the pipeline consumes membership events: a crashed or
+  /// departed replica node fails over to the best live spare (items in
+  /// flight there are re-shipped), joined nodes become spares (or revive a
+  /// stage that lost its only replica).  The source node must not churn.
+  ///
   /// Period of the liveness tick on churn grids: a one-shot backend timer,
   /// re-armed on every firing, that polls membership even when no stage
   /// completions are flowing — so a crash that stalls the whole stream
   /// (e.g. the sole in-flight item sat on the corpse) is noticed within one
   /// period instead of at the next completion.  Zero disables the tick;
-  /// membership then advances only with completions, as before.
+  /// membership then advances only with completions, as before.  A down
+  /// stage (no spare) with nothing in flight keeps the tick waiting for a
+  /// joiner for a fixed patience window (pipeline.cpp) before the run is
+  /// declared wedged.
   Seconds membership_tick{1.0};
-
-  /// How long a pipeline with a down stage (no spare) and nothing at all in
-  /// flight keeps ticking while waiting for a joiner before declaring the
-  /// run wedged.  Measured from the last completion or membership event.
-  /// Only meaningful with membership_tick > 0 — the tick is what keeps the
-  /// loop alive while waiting.
-  Seconds down_stage_patience{1e4};
-
-  /// Statistics-driven patience: when enabled, the wedged-wait bound
-  /// adapts to the outage durations observed this run (Welford mean and
-  /// variance over loss-to-rejoin gaps).  Once `patience_min_samples`
-  /// rejoins have been measured, the effective bound becomes
-  /// clamp(mean + patience_sigma * stddev, min_patience,
-  /// down_stage_patience): a pool whose nodes return in seconds stops
-  /// wasting the full fixed window on a node that will never come back,
-  /// while `down_stage_patience` stays the hard cap, so the wedged-run
-  /// guarantee is never weakened — only tightened.
-  bool adaptive_patience = false;
-  double patience_sigma = 4.0;
-  Seconds min_patience{30.0};
-  std::size_t patience_min_samples = 2;
-
-  /// Online SLO bounds, evaluated on the liveness tick (see
-  /// obs/watchdog.hpp).  The pipeline probes stream staleness (time since
-  /// the last completion or membership event, against
-  /// heartbeat_staleness_s).  All-zero disables the watchdog.
-  obs::SloRules slos;
 
   /// Observability sink (non-owning; must outlive the run).  Null: the
   /// pipeline uses a private detail-disabled instance — counters still

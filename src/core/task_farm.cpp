@@ -18,6 +18,19 @@
 #include "svc/grid_service.hpp"
 
 namespace grasp::core {
+namespace {
+
+/// Ceiling on an adaptive chunk, in tasks.
+constexpr std::size_t kMaxChunk = 64;
+/// Algorithm 2 recalibrates at most this many times per run.
+constexpr std::size_t kMaxRecalibrations = 16;
+/// Tasks in a newcomer's fast-path calibration probe chunk.
+constexpr std::size_t kProbeTasks = 1;
+/// How long a farmerless farm waits for a promotable node (a live standby,
+/// a rejoining dead one, or the farmer itself) before the run is lost.
+constexpr Seconds kFailoverPatience{1e4};
+
+}  // namespace
 
 TaskFarm::TaskFarm(FarmParams params) : params_(std::move(params)),
                                         traits_(task_farm_traits()) {
@@ -42,8 +55,6 @@ TaskFarm::TaskFarm(FarmParams params) : params_(std::move(params)),
   if (params_.econ.exposure_budget_mops < 0.0)
     throw std::invalid_argument(
         "TaskFarm: econ.exposure_budget_mops must be non-negative");
-  if (params_.resilience.probe_tasks == 0)
-    throw std::invalid_argument("TaskFarm: probe_tasks must be positive");
   if (params_.resilience.checkpoint_period.value < 0.0)
     throw std::invalid_argument(
         "TaskFarm: checkpoint_period must be non-negative");
@@ -421,7 +432,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
         const auto ideal = static_cast<std::size_t>(
             std::llround(params_.target_chunk_seconds / per_task));
         const std::size_t clamped =
-            std::clamp<std::size_t>(ideal, 1, params_.max_chunk);
+            std::clamp<std::size_t>(ideal, 1, kMaxChunk);
         if (clamped != node_chunk[n]) {
           node_chunk[n] = clamped;
           ev.emit(Kind::ChunkResized, n, TaskId::invalid(),
@@ -945,8 +956,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       handshake_token = tokens.alloc();
       backend.submit_timer(handshake_token,
                            failover->handshake_cost(detector->watched().size()));
-    } else if ((now - failover->down_since()) >
-               params_.resilience.failover.patience) {
+    } else if ((now - failover->down_since()) > kFailoverPatience) {
       cancel_tick();
       throw std::runtime_error(
           "TaskFarm: farmer lost with no standby, rejoin or recruit within "
@@ -1017,7 +1027,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           continue;
         }
         std::vector<workloads::TaskSpec> chunk;
-        while (chunk.size() < params_.resilience.probe_tasks &&
+        while (chunk.size() < kProbeTasks &&
                !source.empty())
           chunk.push_back(source.pop());
         if (!chunk.empty())
@@ -1479,7 +1489,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
         // ticks exist for liveness and must not perturb Algorithm 2's
         // cadence.
         if (params_.adaptation_enabled && !source.all_done() &&
-            recalibrations < params_.max_recalibrations) {
+            recalibrations < kMaxRecalibrations) {
           const MonitorVerdict verdict = exec_monitor.check(backend.now());
           if (verdict != MonitorVerdict::None) pending_recalibration = true;
         }
@@ -1493,7 +1503,7 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
           (failover->farmer_down() || !live_member_now(farmer)))) {
       pending_recalibration = false;
       if (params_.adaptation_enabled && !source.all_done() &&
-          recalibrations < params_.max_recalibrations)
+          recalibrations < kMaxRecalibrations)
         recalibrate();
     }
   }

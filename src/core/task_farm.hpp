@@ -48,8 +48,6 @@ struct FarmResilience {
   /// joiners can only enter through a full recalibration — with adaptation
   /// also off, the worker set never grows (the fixed-set ablation).
   bool elastic_join = true;
-  /// Tasks in a newcomer's fast-path calibration probe chunk.
-  std::size_t probe_tasks = 1;
   /// Partial-result checkpoint interval.  Workers ship (chunk, tasks_done)
   /// progress piggybacked on the heartbeat path; the farmer records the
   /// high-water mark per chunk and, on a crash, re-dispatches only the
@@ -137,12 +135,10 @@ struct FarmParams {
   /// Per-node chunk sizing toward `target_chunk_seconds` per dispatch.
   bool adaptive_chunking = false;
   double target_chunk_seconds = 5.0;
-  std::size_t max_chunk = 64;
 
   /// Master switch for Algorithm 2 (false = calibrate once, never adapt;
   /// with select_fraction = 1 this is the classic demand-driven farm).
   bool adaptation_enabled = true;
-  std::size_t max_recalibrations = 16;
 
   /// Duplicate chunks that exceed straggler_factor x their expected time
   /// when idle capacity exists.

@@ -5,14 +5,12 @@
 
 namespace grasp::obs {
 
-Watchdog::Watchdog(const SloRules& rules, Telemetry& telemetry,
-                   std::string scope)
-    : rules_(rules), telemetry_(&telemetry), scope_(std::move(scope)) {
+Watchdog::Watchdog(const SloRules& rules, Telemetry& telemetry)
+    : rules_(rules), telemetry_(&telemetry) {
   MetricsRegistry& m = telemetry_->metrics;
   c_total_ = m.counter("obs.slo.breaches.total");
   c_heartbeat_ = m.counter("obs.slo.breaches.heartbeat");
   c_detection_ = m.counter("obs.slo.breaches.detection");
-  c_queue_wait_ = m.counter("obs.slo.breaches.queue_wait");
   c_wasted_ = m.counter("obs.slo.breaches.wasted_rate");
   c_cal_stall_ = m.counter("obs.slo.breaches.calibration_stall");
 }
@@ -32,16 +30,6 @@ void Watchdog::check_detection(NodeId node, double now_s, double latency_s) {
     return;
   fire("detection", c_detection_, "node." + std::to_string(node.value),
        latency_s, rules_.detection_latency_s, now_s, node);
-}
-
-void Watchdog::check_queue_wait(double now_s,
-                                const HistogramSnapshot& queue_wait,
-                                const char* subject) {
-  if (rules_.queue_wait_p99_s <= 0.0 || queue_wait.count == 0) return;
-  const double p99 = queue_wait.percentile(0.99);
-  if (p99 <= rules_.queue_wait_p99_s) return;
-  fire("queue_wait", c_queue_wait_, subject, p99, rules_.queue_wait_p99_s,
-       now_s, NodeId::invalid());
 }
 
 void Watchdog::check_wasted_rate(double now_s, double wasted_mops,
@@ -64,7 +52,6 @@ void Watchdog::check_calibration_stall(double now_s, double started_s) {
 void Watchdog::fire(const char* rule, CounterHandle rule_counter,
                     std::string subject, double observed, double bound,
                     double now_s, NodeId node) {
-  if (!scope_.empty()) subject = scope_ + subject;
   std::string key = rule;
   key += '|';
   key += subject;

@@ -19,8 +19,6 @@
 //                          this (fires before the detector's timeout when
 //                          set tighter — the early-warning tier)
 //   detection_latency_s    crash-to-declaration latency exceeded this
-//   queue_wait_p99_s       the queue-wait histogram's p99 exceeded this
-//                          (GridService admission delays)
 //   wasted_mops_rate       wasted mops per second of run time exceeded
 //   calibration_stall_s    one calibration pass has been open this long
 #pragma once
@@ -36,20 +34,17 @@
 
 namespace grasp::obs {
 
-/// Declarative SLO bounds; 0 disables a rule.  Engines carry these in
-/// their params (`FarmParams::slos` …); GridService tenants override per
-/// job through `JobOptions::slos`.
+/// Declarative SLO bounds; 0 disables a rule.  The task farm carries
+/// these in its params (`FarmParams::slos`).
 struct SloRules {
   double heartbeat_staleness_s = 0.0;
   double detection_latency_s = 0.0;
-  double queue_wait_p99_s = 0.0;
   double wasted_mops_rate = 0.0;
   double calibration_stall_s = 0.0;
 
   [[nodiscard]] bool any() const {
     return heartbeat_staleness_s > 0.0 || detection_latency_s > 0.0 ||
-           queue_wait_p99_s > 0.0 || wasted_mops_rate > 0.0 ||
-           calibration_stall_s > 0.0;
+           wasted_mops_rate > 0.0 || calibration_stall_s > 0.0;
   }
 };
 
@@ -63,20 +58,15 @@ struct SloBreach {
 
 class Watchdog {
  public:
-  /// `scope` prefixes alert subjects ("shard.3." / "job.7."); telemetry
-  /// must outlive the watchdog.  Counters are registered eagerly so the
-  /// zero-breach case still exports zeros.
-  Watchdog(const SloRules& rules, Telemetry& telemetry,
-           std::string scope = "");
+  /// `telemetry` must outlive the watchdog.  Counters are registered
+  /// eagerly so the zero-breach case still exports zeros.
+  Watchdog(const SloRules& rules, Telemetry& telemetry);
 
   /// Heartbeat staleness for one watched node.  `last_heard_s` < 0 means
   /// the node is not watched (the detector's unwatched sentinel) — no-op.
   void check_heartbeat(NodeId node, double now_s, double last_heard_s);
   /// Crash-to-declaration latency, probed at declaration time.
   void check_detection(NodeId node, double now_s, double latency_s);
-  /// Queue-wait p99 over the supplied histogram snapshot.
-  void check_queue_wait(double now_s, const HistogramSnapshot& queue_wait,
-                        const char* subject = "p99");
   /// Wasted-work rate: `wasted_mops` accumulated over `elapsed_s` of run.
   void check_wasted_rate(double now_s, double wasted_mops, double elapsed_s);
   /// A calibration pass opened at `started_s` is still open at `now_s`.
@@ -95,11 +85,9 @@ class Watchdog {
 
   SloRules rules_;
   Telemetry* telemetry_;
-  std::string scope_;
   CounterHandle c_total_;
   CounterHandle c_heartbeat_;
   CounterHandle c_detection_;
-  CounterHandle c_queue_wait_;
   CounterHandle c_wasted_;
   CounterHandle c_cal_stall_;
   std::set<std::string> fired_;  ///< (rule | subject) dedupe keys

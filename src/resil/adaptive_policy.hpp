@@ -10,8 +10,7 @@
 //
 //   * WelfordEstimator — O(1) running mean/variance.  The failure
 //     detector's accrual mode keeps one per node over heartbeat
-//     inter-arrival times; the pipeline's adaptive patience keeps one over
-//     observed outage durations.
+//     inter-arrival times.
 //   * QuantileTracker — O(1) record / O(buckets) query streaming quantiles
 //     over a fixed log-scale histogram (same bucketing idea as the obs
 //     metrics histograms, but a plain value type the engines can keep per

@@ -23,7 +23,7 @@
 // abandoned and the next standby promoted; with no live standby the
 // coordinator waits (a dead standby that rejoins resumes from its retained
 // watermark, a rejoining farmer resumes its own intact state), bounded by
-// `patience`.
+// the engine's failover patience (task_farm.cpp).
 //
 // The coordinator owns the registry, the log, the farmer-watch detector and
 // the failover counters; the engine (core/task_farm.cpp) drives the state
@@ -54,10 +54,6 @@ class FailoverCoordinator {
     /// over a large membership pays proportionally more than one over a
     /// decimated pool.  Zero keeps the flat-constant model.
     Seconds handshake_per_worker{0.0};
-    /// How long a farmerless farm waits for a promotable node (a live
-    /// standby, a rejoining dead one, or the farmer itself) before the
-    /// engine declares the run lost.
-    Seconds patience{1e4};
     /// Farmer-watch detector (typically the worker detector's params).
     FailureDetector::Params detector;
   };

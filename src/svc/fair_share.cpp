@@ -18,16 +18,8 @@ std::vector<NodeId> pick_allocation(
   const std::size_t min_nodes = std::max<std::size_t>(req.min_nodes, 1);
   if (free_nodes.size() < min_nodes) return {};
 
-  double target = fair_target_mops(total_pool_mops, running_weight_sum, req);
-  if (req.cap_to_free) {
-    // On a busy pool the total-derived target can exceed everything free;
-    // capping at max_share of *free* capacity keeps headroom for the next
-    // arrival instead of granting the whole remainder to this job.
-    const double free_mops = std::accumulate(
-        free_nodes.begin(), free_nodes.end(), 0.0,
-        [](double sum, const NodeCapacity& n) { return sum + n.mops; });
-    target = std::min(target, req.max_share * free_mops);
-  }
+  const double target =
+      fair_target_mops(total_pool_mops, running_weight_sum, req);
 
   // Rank free nodes fastest first (ties by node id for determinism), then
   // take from the top until the granted capacity covers the target and the

@@ -11,15 +11,13 @@
 // the calibration cache when fresh (1 / spm) and the grid's base speed
 // otherwise, so one tenant's measurements sharpen the next tenant's cut.
 //
-// Busy-pool caveat: the target is a fraction of the *total* pool, so when
-// most capacity is already held the target can exceed everything that is
-// free, and the work-conserving default grants the entire remainder —
+// Known limitation (busy pool): the target is a fraction of the *total*
+// pool, so when most capacity is already held the target can exceed
+// everything that is free, and the policy grants the entire remainder —
 // a heavy job admitted late leaves nothing for the next arrival until
-// someone finishes.  Set `cap_to_free` to additionally cap the grant at
-// max_share of the *free* capacity, preserving admission headroom on a
-// busy pool at the cost of work conservation.  The default stays
-// work-conserving because established streams (and their recorded bench
-// baselines) rely on the grab-the-remainder behaviour.
+// someone finishes.  The policy stays work-conserving because established
+// streams (and their recorded bench baselines) rely on the
+// grab-the-remainder behaviour.
 //
 // The returned allocation preserves the order the free nodes were given
 // in (the service's master pool order): engines are sensitive to pool
@@ -45,9 +43,6 @@ struct ShareRequest {
   double weight = 1.0;
   std::size_t min_nodes = 1;
   double max_share = 1.0;
-  /// Also cap the grant at max_share of the free capacity (see the
-  /// busy-pool caveat above).  min_nodes still floors the grant.
-  bool cap_to_free = false;
 };
 
 /// The mops target the policy aims to grant `req` when jobs with summed

@@ -12,6 +12,9 @@ namespace grasp::svc {
 
 namespace {
 
+/// Freshness horizon for cached spm entries.
+constexpr Seconds kCalibrationMaxAge{600.0};
+
 [[nodiscard]] bool terminal(JobStatus s) {
   return s == JobStatus::Completed || s == JobStatus::Failed ||
          s == JobStatus::Rejected;
@@ -29,7 +32,7 @@ GridService::GridService(core::Backend& backend, const gridsim::Grid& grid,
       grid_(grid),
       pool_(std::move(pool)),
       params_(params),
-      cache_(CalibrationCache::Params{params.calibration_max_age}),
+      cache_(CalibrationCache::Params{kCalibrationMaxAge}),
       telemetry_(params.telemetry) {
   if (telemetry_ != nullptr) {
     auto& m = telemetry_->metrics;
@@ -42,7 +45,6 @@ GridService::GridService(core::Backend& backend, const gridsim::Grid& grid,
     met_.queued = m.gauge("svc.jobs_queued");
     met_.queue_wait_s = m.histogram("svc.queue_wait_s");
     met_.makespan_s = m.histogram("svc.job_makespan_s");
-    if (params_.slos.any()) watchdog_.emplace(params_.slos, *telemetry_, "svc.");
   }
 }
 
@@ -109,25 +111,6 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
   if (!pool_.empty()) job->min_nodes = std::min(job->min_nodes, pool_.size());
   job->max_share = options.max_share;
   job->spec = std::move(spec);
-  // Per-job detection / economics policy: rewrite the engine params
-  // bundled with the spec before the engine ever sees them.  Jobs that
-  // leave the optionals empty run whatever the spec's params say, so the
-  // default service behaviour is untouched.
-  if (options.detection_mode.has_value() || options.farm_econ.has_value() ||
-      options.slos.has_value()) {
-    if (auto* farm = std::get_if<FarmJob>(&job->spec)) {
-      if (options.detection_mode.has_value())
-        farm->params.resilience.detector.mode = *options.detection_mode;
-      if (options.farm_econ.has_value())
-        farm->params.econ.enabled = *options.farm_econ;
-      if (options.slos.has_value()) farm->params.slos = *options.slos;
-    } else if (auto* pipe = std::get_if<PipelineJob>(&job->spec)) {
-      if (options.detection_mode.has_value())
-        pipe->params.adaptive_patience =
-            *options.detection_mode == resil::DetectionMode::Accrual;
-      if (options.slos.has_value()) pipe->params.slos = *options.slos;
-    }
-  }
   all_jobs_.push_back(job);
   if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.submitted);
 
@@ -333,8 +316,7 @@ void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
     }
     std::vector<NodeId> allocation = pick_allocation(
         free_nodes, total_mops, running_weight,
-        ShareRequest{job->weight, job->min_nodes, job->max_share,
-                     params_.cap_share_to_free});
+        ShareRequest{job->weight, job->min_nodes, job->max_share});
     if (allocation.empty()) break;  // head-of-line waits: FIFO, no skipping
     queue_.pop_front();
     start_job(lk, job, std::move(allocation));
@@ -458,9 +440,6 @@ void GridService::finalize(const StatePtr& job) {
     m.inc(ok ? met_.completed : met_.failed);
     m.observe(met_.queue_wait_s,
               (job->started_at - job->submitted_at).value);
-    if (watchdog_)
-      watchdog_->check_queue_wait(backend_.now().value,
-                                  m.histogram_snapshot(met_.queue_wait_s));
     if (!ok && telemetry_->flight != nullptr) {
       // Postmortem: a job died with an engine exception — freeze the
       // flight ring to disk while the evidence is still warm.

@@ -62,7 +62,6 @@
 #include "core/backend.hpp"
 #include "gridsim/grid.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/watchdog.hpp"
 #include "svc/calibration_cache.hpp"
 #include "svc/job.hpp"
 #include "svc/job_backend.hpp"
@@ -78,26 +77,14 @@ class GridService {
     /// this bound is Rejected instead of queued (scheduled arrivals are
     /// checked when their timer fires).  Default: never reject.
     std::size_t max_queued_jobs = static_cast<std::size_t>(-1);
-    /// Thread the pool-wide calibration cache through every job.
+    /// Thread the pool-wide calibration cache through every job (cached
+    /// spm entries stay fresh for 600 s, grid_service.cpp).
     bool use_calibration_cache = true;
-    /// Freshness horizon for cached spm entries.
-    Seconds calibration_max_age = Seconds{600.0};
-    /// Cap every admission grant at max_share of the *free* capacity as
-    /// well as of the total (fair_share.hpp documents the busy-pool
-    /// over-grab this guards against).  Off by default: the recorded
-    /// bench baselines rely on the work-conserving grab-the-remainder
-    /// policy.
-    bool cap_share_to_free = false;
     /// Shared observability sink (non-owning; may be null).  Service
     /// counters live here, and each retired job's private telemetry is
     /// imported under a "job.<seq>." metric prefix and a "job" span root
     /// (read back per-job with obs::filter_snapshot).
     obs::Telemetry* telemetry = nullptr;
-    /// Service-level SLO bounds (requires `telemetry`).  The service's own
-    /// watchdog checks queue-wait p99 against `queue_wait_p99_s` every time
-    /// a job retires; per-tenant engine rules go through JobOptions::slos
-    /// instead.  All-zero disables it.
-    obs::SloRules slos;
     /// Disable the single-job inline fast path (tests: forces the
     /// threaded protocol even for one tenant).
     bool force_threaded = false;
@@ -220,9 +207,6 @@ class GridService {
     obs::GaugeHandle running, queued;
     obs::HistogramHandle queue_wait_s, makespan_s;
   } met_;
-  /// Service-level SLO watchdog (queue-wait p99 at job retirement); engaged
-  /// only when params.slos has a bound set and a telemetry sink exists.
-  std::optional<obs::Watchdog> watchdog_;
 
   mutable std::mutex mu_;
   /// The service's own wait object; each job parks on JobState::cv.

@@ -30,7 +30,6 @@
 #include "core/pipeline.hpp"
 #include "core/task_farm.hpp"
 #include "obs/telemetry.hpp"
-#include "resil/failure_detector.hpp"
 #include "support/ids.hpp"
 #include "workloads/task.hpp"
 
@@ -73,25 +72,6 @@ struct JobOptions {
   /// free node.  Setting it below 1 reserves headroom so a later arrival
   /// can run alongside instead of queueing behind a pool hog.
   double max_share = 1.0;
-
-  // ---- per-job detection & dispatch policy (overrides the engine params
-  // ---- bundled with the job spec; nullopt leaves them untouched) ----
-  /// Failure-detection mode for this tenant's engine.  Farm jobs: sets
-  /// resilience.detector.mode.  Pipeline jobs: Accrual additionally turns
-  /// on adaptive down-stage patience (the pipeline's analog of per-node
-  /// inter-arrival statistics).  The timeout + period hard cap is engine
-  /// policy and is never affected by this switch.
-  std::optional<resil::DetectionMode> detection_mode;
-  /// Waste-aware dispatch economics for this tenant.  Farm jobs: sets
-  /// params.econ.enabled (quantile cost model, reissue budget, eviction
-  /// break-even, exposure cap).  Ignored for pipeline jobs, which have no
-  /// speculative-duplication economy.
-  std::optional<bool> farm_econ;
-  /// Per-tenant SLO bounds (obs/watchdog.hpp), installed into the engine
-  /// params so breaches are evaluated on the engine's own liveness ticks.
-  /// Breach counters land under the job's "job.<seq>." metric prefix when
-  /// the service imports the retired job's telemetry.
-  std::optional<obs::SloRules> slos;
 };
 
 namespace detail {

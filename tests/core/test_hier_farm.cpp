@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -228,6 +230,30 @@ TEST(HierFarm, RejectsDegeneratePools) {
                std::runtime_error);
   EXPECT_THROW((void)HierFarm(HierFarmParams{}).run(backend, grid, {}, ts),
                std::runtime_error);
+}
+
+TEST(HierFarm, RejectsBadParamsAtConstruction) {
+  const auto rejects = [](auto mutate) {
+    HierFarmParams p;
+    mutate(p);
+    EXPECT_THROW(HierFarm{p}, std::invalid_argument);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A zero arity would divide by zero in the reduction tree.
+  rejects([](HierFarmParams& p) { p.reduce_arity = 0; });
+  rejects([](HierFarmParams& p) { p.workers_per_shard = 0; });
+  rejects([](HierFarmParams& p) { p.chunk_size = 0; });
+  rejects([](HierFarmParams& p) { p.target_chunk_seconds = -1.0; });
+  rejects([&](HierFarmParams& p) { p.target_chunk_seconds = nan; });
+  rejects([](HierFarmParams& p) { p.monitor_period = Seconds{-8.0}; });
+  rejects([&](HierFarmParams& p) { p.monitor_period = Seconds{inf}; });
+  rejects([](HierFarmParams& p) { p.promotion_handshake = Seconds{-1.0}; });
+  rejects([&](HierFarmParams& p) { p.promotion_handshake = Seconds{nan}; });
+  // monitor_period 0 still means "monitor off".
+  HierFarmParams off;
+  off.monitor_period = Seconds{0.0};
+  EXPECT_NO_THROW(HierFarm{off});
 }
 
 }  // namespace

@@ -60,29 +60,28 @@ TEST(Watchdog, FiresOncePerRuleAndSubject) {
   EXPECT_EQ(instants, 2u);
 }
 
-TEST(Watchdog, ScopePrefixesSubjectsAndSeparatesDedupe) {
+TEST(Watchdog, WatchdogsShareCountersButDedupeSeparately) {
   Telemetry tel;
   SloRules rules;
   rules.heartbeat_staleness_s = 1.0;
-  Watchdog shard0(rules, tel, "shard.0.");
-  Watchdog shard1(rules, tel, "shard.1.");
-  shard0.check_heartbeat(NodeId{7}, 10.0, 1.0);
-  shard1.check_heartbeat(NodeId{7}, 10.0, 1.0);
-  ASSERT_EQ(shard0.breach_count(), 1u);
-  ASSERT_EQ(shard1.breach_count(), 1u);
-  EXPECT_EQ(shard0.breaches()[0].subject, "shard.0.node.7");
-  EXPECT_EQ(shard1.breaches()[0].subject, "shard.1.node.7");
-  // Counters are shared across scopes (idempotent registration).
+  Watchdog first(rules, tel);
+  Watchdog second(rules, tel);
+  first.check_heartbeat(NodeId{7}, 10.0, 1.0);
+  second.check_heartbeat(NodeId{7}, 10.0, 1.0);
+  ASSERT_EQ(first.breach_count(), 1u);
+  ASSERT_EQ(second.breach_count(), 1u);
+  EXPECT_EQ(first.breaches()[0].subject, "node.7");
+  EXPECT_EQ(second.breaches()[0].subject, "node.7");
+  // Counters are shared across watchdogs (idempotent registration).
   EXPECT_EQ(breach_count(tel, "total"), 2u);
 }
 
-TEST(Watchdog, QueueWaitDetectionWastedAndStallRules) {
+TEST(Watchdog, DetectionWastedAndStallRules) {
   Telemetry tel;
   FlightRecorder flight(16);
   tel.flight = &flight;
   SloRules rules;
   rules.detection_latency_s = 2.0;
-  rules.queue_wait_p99_s = 1.0;
   rules.wasted_mops_rate = 10.0;
   rules.calibration_stall_s = 5.0;
   Watchdog dog(rules, tel);
@@ -90,11 +89,6 @@ TEST(Watchdog, QueueWaitDetectionWastedAndStallRules) {
   dog.check_detection(NodeId{4}, 50.0, 1.5);  // within bound
   dog.check_detection(NodeId{4}, 50.0, 3.0);  // breach
   EXPECT_EQ(breach_count(tel, "detection"), 1u);
-
-  const HistogramHandle h = tel.metrics.histogram("wait");
-  tel.metrics.observe_always(h, 8.0);
-  dog.check_queue_wait(60.0, tel.metrics.histogram_snapshot(h));
-  EXPECT_EQ(breach_count(tel, "queue_wait"), 1u);
 
   dog.check_wasted_rate(70.0, 5.0, 0.0);    // zero elapsed: guarded
   dog.check_wasted_rate(70.0, 50.0, 100.0);  // 0.5 mops/s: fine
@@ -106,9 +100,9 @@ TEST(Watchdog, QueueWaitDetectionWastedAndStallRules) {
   dog.check_calibration_stall(80.0, 70.0);  // open 10s: breach
   EXPECT_EQ(breach_count(tel, "calibration_stall"), 1u);
 
-  EXPECT_EQ(breach_count(tel, "total"), 4u);
+  EXPECT_EQ(breach_count(tel, "total"), 3u);
   // Each fire also lands in the flight ring.
-  EXPECT_EQ(flight.seen(), 4u);
+  EXPECT_EQ(flight.seen(), 3u);
 }
 
 // ---------------------------------------------------------------------

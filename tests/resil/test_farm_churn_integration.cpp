@@ -4,6 +4,8 @@
 // joined nodes are admitted into the worker set.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "core/backend_sim.hpp"
@@ -405,6 +407,42 @@ TEST(PipelineChurn, StageFailsOverToSpareAndKeepsOrder) {
   EXPECT_GE(report.resilience.crashes_detected, 1u);
   EXPECT_LT(report.makespan.value, 2000.0);
   for (const NodeId n : report.final_mapping) EXPECT_NE(n, NodeId{2});
+}
+
+TEST(PipelineChurn, WedgedStageGivesUpAfterTheDownStagePatience) {
+  // A pool of exactly spec.depth() nodes: stage 0 on node 0 (the source),
+  // stage 1 on node 1.  Node 1 crashes at t=12 and never rejoins (no Join
+  // event), and nobody else joins, so stage 1 is down with no spare.  Its
+  // physical outage ends at t=40, so the compute stranded on it drains as
+  // a zombie.  The liveness tick keeps the run alive while it waits for a
+  // joiner, then declares it wedged once the fixed 1e4 s patience has
+  // passed since the last activity (that zombie).
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  for (int i = 0; i < 2; ++i) b.add_node(s, 120.0);
+  gridsim::Grid grid = b.build();
+  grid.node(NodeId{1}).add_downtime({Seconds{12.0}, Seconds{40.0}});
+  grid.set_churn(gridsim::ChurnTimeline(
+      {{Seconds{12.0}, gridsim::ChurnEventKind::Crash, NodeId{1}}}));
+
+  const auto spec = workloads::make_uniform_pipeline(2, 600.0, 1e3);
+  ASSERT_EQ(grid.node_ids().size(), spec.depth());
+  SimBackend backend(grid);
+  PipelineParams params;
+  params.monitor.period = Seconds{1.0};
+  try {
+    (void)Pipeline(params).run(backend, grid, grid.node_ids(), spec, 3);
+    FAIL() << "a pipeline with a stage down for good must not complete";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "stage down with no spare and no joiner"),
+              std::string::npos)
+        << e.what();
+  }
+  // The zombie lands within a minute; the run gives up one patience
+  // window after it, to within a tick.
+  EXPECT_GT(backend.now().value, 1e4 + 40.0);
+  EXPECT_LT(backend.now().value, 1e4 + 100.0);
 }
 
 }  // namespace

@@ -82,46 +82,13 @@ TEST(SvcFairShare, TooFewFreeNodesMeansNoAllocation) {
 
 TEST(SvcFairShare, BusyPoolOverGrabIsTheDocumentedDefault) {
   // 7 of 8 nodes are held: the target (max_share 0.45 of the 800-mops
-  // total = 360) dwarfs the 100 mops that are free, and the default
+  // total = 360) dwarfs the 100 mops that are free, and the
   // work-conserving policy grants the entire remainder.  This pins the
-  // documented behaviour the recorded bench baselines rely on.
+  // documented limitation the recorded bench baselines rely on.
   const auto free_nodes = uniform_free(1, 100.0);
   const auto alloc =
       pick_allocation(free_nodes, 800.0, 1.0, ShareRequest{1.0, 1, 0.45});
   EXPECT_EQ(alloc.size(), 1u);
-}
-
-TEST(SvcFairShare, CapToFreeLeavesHeadroomOnABusyPool) {
-  // Same busy pool, but 4 nodes free and the cap opted in: the grant may
-  // not exceed max_share of the *free* 400 mops (= 180 -> 2 nodes), so a
-  // later arrival still finds capacity.  The default takes all 4.
-  const auto free_nodes = uniform_free(4, 100.0);
-  ShareRequest req{3.0, 1, 0.45};
-  const auto greedy = pick_allocation(free_nodes, 1600.0, 1.0, req);
-  EXPECT_EQ(greedy.size(), 4u);  // target 0.45*1600 = 720 > free 400
-  req.cap_to_free = true;
-  const auto capped = pick_allocation(free_nodes, 1600.0, 1.0, req);
-  EXPECT_EQ(capped.size(), 2u);
-}
-
-TEST(SvcFairShare, CapToFreeStillHonoursTheMinNodesFloor) {
-  const auto free_nodes = uniform_free(4, 100.0);
-  ShareRequest req{1.0, 3, 0.25};
-  req.cap_to_free = true;
-  // Capped target 0.25*400 = 100 mops -> 1 node, but min_nodes floors it.
-  const auto alloc = pick_allocation(free_nodes, 1600.0, 1.0, req);
-  EXPECT_EQ(alloc.size(), 3u);
-}
-
-TEST(SvcFairShare, CapToFreeIsInertWhenThePoolIsIdle) {
-  // With everything free, max_share of free == max_share of total: the
-  // capped policy must agree with the default on an idle pool.
-  const auto free_nodes = uniform_free(8, 100.0);
-  ShareRequest req{1.0, 1, 0.5};
-  const auto greedy = pick_allocation(free_nodes, 800.0, 0.0, req);
-  req.cap_to_free = true;
-  const auto capped = pick_allocation(free_nodes, 800.0, 0.0, req);
-  EXPECT_EQ(greedy, capped);
 }
 
 TEST(SvcFairShare, FairTargetIsWeightedAndCapped) {
