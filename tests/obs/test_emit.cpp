@@ -128,7 +128,8 @@ using test::trace_digest;
 
 std::string count_digest(const gridsim::TraceRecorder& trace) {
   Digest d;
-  for (std::size_t k = 0; k < gridsim::kTraceEventKindCount; ++k)
+  for (std::size_t k = 0;
+       k <= static_cast<std::size_t>(TraceEventKind::TaskResultLost); ++k)
     d.add(static_cast<std::uint64_t>(
         trace.count(static_cast<TraceEventKind>(k))));
   return d.hex();
@@ -165,9 +166,6 @@ std::string report_digest(const core::FarmReport& r) {
       .add(std::uint64_t{r.calibration_tasks})
       .add(std::uint64_t{r.recalibrations})
       .add(std::uint64_t{r.reissues})
-      .add(std::uint64_t{r.reissues_suppressed})
-      .add(std::uint64_t{r.econ_evictions})
-      .add(std::uint64_t{r.econ_chunk_caps})
       .add(std::uint64_t{r.chunk_resizes})
       .add(std::uint64_t{r.monitor_samples})
       .add(std::uint64_t{r.rounds})
@@ -275,9 +273,9 @@ workloads::TaskSet task_set(std::size_t n, double mean_mops, double cv,
 }
 
 // TaskFarm with every emitting subsystem on: churn (nobody protected, the
-// farmer included), checkpoints, a hot standby, accrual detection and
-// dispatch economics, plus adaptive chunk sizing.
-TEST(EmitFingerprint, TaskFarmChurnCheckpointFailoverEcon) {
+// farmer included), checkpoints, a hot standby and accrual detection, plus
+// adaptive chunk sizing.
+TEST(EmitFingerprint, TaskFarmChurnCheckpointFailover) {
   gridsim::ChurnScenarioParams scenario;
   scenario.grid.node_count = 12;
   scenario.grid.dynamics = gridsim::Dynamics::Walk;
@@ -297,7 +295,6 @@ TEST(EmitFingerprint, TaskFarmChurnCheckpointFailoverEcon) {
   params.resilience.checkpoint_period = Seconds{4.0};
   params.resilience.failover.standby_count = 1;
   params.resilience.failover.handshake = Seconds{2.0};
-  params.econ.enabled = true;
   params.adaptive_chunking = true;
   Telemetry tel;
   FlightRecorder flight(64);
@@ -314,8 +311,8 @@ TEST(EmitFingerprint, TaskFarmChurnCheckpointFailoverEcon) {
   expect_fingerprint(
       {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
        blame_digest(tel, r.makespan.value)},
-      {"201b01034d5ad131", "05926f2204410aa2", "0407816ee349f4a4",
-       "87a01c73b1883224"});
+      {"a30779ece111b0fe", "7c9f3d82894925ca", "29ff6e6f1033ecef",
+       "a1a7d0f4aa4458dc"});
 }
 
 // HierFarm with a planted sub-farmer crash (shard 0's initial coordinator
@@ -360,7 +357,7 @@ TEST(EmitFingerprint, HierFarmPlantedSubFarmerCrash) {
   expect_fingerprint(
       {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
        blame_digest(tel, r.makespan.value)},
-      {"dba89eab61588e52", "3a2f5f18f5c2a85f", "b99e2376437da706",
+      {"dba89eab61588e52", "98072fd734c2989f", "b99e2376437da706",
        "c30692936a44956d"});
 }
 
@@ -396,7 +393,7 @@ TEST(EmitFingerprint, PipelineChurn) {
   expect_fingerprint(
       {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
        blame_digest(tel, r.makespan.value)},
-      {"93118014c72bed11", "ad856343d8b7385f", "8420e35f2ae3abf9",
+      {"93118014c72bed11", "de30c44a6613289f", "8420e35f2ae3abf9",
        "5be0a48dabb7be1a"});
 }
 
@@ -429,12 +426,12 @@ TEST(EmitFingerprint, GridServiceTwoJobStream) {
   const core::FarmReport& rb = b.farm_report();
   expect_fingerprint({trace_digest(ra.trace), count_digest(ra.trace),
                       report_digest(ra), ""},
-                     {"1d60b38c7aa6540c", "237e84ac9d312165",
-                      "4dc35f779987d13a", ""});
+                     {"1d60b38c7aa6540c", "e6a3237dccfca025",
+                      "26b8ca383b6da49a", ""});
   expect_fingerprint({trace_digest(rb.trace), count_digest(rb.trace),
                       report_digest(rb), ""},
-                     {"0531df4649487087", "237e84ac9d312165",
-                      "2abca2f51c4c390e", ""});
+                     {"0531df4649487087", "e6a3237dccfca025",
+                      "c18388dfab3c4b6e", ""});
 }
 
 }  // namespace
