@@ -95,19 +95,10 @@ core::FarmParams accrual_params() {
   return p;
 }
 
-/// Accrual detection plus the dispatch-economics policy (quantile cost
-/// model, reissue waste budget, break-even eviction, exposure-capped
-/// chunks) at its defaults.
-core::FarmParams accrual_econ_params() {
-  core::FarmParams p = accrual_params();
-  p.econ.enabled = true;
-  return p;
-}
-
 /// Committed fixed-mode `grasp_wasted_mops` per churn row (mtbf 0, 600,
 /// 300, 150 — the `rows` array of the checked-in BENCH_e13.json).  The
 /// --smoke wasted-mops gate holds the adaptive policy to this baseline:
-/// accrual+econ must never waste more than fixed-mode detection did.
+/// accrual detection must never waste more than fixed-mode detection did.
 constexpr double kFixedWastedBaseline[] = {0.0, 1716.03, 2573.39, 3425.93};
 constexpr double kRowMtbfs[] = {0.0, 600.0, 300.0, 150.0};
 
@@ -330,8 +321,8 @@ int main(int argc, char** argv) {
       std::cerr << "bench_e13 --smoke: conservation FAILED\n";
       return 1;
     }
-    // Wasted-mops gate: the adaptive detection/dispatch policy must not
-    // waste more than the committed fixed-mode baseline on any churn row.
+    // Wasted-mops gate: accrual detection must not waste more than the
+    // committed fixed-mode baseline on any churn row.
     // Runs the full bench workload (not the reduced smoke set) so the
     // numbers compare directly against the checked-in BENCH_e13.json.
     const workloads::TaskSet gate_tasks =
@@ -341,17 +332,17 @@ int main(int argc, char** argv) {
       gridsim::Grid grid = make_scenario(kRowMtbfs[i]);
       core::SimBackend backend(grid);
       const core::FarmReport r =
-          core::TaskFarm(accrual_econ_params())
+          core::TaskFarm(accrual_params())
               .run(backend, grid, grid.node_ids(), gate_tasks);
       if (!conserves(r, gate_tasks.size())) {
         std::cerr << "bench_e13 --smoke: conservation FAILED on "
-                     "accrual+econ row mtbf="
+                     "accrual row mtbf="
                   << kRowMtbfs[i] << "\n";
         waste_ok = false;
       }
       if (r.resilience.wasted_mops > kFixedWastedBaseline[i] + 1e-6) {
         std::cerr << "bench_e13 --smoke: wasted-mops regression at mtbf="
-                  << kRowMtbfs[i] << ": accrual+econ wasted "
+                  << kRowMtbfs[i] << ": accrual wasted "
                   << r.resilience.wasted_mops
                   << " > fixed-mode baseline " << kFixedWastedBaseline[i]
                   << "\n";
@@ -359,7 +350,7 @@ int main(int argc, char** argv) {
       }
     }
     if (!waste_ok) return 1;
-    std::cout << "bench_e13 --smoke: accrual+econ wasted mops at or below "
+    std::cout << "bench_e13 --smoke: accrual wasted mops at or below "
                  "the fixed-mode baseline on every churn row\n";
     // Registry/report equivalence: re-run one harsh row with an external
     // telemetry attached and check the resilience report really is a
@@ -463,26 +454,23 @@ int main(int argc, char** argv) {
   }
   json << "\n  ],\n";
 
-  // ---- detection-mode ablation: the grasp-elastic farm under fixed
-  // detection, accrual detection, and accrual + dispatch economics, on
-  // identical grids; static repeated as the reference bar.  The fixed
+  // ---- detection-mode ablation: the grasp-elastic farm under fixed and
+  // accrual detection on identical grids; static repeated as the
+  // reference bar.  The fixed
   // column reproduces the `rows` array above exactly (same params, same
   // deterministic sim), so re-baselining cannot silently move the
   // fixed-mode numbers.
-  Table ablation({"mtbf_s", "fixed_s", "accrual_s", "accr_econ_s",
-                  "static_s", "fixed_wasted", "accrual_wasted",
-                  "accr_econ_wasted"});
+  Table ablation({"mtbf_s", "fixed_s", "accrual_s", "static_s",
+                  "fixed_wasted", "accrual_wasted"});
   json << "  \"ablation\": [\n";
   bool first_abl = true;
   for (const double mtbf : mtbfs) {
     const Variant ab_variants[] = {{"fixed", elastic_params()},
                                    {"accrual", accrual_params()},
-                                   {"accrual_econ", accrual_econ_params()},
                                    {"static", static_params()}};
-    double mk[4] = {0, 0, 0, 0};
-    double wasted[4] = {0, 0, 0, 0};
-    std::size_t suppressed = 0, econ_evictions = 0;
-    for (int v = 0; v < 4; ++v) {
+    double mk[3] = {0, 0, 0};
+    double wasted[3] = {0, 0, 0};
+    for (int v = 0; v < 3; ++v) {
       gridsim::Grid grid = make_scenario(mtbf);
       core::SimBackend backend(grid);
       const core::FarmReport r =
@@ -490,25 +478,16 @@ int main(int argc, char** argv) {
               .run(backend, grid, grid.node_ids(), tasks);
       mk[v] = r.makespan.value;
       wasted[v] = r.resilience.wasted_mops;
-      if (v == 2) {
-        suppressed = r.reissues_suppressed;
-        econ_evictions = r.econ_evictions;
-      }
     }
     ablation.add_row({mtbf > 0.0 ? Table::num(mtbf, 0) : "none",
                       Table::num(mk[0], 1), Table::num(mk[1], 1),
-                      Table::num(mk[2], 1), Table::num(mk[3], 1),
-                      Table::num(wasted[0], 0), Table::num(wasted[1], 0),
-                      Table::num(wasted[2], 0)});
+                      Table::num(mk[2], 1), Table::num(wasted[0], 0),
+                      Table::num(wasted[1], 0)});
     json << (first_abl ? "" : ",\n") << "    {\"mtbf_s\": " << mtbf
          << ", \"fixed_s\": " << mk[0] << ", \"accrual_s\": " << mk[1]
-         << ", \"accrual_econ_s\": " << mk[2]
-         << ", \"static_s\": " << mk[3]
+         << ", \"static_s\": " << mk[2]
          << ", \"fixed_wasted_mops\": " << wasted[0]
-         << ", \"accrual_wasted_mops\": " << wasted[1]
-         << ", \"accrual_econ_wasted_mops\": " << wasted[2]
-         << ", \"reissues_suppressed\": " << suppressed
-         << ", \"econ_evictions\": " << econ_evictions << "}";
+         << ", \"accrual_wasted_mops\": " << wasted[1] << "}";
     first_abl = false;
   }
   json << "\n  ],\n";
@@ -569,14 +548,13 @@ int main(int argc, char** argv) {
                "capacity, checkpoints salvage partial progress),\nboth well "
                "ahead of blind once churn begins; wasted work grows as MTBF "
                "shrinks\nbut stays below the un-checkpointed baseline.\n\n"
-            << "detection-mode ablation (fixed / accrual / accrual+econ, "
-               "static as reference):\n"
+            << "detection-mode ablation (fixed / accrual, static as "
+               "reference):\n"
             << ablation.to_string()
-            << "\nexpected shape: accrual+econ wastes no more than fixed "
-               "on every churn row and\nstays at or ahead of static "
-               "everywhere; the waste budget suppresses break-even\ntwins, "
-               "the tighter effective timeout detects sooner without "
-               "breaching the cap.\n\n"
+            << "\nexpected shape: accrual wastes no more than fixed on "
+               "every churn row and\nstays at or ahead of static "
+               "everywhere; the tighter effective timeout detects\nsooner "
+               "without breaching the cap.\n\n"
             << "checkpoint_period sweep (mtbf=" << sweep_mtbf << " s):\n"
             << sweep.to_string()
             << "\nfarmer-MTBF sweep (worker mtbf=300 s, 1 hot standby, "

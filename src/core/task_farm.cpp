@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "obs/critical_path.hpp"
 #include "obs/emit.hpp"
 #include "obs/flight_recorder.hpp"
-#include "resil/adaptive_policy.hpp"
 #include "resil/chunk_ledger.hpp"
 #include "resil/membership.hpp"
 #include "support/flat_map.hpp"
@@ -34,44 +32,46 @@ constexpr Seconds kFailoverPatience{1e4};
 
 TaskFarm::TaskFarm(FarmParams params) : params_(std::move(params)),
                                         traits_(task_farm_traits()) {
+  // Every real-valued check is written to fail on NaN and inf as well: a
+  // NaN compares false both ways, so `x <= bound` alone would let it pass.
+  const auto finite_at_least = [](double v, double lo) {
+    return std::isfinite(v) && v >= lo;
+  };
+  const auto finite_above = [](double v, double lo) {
+    return std::isfinite(v) && v > lo;
+  };
   if (params_.chunk_size == 0)
     throw std::invalid_argument("TaskFarm: chunk_size must be positive");
-  if (params_.straggler_factor <= 1.0)
-    throw std::invalid_argument("TaskFarm: straggler_factor must exceed 1");
-  if (params_.tail_steal_margin <= 1.0)
-    throw std::invalid_argument("TaskFarm: tail_steal_margin must exceed 1");
-  if (params_.econ.reissue_waste_budget < 0.0)
+  if (!finite_at_least(params_.target_chunk_seconds, 0.0))
     throw std::invalid_argument(
-        "TaskFarm: econ.reissue_waste_budget must be non-negative");
-  if (params_.econ.holder_quantile <= 0.0 || params_.econ.holder_quantile > 1.0 ||
-      params_.econ.relief_quantile <= 0.0 || params_.econ.relief_quantile > 1.0)
+        "TaskFarm: target_chunk_seconds must be finite and non-negative");
+  if (!finite_above(params_.straggler_factor, 1.0))
     throw std::invalid_argument(
-        "TaskFarm: econ quantiles must lie in (0, 1]");
-  if (params_.econ.min_samples == 0)
-    throw std::invalid_argument("TaskFarm: econ.min_samples must be positive");
-  if (params_.econ.evict_break_even <= 0.0)
+        "TaskFarm: straggler_factor must be finite and exceed 1");
+  if (!finite_above(params_.tail_steal_margin, 1.0))
     throw std::invalid_argument(
-        "TaskFarm: econ.evict_break_even must be positive");
-  if (params_.econ.exposure_budget_mops < 0.0)
+        "TaskFarm: tail_steal_margin must be finite and exceed 1");
+  const FarmResilience& res = params_.resilience;
+  if (!finite_at_least(res.checkpoint_period.value, 0.0))
     throw std::invalid_argument(
-        "TaskFarm: econ.exposure_budget_mops must be non-negative");
-  if (params_.resilience.checkpoint_period.value < 0.0)
+        "TaskFarm: checkpoint_period must be finite and non-negative");
+  if (res.checkpoint_period.value > 0.0 &&
+      !finite_above(res.detector.heartbeat_period.value, 0.0))
     throw std::invalid_argument(
-        "TaskFarm: checkpoint_period must be non-negative");
-  if (params_.resilience.checkpoint_period.value > 0.0 &&
-      params_.resilience.detector.heartbeat_period.value <= 0.0)
-    throw std::invalid_argument(
-        "TaskFarm: checkpointing needs a positive heartbeat_period to ride");
-  if (params_.resilience.failover.standby_count > 0) {
-    if (params_.resilience.detector.heartbeat_period.value <= 0.0)
+        "TaskFarm: checkpointing needs a finite positive heartbeat_period "
+        "to ride");
+  if (res.failover.standby_count > 0) {
+    if (!finite_above(res.detector.heartbeat_period.value, 0.0))
       throw std::invalid_argument(
-          "TaskFarm: farmer failover needs a positive heartbeat_period");
-    if (params_.resilience.failover.handshake.value < 0.0)
+          "TaskFarm: farmer failover needs a finite positive "
+          "heartbeat_period");
+    if (!finite_at_least(res.failover.handshake.value, 0.0))
       throw std::invalid_argument(
-          "TaskFarm: failover handshake must be non-negative");
-    if (params_.resilience.failover.handshake_per_worker.value < 0.0)
+          "TaskFarm: failover handshake must be finite and non-negative");
+    if (!finite_at_least(res.failover.handshake_per_worker.value, 0.0))
       throw std::invalid_argument(
-          "TaskFarm: failover handshake_per_worker must be non-negative");
+          "TaskFarm: failover handshake_per_worker must be finite and "
+          "non-negative");
   }
 }
 
@@ -154,15 +154,8 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       met.histogram("farm.checkpoint_interval_seconds", {1e-3, 2.0, 48});
   const obs::HistogramHandle h_wave =
       met.histogram("farm.dispatch_wave_size", {1.0, 2.0, 16});
-  // Detection & dispatch-economics instrumentation.  The counters mirror
-  // the report's totals at the end of the run; the effective-timeout
-  // histogram shows what leash the accrual detector actually gave each
-  // node it declared dead.
-  const obs::CounterHandle c_suppressed =
-      met.counter("farm.econ.reissues_suppressed");
-  const obs::CounterHandle c_econ_evictions =
-      met.counter("farm.econ.evictions");
-  const obs::CounterHandle c_chunk_caps = met.counter("farm.econ.chunk_caps");
+  // Detection instrumentation: the effective-timeout histogram shows what
+  // leash the accrual detector actually gave each node it declared dead.
   const obs::HistogramHandle h_eff_timeout =
       met.histogram("resil.detector.effective_timeout_s", {1e-2, 2.0, 16});
   // Online SLO watchdog (observation only, never steers): probed from the
@@ -205,22 +198,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     detector.emplace(params_.resilience.detector);
     for (const NodeId n : initial_members) detector->watch(n, backend.now());
   }
-
-  // Dispatch economics: per-node service-time quantiles (seeded by
-  // calibration, refreshed by every completion) and the pool's observed
-  // crash hazard (crashes per live node-second), which drives the chunk
-  // exposure cap.  All of it is dead weight unless econ is on.
-  const bool econ_on = resil_on && params_.econ.enabled;
-  resil::CostModel cost_model;
-  std::size_t hazard_crashes = 0;
-  double hazard_node_s = 0.0;
-  Seconds hazard_last = backend.now();
-  auto update_hazard = [&](Seconds now) {
-    if (!econ_on || now <= hazard_last) return;
-    hazard_node_s += static_cast<double>(detector->watched_count()) *
-                     (now - hazard_last).value;
-    hazard_last = now;
-  };
 
   // Replicated-farmer failover.  `farmer` is the current coordinator: the
   // endpoint every dispatch ships from and every result returns to.  With
@@ -370,9 +347,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   // (0 means "no estimate yet" — real estimates are strictly positive).
   NodeMap<double> node_spm;
   for (const auto& s : calibration.ranking) node_spm[s.node] = s.adjusted_spm;
-  if (econ_on)
-    for (const auto& s : calibration.ranking)
-      cost_model.record(s.node, s.adjusted_spm);
   // Per-node current chunk size (adaptive chunking).
   NodeMap<std::size_t> node_chunk;
   for (const NodeId n : pool) node_chunk[n] = params_.chunk_size;
@@ -401,51 +375,19 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     return std::max(1e-9, calibration.baseline_spm);
   };
 
-  // Crash-exposure chunk cap (econ policy): a chunk of W mops on a node
-  // running at `spm` seconds/Mop is exposed for spm*W seconds; under an
-  // observed hazard of lambda crashes per node-second it is lost with
-  // probability ~lambda*spm*W, costing on average half its work in
-  // un-checkpointed mops.  Expected waste lambda*spm*W^2/2 stays within
-  // exposure_budget_mops when W <= sqrt(2*budget / (lambda*spm)).  With no
-  // crash observed yet lambda is unknown (and zero is the best estimate),
-  // so no cap applies and churn-free runs are untouched.
-  auto econ_chunk_cap = [&](NodeId n) -> std::size_t {
-    constexpr auto kNoCap = std::numeric_limits<std::size_t>::max();
-    if (!econ_on || params_.econ.exposure_budget_mops <= 0.0) return kNoCap;
-    if (hazard_crashes == 0 || hazard_node_s <= 0.0) return kNoCap;
-    const double lambda =
-        static_cast<double>(hazard_crashes) / hazard_node_s;
-    const double spm = cost_model.node_spm_quantile(
-        n, 0.5, params_.econ.min_samples, spm_estimate(n));
-    if (lambda <= 0.0 || spm <= 0.0 || mean_work <= 0.0) return kNoCap;
-    const double w_cap =
-        std::sqrt(2.0 * params_.econ.exposure_budget_mops / (lambda * spm));
-    return std::max<std::size_t>(
-        1, static_cast<std::size_t>(w_cap / mean_work));
-  };
-
   auto chunk_for = [&](NodeId n) -> std::size_t {
-    std::size_t want = params_.chunk_size;
-    if (params_.adaptive_chunking) {
-      const double per_task = spm_estimate(n) * mean_work;
-      if (per_task > 0.0) {
-        const auto ideal = static_cast<std::size_t>(
-            std::llround(params_.target_chunk_seconds / per_task));
-        const std::size_t clamped =
-            std::clamp<std::size_t>(ideal, 1, kMaxChunk);
-        if (clamped != node_chunk[n]) {
-          node_chunk[n] = clamped;
-          ev.emit(Kind::ChunkResized, n, TaskId::invalid(),
-                  static_cast<double>(clamped), "chunk");
-        }
-        want = clamped;
-      }
+    if (!params_.adaptive_chunking) return params_.chunk_size;
+    const double per_task = spm_estimate(n) * mean_work;
+    if (per_task <= 0.0) return params_.chunk_size;
+    const auto ideal = static_cast<std::size_t>(
+        std::llround(params_.target_chunk_seconds / per_task));
+    const std::size_t clamped = std::clamp<std::size_t>(ideal, 1, kMaxChunk);
+    if (clamped != node_chunk[n]) {
+      node_chunk[n] = clamped;
+      ev.emit(Kind::ChunkResized, n, TaskId::invalid(),
+              static_cast<double>(clamped), "chunk");
     }
-    if (const std::size_t cap = econ_chunk_cap(n); cap < want) {
-      want = cap;
-      ++report.econ_chunk_caps;
-    }
-    return want;
+    return clamped;
   };
 
   // Dispatch rounds hand a whole wave of chunk transfers to the backend in
@@ -541,10 +483,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   // ledger.  `why` lands in the trace for post-hoc timelines.
   auto declare_dead = [&](NodeId node, const char* why) {
     if (!resil_on || !detector->watching(node)) return;
-    // Settle the hazard clock before the watched count shrinks, then count
-    // the crash: the rate stays crashes per live node-second.
-    update_hazard(backend.now());
-    ++hazard_crashes;
     if (met.enabled())
       met.observe(h_eff_timeout, detector->effective_timeout(node).value);
     detector->unwatch(node);
@@ -612,7 +550,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   // Consume membership events and heartbeat silence up to `now`.
   auto consume_membership = [&](Seconds now) {
     if (!resil_on) return;
-    update_hazard(now);
     detector->advance(now, [&](NodeId n, Seconds t) {
       return churn->is_member(n, t);
     });
@@ -739,48 +676,12 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       // start so the input transfer does not inflate the estimate early in
       // the chunk.  Reissue twins are exempt: their originals already
       // cover the work, first completion wins.
-      if (!a.is_reissue && elastic.contains(a.node)) {
+      if (!a.is_reissue && elastic.contains(a.node) &&
+          params_.resilience.pool.evict_ratio > 0.0) {
         const double est_spm = (backend.now() - a.compute_started).value /
                                std::max(1e-9, budget);
-        if (econ_on) {
-          // Checkpoint-vs-redo break-even: staying finishes the remaining
-          // mops at the observed pace; evicting pays a fresh dispatch plus
-          // redoing the un-checkpointed suffix on a typical pool node
-          // (salvaging what this very pass just checkpointed).  Evict only
-          // when staying is clearly dearer — and force_evict still honours
-          // min_workers.
-          //
-          // The economics are consulted only for a node running well below
-          // its *own* calibrated pace (the straggler_factor degradation
-          // gate).  Without that gate the break-even fires on every
-          // legitimately slow node of a heterogeneous pool — the pool
-          // median is cheaper than them by construction — and evicting
-          // healthy stragglers turns their sunk progress into pure waste.
-          const bool degraded =
-              est_spm >
-              params_.straggler_factor * spm_estimate(a.node);
-          const double remaining = std::max(0.0, a.work().value - budget);
-          if (degraded && remaining > 0.0 && frac < 1.0) {
-            double redo_mops = 0.0;
-            for (std::size_t i = done; i < a.chunk.size(); ++i)
-              if (!source.is_completed(a.chunk[i].id))
-                redo_mops += a.chunk[i].work.value;
-            const double redo_spm = cost_model.pool_spm_quantile(
-                params_.econ.relief_quantile,
-                std::max(1e-9, exec_monitor.baseline_spm()));
-            const double stay_s = est_spm * remaining;
-            const double redo_s = redo_spm * redo_mops + 1.0;  // + dispatch
-            if (stay_s > params_.econ.evict_break_even * redo_s &&
-                elastic.force_evict(a.node)) {
-              abandoned.push_back(token);
-              ev.emit(Kind::EconEvicted, a.node, TaskId::invalid(),
-                      stay_s - redo_s, "stay cost exceeded redo");
-            }
-          }
-        } else if (params_.resilience.pool.evict_ratio > 0.0) {
-          if (elastic.observe(a.node, est_spm, exec_monitor.baseline_spm()))
-            abandoned.push_back(token);
-        }
+        if (elastic.observe(a.node, est_spm, exec_monitor.baseline_spm()))
+          abandoned.push_back(token);
       }
     }
     // Apply the pass's progress reports before processing evictions, so an
@@ -1078,17 +979,9 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     std::vector<Candidate> candidates;
     for (const auto& [token, a] : in_flight) {
       if (a.is_reissue || a.duplicated) continue;
-      // Expected service time on the holder: the calibration/EWMA point
-      // estimate classically; under the econ policy, the holder's
-      // pessimistic service-time quantile (per-node distribution with
-      // pool-wide fallback), so a node with a fat tail is flagged sooner
-      // than a uniformly slow one.
-      const double spm =
-          econ_on ? cost_model.node_spm_quantile(
-                        a.node, params_.econ.holder_quantile,
-                        params_.econ.min_samples, spm_estimate(a.node))
-                  : spm_estimate(a.node);
-      const double expected = spm * a.work().value + 1.0;  // +1 s transfer
+      // Expected service time on the holder: its calibration/EWMA estimate.
+      const double expected =
+          spm_estimate(a.node) * a.work().value + 1.0;  // +1 s transfer
       const double age = now_s - a.dispatched.value;
       candidates.push_back({token, a.dispatched.value + expected,
                             age > params_.straggler_factor * expected});
@@ -1111,12 +1004,10 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       if (next_idle >= idle.size()) break;
       const NodeId target = idle[next_idle];
       Assignment& a = *in_flight.find(c.token);
-      if (!econ_on) {
-        const double idle_cost = spm_estimate(target) * a.work().value + 1.0;
-        const bool tail_steal =
-            c.expected_finish > now_s + params_.tail_steal_margin * idle_cost;
-        if (!c.straggler && !tail_steal) continue;
-      }
+      const double idle_cost = spm_estimate(target) * a.work().value + 1.0;
+      const bool tail_steal =
+          c.expected_finish > now_s + params_.tail_steal_margin * idle_cost;
+      if (!c.straggler && !tail_steal) continue;
       // Only the un-checkpointed, un-completed suffix needs a twin: the
       // checkpointed prefix is salvageable from the farmer's copy even if
       // the holder dies, so duplicating it would buy nothing.
@@ -1127,43 +1018,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       for (std::size_t i = skip; i < a.chunk.size(); ++i)
         if (!source.is_completed(a.chunk[i].id)) pending.push_back(a.chunk[i]);
       if (pending.empty()) continue;
-      if (econ_on) {
-        // Economic gate: E[saved virtual seconds] must beat the waste
-        // budget charged per duplicated Mop.  The holder's conditional
-        // remaining time is its tail-quantile ETA minus the chunk's age —
-        // a chunk past even its 99th-percentile finish is presumed seized
-        // or silently dead (unbounded remaining, reissue always pays).
-        // The relief cost is the idle node's realistic (median by default)
-        // redo of the pending suffix.
-        double pending_mops = 0.0;
-        for (const auto& t : pending) pending_mops += t.work.value;
-        const double age = now_s - a.dispatched.value;
-        const double tail_s =
-            cost_model.node_spm_quantile(a.node, 0.99,
-                                         params_.econ.min_samples,
-                                         spm_estimate(a.node)) *
-                a.work().value +
-            1.0;
-        const double relief_s =
-            cost_model.node_spm_quantile(target, params_.econ.relief_quantile,
-                                         params_.econ.min_samples,
-                                         spm_estimate(target)) *
-                pending_mops +
-            1.0;
-        const double saved =
-            tail_s > age ? (tail_s - age) - relief_s : 1e18;
-        if (saved <= 0.0) continue;  // no benefit even before the budget
-        if (saved <= params_.econ.reissue_waste_budget * pending_mops) {
-          // Speculatively attractive but not worth the duplicated compute.
-          // Reported once per chunk: the scan re-evaluates each round.
-          if (!a.suppress_noted) {
-            a.suppress_noted = true;
-            ev.emit(Kind::ReissueSuppressed, a.node, pending.front().id,
-                    saved, "below waste budget");
-          }
-          continue;  // idle slot stays free for a worse candidate
-        }
-      }
       a.duplicated = true;
       const bool as_probe = next_idle >= idle.size() - probation_targets;
       ++next_idle;
@@ -1254,7 +1108,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
         // Blend the observation into the node estimate (EWMA, alpha 0.5).
         double& estimate = node_spm[a.node];
         estimate = estimate > 0.0 ? 0.5 * estimate + 0.5 * spm : spm;
-        if (econ_on) cost_model.record(a.node, spm);
         busy[a.node] = false;
         std::vector<workloads::TaskSpec> marked;
         for (const auto& t : a.chunk) {
@@ -1421,9 +1274,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
     }
     if (recal.chosen.empty()) return;  // every probed node died; keep the set
     for (const auto& s : recal.ranking) node_spm[s.node] = s.adjusted_spm;
-    if (econ_on)
-      for (const auto& s : recal.ranking)
-        cost_model.record(s.node, s.adjusted_spm);
     elastic.reset(recal.chosen);
     exec_monitor.arm(recal.baseline_spm, recal.chosen, backend.now());
     replicate_baseline();
@@ -1523,8 +1373,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
   report.final_chosen = elastic.workers();
   // Report fields that count one event kind are read off the trace.
   report.chunk_resizes = report.trace.count(Kind::ChunkResized);
-  report.reissues_suppressed = report.trace.count(Kind::ReissueSuppressed);
-  report.econ_evictions = report.trace.count(Kind::EconEvicted);
   // Add the component-owned totals of this run to the registry (nothing
   // else writes these slots during a resilient run), then read the whole
   // resilience report back out as a snapshot delta: registry and report
@@ -1558,9 +1406,6 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
                   report.calibration_tasks);
   met.set_counter(met.counter("farm.recalibrations"), report.recalibrations);
   met.set_counter(met.counter("farm.reissues"), report.reissues);
-  met.set_counter(c_suppressed, report.reissues_suppressed);
-  met.set_counter(c_econ_evictions, report.econ_evictions);
-  met.set_counter(c_chunk_caps, report.econ_chunk_caps);
   met.set_counter(met.counter("farm.chunk_resizes"), report.chunk_resizes);
   met.set_counter(met.counter("farm.monitor_samples"),
                   report.monitor_samples);

@@ -68,62 +68,6 @@ struct FarmResilience {
   resil::FailoverCoordinator::Params failover;
 };
 
-/// Waste-aware dispatch economics.  Off (default), every speculative
-/// decision uses the fixed-margin rules exactly as before:
-/// `straggler_factor`, `tail_steal_margin` and the pool's strike-based
-/// `evict_ratio`.  On, the farm maintains per-node service-time quantiles
-/// (resil::CostModel, fed by calibration and every chunk completion) and
-/// each speculative action must pass an explicit
-/// expected-savings-vs-expected-waste test:
-///
-///   * reissue / tail steal — duplicate a chunk only when
-///     E[saved virtual seconds] > reissue_waste_budget * E[duplicated mops],
-///     where the holder's remaining time comes from its pessimistic
-///     service-time quantile and the relief cost from the idle candidate's
-///     median;
-///   * mid-chunk eviction — abandon a crawling chunk only when staying
-///     (remaining mops at the observed pace) costs more than
-///     evict_break_even times redoing the un-checkpointed suffix on a
-///     typical pool node;
-///   * chunk exposure — under an observed crash hazard, cap each
-///     dispatch's work so its expected un-checkpointed loss stays within
-///     exposure_budget_mops (no observed crashes, no cap).
-///
-/// Decisions the budget rejects are counted (reissues_suppressed) and
-/// traced (ReissueSuppressed), so the suppressed-vs-taken ratio is
-/// visible per run.
-struct FarmEconomics {
-  bool enabled = false;
-  /// Seconds of expected saving demanded per Mop of duplicated work
-  /// before a speculative reissue is allowed.  0 accepts any positive
-  /// saving (pure latency greed); larger values trade tail latency for
-  /// less duplicated compute.  The default demands a couple of virtual
-  /// seconds of saving on a typical few-hundred-Mop chunk — enough to
-  /// drop break-even twins, small enough not to suppress the tail steals
-  /// that pay for themselves.
-  double reissue_waste_budget = 0.005;
-  /// Holder-side pessimism: the holder's expected finish uses this
-  /// quantile of its observed service-time distribution.
-  double holder_quantile = 0.9;
-  /// Relief-side realism: the idle candidate's redo cost uses this
-  /// quantile of its distribution.
-  double relief_quantile = 0.5;
-  /// Below this many per-node samples the pool-wide distribution backs
-  /// the node (and before any samples, the calibration estimate).
-  std::size_t min_samples = 4;
-  /// Mid-chunk eviction break-even: evict when expected remaining seconds
-  /// on the holder exceed this multiple of the redo-from-checkpoint cost.
-  double evict_break_even = 1.5;
-  /// Expected wasted (un-checkpointed, lost-to-crash) Mops tolerated per
-  /// dispatch; caps chunk size once a crash hazard has been observed.
-  /// 0 disables the cap.  Sized so the cap binds only under genuinely
-  /// harsh hazard rates (roughly one crash per node per couple of
-  /// minutes at typical service times) — a tight budget shreds chunks
-  /// into single tasks and the per-dispatch transfer overhead dwarfs the
-  /// waste it avoids.
-  double exposure_budget_mops = 30.0;
-};
-
 struct FarmParams {
   CalibrationParams calibration;
   ThresholdPolicy threshold;
@@ -150,10 +94,6 @@ struct FarmParams {
   /// steal breaks even and every tail chunk would be duplicated).
   double tail_steal_margin = 1.5;
 
-  /// Waste-aware dispatch economics (quantile cost model); defaults off,
-  /// preserving the fixed-margin behaviour above bit for bit.
-  FarmEconomics econ;
-
   /// Farmer location; invalid means pool.front().
   NodeId root;
 
@@ -179,14 +119,6 @@ struct FarmReport {
   std::size_t calibration_tasks = 0;  ///< completed inside calibrations
   std::size_t recalibrations = 0;
   std::size_t reissues = 0;
-  /// Speculative reissues the economic waste budget rejected (0 unless
-  /// econ.enabled).
-  std::size_t reissues_suppressed = 0;
-  /// Mid-chunk evictions taken by the checkpoint-vs-redo break-even rule
-  /// (0 unless econ.enabled; also counted in resilience.evictions).
-  std::size_t econ_evictions = 0;
-  /// Dispatches whose chunk was shrunk by the crash-exposure cap.
-  std::size_t econ_chunk_caps = 0;
   std::size_t chunk_resizes = 0;
   std::size_t monitor_samples = 0;
   std::size_t rounds = 0;
@@ -242,10 +174,6 @@ class TaskFarm {
     bool is_reissue = false;
     bool is_probe = false;   ///< newcomer fast-path calibration chunk
     bool duplicated = false;  ///< a reissue twin of this chunk exists
-    /// A suppressed-reissue trace/count was already emitted for this chunk
-    /// (the scan re-evaluates every candidate each round; only the first
-    /// rejection is reported).
-    bool suppress_noted = false;
     obs::SpanId span = 0;    ///< dispatch→complete span (0 when disabled)
     Mops work() const {
       Mops total = Mops::zero();

@@ -32,8 +32,6 @@ const char* to_string(TraceEventKind kind) {
     case TraceEventKind::FarmerPromoted: return "farmer_promoted";
     case TraceEventKind::StandbyRecruited: return "standby_recruited";
     case TraceEventKind::TaskResultLost: return "task_result_lost";
-    case TraceEventKind::ReissueSuppressed: return "reissue_suppressed";
-    case TraceEventKind::EconEvicted: return "econ_evicted";
   }
   return "unknown";
 }

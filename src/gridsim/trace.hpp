@@ -44,15 +44,12 @@ enum class TraceEventKind {
   FarmerPromoted,       ///< a standby took over (value = promotion latency)
   StandbyRecruited,     ///< a node began shadowing the farmer's state
   TaskResultLost,       ///< completed result died un-replicated with the farmer
-  // Dispatch-economics events (econ-policy runs).
-  ReissueSuppressed,  ///< speculative reissue rejected by the waste budget
-  EconEvicted,        ///< mid-chunk eviction: remaining time beat redo cost
 };
 
 /// Number of TraceEventKind enumerators (update alongside the enum; the
 /// recorder's per-kind counter array is sized by it).
 inline constexpr std::size_t kTraceEventKindCount =
-    static_cast<std::size_t>(TraceEventKind::EconEvicted) + 1;
+    static_cast<std::size_t>(TraceEventKind::TaskResultLost) + 1;
 
 [[nodiscard]] const char* to_string(TraceEventKind kind);
 

@@ -73,8 +73,6 @@ inline constexpr EmitRow kEmitTable[] = {
     {detail::K::StandbyRecruited, nullptr, "standby_recruited"},
     {detail::K::TaskResultLost, &detail::RM::results_rolled_back,
      "task_result_lost"},
-    {detail::K::ReissueSuppressed},
-    {detail::K::EconEvicted},
 };
 static_assert(std::size(kEmitTable) == gridsim::kTraceEventKindCount,
               "one emission row per TraceEventKind");

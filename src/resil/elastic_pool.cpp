@@ -67,14 +67,6 @@ bool ElasticPool::admit(NodeId node, double probe_spm, double baseline_spm) {
   return false;
 }
 
-bool ElasticPool::force_evict(NodeId node) {
-  if (!contains(node)) return false;
-  if (workers_.size() <= params_.min_workers) return false;
-  remove(node);
-  ++evictions_;
-  return true;
-}
-
 bool ElasticPool::observe(NodeId node, double spm, double baseline_spm) {
   if (params_.evict_ratio <= 0.0 || baseline_spm <= 0.0) return false;
   if (!contains(node)) return false;

@@ -59,12 +59,6 @@ class ElasticPool {
   /// was evicted (persistent degradation shrank the set).
   bool observe(NodeId node, double spm, double baseline_spm);
 
-  /// Policy-driven eviction: the caller (e.g. the farm's economic
-  /// checkpoint-vs-redo rule) has already decided this worker costs more
-  /// than it saves.  Respects min_workers; returns true when the node was
-  /// actually removed and counted as an eviction.
-  bool force_evict(NodeId node);
-
   [[nodiscard]] std::size_t admissions() const { return admissions_; }
   [[nodiscard]] std::size_t rejections() const { return rejections_; }
   [[nodiscard]] std::size_t evictions() const { return evictions_; }

@@ -68,7 +68,6 @@ class FailureDetector {
   void watch(NodeId node, Seconds now);
   void unwatch(NodeId node);
   [[nodiscard]] bool watching(NodeId node) const;
-  [[nodiscard]] std::size_t watched_count() const { return watched_count_; }
 
   /// Record a heartbeat received from `node` at time `at`.  Stale stamps
   /// (older than the latest) are ignored.

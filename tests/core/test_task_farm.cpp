@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 
 #include "core/backend_sim.hpp"
 #include "core/backend_thread.hpp"
 #include "core/baselines.hpp"
+#include "gridsim/churn.hpp"
 #include "gridsim/scenarios.hpp"
 #include "workloads/generators.hpp"
 
@@ -189,13 +191,100 @@ TEST(TaskFarm, StragglerReissueRescuesStuckTask) {
   EXPECT_LT(report.makespan.value, 1e6);
 }
 
+TEST(TaskFarm, TailStealDuplicatesSlowHoldersChunk) {
+  // Two-node planted pool, one fast and one 5x slower, uniform work.  The
+  // slow holder grinds through its chunk while the fast node idles with
+  // the queue dry: the tail steal must duplicate that chunk onto the fast
+  // node.  The task count is parity-sensitive: 10 tasks (8 after
+  // calibration, 4 chunks of 2) leave the slow node holding a fresh chunk
+  // exactly when the fast one idles.  The empty churn timeline turns the
+  // resilience layer on without any membership events.
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  b.add_node(s, 100.0);
+  b.add_node(s, 20.0);
+  gridsim::Grid grid = b.build();
+  grid.set_churn(gridsim::ChurnTimeline{{}});
+  workloads::TaskSetParams wl;
+  wl.count = 10;
+  wl.mean_mops = 100.0;
+  wl.cv = 0.0;
+  wl.seed = 42;
+  const workloads::TaskSet ts = workloads::make_task_set(wl);
+
+  FarmParams p = make_demand_farm_params();
+  p.reissue_stragglers = true;
+  p.resilience.enabled = true;
+  p.chunk_size = 2;
+  {
+    SimBackend backend(grid);
+    const FarmReport r = TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
+    EXPECT_EQ(r.tasks_completed + r.calibration_tasks, 10u);
+    EXPECT_GE(r.reissues, 1u);
+  }
+  // The chunk is not a straggler (it is on pace for its slow holder), so
+  // the steal above was the tail-steal rule: a margin no idle node can
+  // beat leaves the holder to finish alone.
+  p.tail_steal_margin = 1e9;
+  SimBackend backend(grid);
+  const FarmReport r = TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
+  EXPECT_EQ(r.tasks_completed + r.calibration_tasks, 10u);
+  EXPECT_EQ(r.reissues, 0u);
+}
+
 TEST(TaskFarm, ValidationErrors) {
-  FarmParams bad_chunk;
-  bad_chunk.chunk_size = 0;
-  EXPECT_THROW(TaskFarm{bad_chunk}, std::invalid_argument);
-  FarmParams bad_straggler;
-  bad_straggler.straggler_factor = 1.0;
-  EXPECT_THROW(TaskFarm{bad_straggler}, std::invalid_argument);
+  const auto rejects = [](auto mutate) {
+    FarmParams p;
+    mutate(p);
+    EXPECT_THROW(TaskFarm{p}, std::invalid_argument);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  rejects([](FarmParams& p) { p.chunk_size = 0; });
+  rejects([](FarmParams& p) { p.straggler_factor = 1.0; });
+  // NaN would compare false against every bound and switch reissue off.
+  rejects([&](FarmParams& p) { p.straggler_factor = nan; });
+  rejects([&](FarmParams& p) { p.straggler_factor = inf; });
+  // At exactly 1 the steal breaks even: every tail chunk would duplicate.
+  rejects([](FarmParams& p) { p.tail_steal_margin = 1.0; });
+  rejects([&](FarmParams& p) { p.tail_steal_margin = nan; });
+  rejects([&](FarmParams& p) { p.tail_steal_margin = inf; });
+  // A negative or NaN target would wrap through llround into a huge chunk.
+  rejects([](FarmParams& p) { p.target_chunk_seconds = -1.0; });
+  rejects([&](FarmParams& p) { p.target_chunk_seconds = nan; });
+  rejects([&](FarmParams& p) { p.target_chunk_seconds = inf; });
+  rejects([](FarmParams& p) {
+    p.resilience.checkpoint_period = Seconds{-1.0};
+  });
+  rejects([&](FarmParams& p) { p.resilience.checkpoint_period = Seconds{nan}; });
+  rejects([&](FarmParams& p) { p.resilience.checkpoint_period = Seconds{inf}; });
+  rejects([&](FarmParams& p) {
+    p.resilience.checkpoint_period = Seconds{4.0};
+    p.resilience.detector.heartbeat_period = Seconds{nan};
+  });
+  const auto with_standby = [](FarmParams& p) {
+    p.resilience.failover.standby_count = 1;
+  };
+  rejects([&](FarmParams& p) {
+    with_standby(p);
+    p.resilience.detector.heartbeat_period = Seconds{inf};
+  });
+  rejects([&](FarmParams& p) {
+    with_standby(p);
+    p.resilience.failover.handshake = Seconds{-1.0};
+  });
+  rejects([&](FarmParams& p) {
+    with_standby(p);
+    p.resilience.failover.handshake = Seconds{nan};
+  });
+  rejects([&](FarmParams& p) {
+    with_standby(p);
+    p.resilience.failover.handshake_per_worker = Seconds{nan};
+  });
+  // Zero target seconds is legal: every adaptive chunk clamps to 1 task.
+  FarmParams zero_target;
+  zero_target.target_chunk_seconds = 0.0;
+  EXPECT_NO_THROW(TaskFarm{zero_target});
 
   const gridsim::Grid grid = gridsim::make_uniform_grid(2, 100.0);
   SimBackend backend(grid);

@@ -50,8 +50,6 @@ struct ChurnPropertyConfig {
   /// Failure-detection mode under test (Accrual tightens per-node timeouts
   /// but must never exceed the kPropertyTimeout hard cap).
   resil::DetectionMode detection_mode = resil::DetectionMode::Fixed;
-  /// Waste-aware dispatch economics (quantile cost model + reissue budget).
-  bool econ = false;
 };
 
 /// Detector settings the harness always uses (the failover latency bound
@@ -91,7 +89,6 @@ inline core::FarmParams make_property_params(const ChurnPropertyConfig& cfg) {
   p.resilience.failover.standby_count = cfg.standby_count;
   p.resilience.failover.handshake = cfg.handshake;
   p.resilience.detector.mode = cfg.detection_mode;
-  p.econ.enabled = cfg.econ;
   return p;
 }
 

@@ -5,10 +5,10 @@
 // contract: never evict a live node (no false positives) and never exceed
 // the `timeout + heartbeat_period` hard-cap latency bound.
 //
-// A second 100-seed sweep layers the dispatch-economics policy on top
-// (quantile cost model, reissue waste budget, break-even eviction,
-// exposure-capped chunks): exactly-once conservation and the detection
-// bounds are policy-independent and must survive both.
+// A second 100-seed sweep turns on the strike-based mid-chunk eviction
+// (the pool's evict_ratio) under accrual detection: exactly-once
+// conservation and the detection bounds are policy-independent and must
+// survive it.
 #include "tests/resil/churn_property.hpp"
 
 #include <gtest/gtest.h>
@@ -17,8 +17,8 @@ namespace grasp::testing {
 namespace {
 
 // ---------------------------------------------------------------------
-// Accrual detection alone (economics off): same invariants as the fixed
-// suite plus the detection bounds, half the seeds with checkpointing.
+// Accrual detection alone: same invariants as the fixed suite plus the
+// detection bounds, half the seeds with checkpointing.
 class AccrualChurnProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -36,16 +36,19 @@ INSTANTIATE_TEST_SUITE_P(HundredSeeds, AccrualChurnProperty,
                          ::testing::Range<std::uint64_t>(0, 100));
 
 // ---------------------------------------------------------------------
-// Accrual + economics: the waste budget may suppress reissues and the
-// break-even rule may evict mid-chunk, but neither is allowed to bend
-// exactly-once conservation or the detection bounds.
+// Accrual + strike-based eviction: progress reports (checkpointed seeds)
+// and completions may evict a persistently slow node, abandoning its chunk
+// mid-flight, but that may not bend exactly-once conservation or the
+// detection bounds.  The suite keeps the name it had when it swept the
+// dispatch-economics policy, whose break-even eviction this rule replaced;
+// the seeds are unchanged.
 class EconChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EconChurnProperty, EconomicsPreserveConservationAndBounds) {
   const std::uint64_t seed = GetParam();
   ChurnPropertyConfig cfg;
   cfg.detection_mode = resil::DetectionMode::Accrual;
-  cfg.econ = true;
+  cfg.evict_ratio = 2.0;
   cfg.checkpoint_period = (seed % 2 == 0) ? Seconds{1.0} : Seconds{0.0};
   const ChurnRun run = run_churn_scenario(seed, cfg);
   check_churn_invariants(run, seed);
