@@ -232,6 +232,58 @@ TEST(TaskFarm, TailStealDuplicatesSlowHoldersChunk) {
   EXPECT_EQ(r.reissues, 0u);
 }
 
+// EconFarm: the farm's reissue economics, the two fixed margins that decide
+// when duplicating a chunk pays.  The straggler and tail-steal rules are
+// independent, so a margin that suppresses every steal must never block a
+// rescue.
+
+TEST(EconFarm, BudgetNeverBlocksRescueOfStuckChunk) {
+  // Node 1 seizes (downtime, not a crash: its heartbeats keep flowing so
+  // the detector never fires).  Once the chunk ages past straggler_factor
+  // times its expected time it must be reissued, even under a tail-steal
+  // margin no idle node can beat.  The empty churn timeline turns the
+  // resilience layer on without any membership events.
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  b.add_node(s, 100.0);
+  b.add_node(s, 100.0);
+  gridsim::Grid grid = b.build();
+  grid.node(NodeId{1}).add_downtime({Seconds{2.0}, Seconds{1e7}});
+  grid.set_churn(gridsim::ChurnTimeline{{}});
+  workloads::TaskSetParams wl;
+  wl.count = 20;
+  wl.mean_mops = 100.0;
+  wl.cv = 0.0;
+  wl.seed = 42;
+
+  FarmParams p = make_demand_farm_params();
+  p.reissue_stragglers = true;
+  p.resilience.enabled = true;
+  p.tail_steal_margin = 1e9;
+  SimBackend backend(grid);
+  const FarmReport r = TaskFarm(p).run(backend, grid, grid.node_ids(),
+                                       workloads::make_task_set(wl));
+  EXPECT_EQ(r.tasks_completed + r.calibration_tasks, 20u);
+  EXPECT_GE(r.reissues, 1u);
+  // Finished by rescue, not by outliving the 1e7 s downtime.
+  EXPECT_LT(r.makespan.value, 1e6);
+}
+
+TEST(EconFarm, ValidationErrors) {
+  // Break-even and non-finite margins are in TaskFarm.ValidationErrors;
+  // here, a margin below break-even is rejected and one just above is not.
+  FarmParams bad;
+  bad.tail_steal_margin = 0.5;
+  EXPECT_THROW(TaskFarm{bad}, std::invalid_argument);
+  bad = FarmParams{};
+  bad.straggler_factor = 0.5;
+  EXPECT_THROW(TaskFarm{bad}, std::invalid_argument);
+  FarmParams ok;
+  ok.tail_steal_margin = 1.01;
+  ok.straggler_factor = 1.01;
+  EXPECT_NO_THROW(TaskFarm{ok});
+}
+
 TEST(TaskFarm, ValidationErrors) {
   const auto rejects = [](auto mutate) {
     FarmParams p;
