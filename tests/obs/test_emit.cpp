@@ -361,6 +361,63 @@ TEST(EmitFingerprint, HierFarmPlantedSubFarmerCrash) {
        "c30692936a44956d"});
 }
 
+// HierFarm over two shards of 75 members each, so per-member state spans
+// more than 64 positions: a load step on shard 1 drifts it into a
+// recalibration, one worker crashes and rejoins inside the detector
+// timeout (its chunk completes as a zombie), and a member at position 70
+// crashes for good.
+TEST(EmitFingerprint, HierFarmWideShardsRecalibrateAndZombie) {
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  b.add_node(s, 100.0);  // the root
+  std::vector<NodeId> workers;
+  std::vector<double> speeds;
+  for (std::uint64_t i = 1; i <= 150; ++i) {
+    const double speed = 80.0 + 10.0 * static_cast<double>(i % 5);
+    b.add_node(s, speed);
+    workers.push_back(NodeId{i});
+    speeds.push_back(speed);
+  }
+  gridsim::Grid grid = b.build();
+  const auto plan = core::plan_shards(workers, speeds, 2);
+  ASSERT_EQ(plan.size(), 2u);
+  ASSERT_GT(plan[0].size(), 64u);
+  ASSERT_GT(plan[1].size(), 64u);
+  for (std::size_t i = 1; i < plan[1].size(); ++i)
+    gridsim::inject_load_step_on(grid, plan[1][i], Seconds{40.0}, 3.0);
+  const NodeId bouncer = plan[0][10];
+  const NodeId victim = plan[1][70];
+  grid.node(bouncer).add_downtime({Seconds{25.0}, Seconds{26.5}});
+  grid.node(victim).add_downtime({Seconds{30.0}, Seconds{1e9}});
+  grid.set_churn(gridsim::ChurnTimeline(
+      {{Seconds{25.0}, gridsim::ChurnEventKind::Crash, bouncer},
+       {Seconds{26.5}, gridsim::ChurnEventKind::Rejoin, bouncer},
+       {Seconds{30.0}, gridsim::ChurnEventKind::Crash, victim}}));
+
+  core::HierFarmParams params;
+  params.workers_per_shard = 75;
+  params.detector.heartbeat_period = Seconds{1.0};
+  params.detector.timeout = Seconds{4.0};
+  params.monitor_period = Seconds{5.0};
+  Telemetry tel;
+  FlightRecorder flight(64);
+  tel.flight = &flight;
+  params.telemetry = &tel;
+
+  core::SimBackend backend(grid);
+  const core::HierFarmReport r = core::HierFarm(params).run(
+      backend, grid, grid.node_ids(), task_set(3000, 500.0, 0.5, 23));
+  ASSERT_GT(r.recalibrations, 0u);
+  ASSERT_GT(r.zombie_completions, 0u);
+  ASSERT_GT(r.trace.count(TraceEventKind::NodeCrashDetected), 0u);
+
+  expect_fingerprint(
+      {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
+       blame_digest(tel, r.makespan.value)},
+      {"5ab1087280ff4fa8", "2ef7946dc6a515b2", "f4ddcf5b8b0b2323",
+       "b348eeacb173abe0"});
+}
+
 // Pipeline on a churning pool: a crash inside the initial calibration, a
 // joiner, and a mid-run crash that forces a stage failover.  Both crashes
 // leave a crash_detected marker, so nodes 2 and 5 each get a blame row.
