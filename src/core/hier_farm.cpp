@@ -27,6 +27,7 @@
 #include "obs/span.hpp"
 #include "resil/chunk_ledger.hpp"
 #include "resil/replica_log.hpp"
+#include "support/dynamic_bitset.hpp"
 #include "support/flat_map.hpp"
 
 namespace grasp::core {
@@ -248,8 +249,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     bool promoting = false;
     bool dead = false;
     NodeMap<double> spm{0.0};
-    NodeMap<char> probed{0};
-    NodeMap<char> busy{0};
+    // Per member position: the dispatch pick is a first-set-bit search
+    // over these, in member order, instead of a walk over the members.
+    DynamicBitset idle;
+    DynamicBitset unprobed;
     double cal_spm = 0.0;
     double obs_spm = 0.0;
     bool calibrated = false;
@@ -270,10 +273,24 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     [[nodiscard]] bool member(NodeId n) const {
       return std::find(members.begin(), members.end(), n) != members.end();
     }
-    void drop_member(NodeId n) {
-      members.erase(std::remove(members.begin(), members.end(), n),
-                    members.end());
-    }
+  };
+  // Member position of every node in its shard's `members` (each node
+  // belongs to at most one shard); npos once dropped.
+  constexpr std::size_t kNoPos = DynamicBitset::npos;
+  NodeMap<std::size_t> member_pos{kNoPos};
+  const auto drop_member = [&](Shard& sh, NodeId n) {
+    const std::size_t p = member_pos.at_or_default(n);
+    if (p == kNoPos) return;
+    member_pos[n] = kNoPos;
+    sh.members.erase(sh.members.begin() + static_cast<std::ptrdiff_t>(p));
+    sh.idle.erase(p);
+    sh.unprobed.erase(p);
+    for (std::size_t i = p; i < sh.members.size(); ++i)
+      member_pos[sh.members[i]] = i;
+  };
+  const auto mark_idle = [&](Shard& sh, NodeId n) {
+    if (const std::size_t p = member_pos.at_or_default(n); p != kNoPos)
+      sh.idle.set(p);
   };
 
   using Kind = gridsim::TraceEventKind;
@@ -305,6 +322,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     shard_ev.emplace_back(clock, report.trace, sh.spans, tel.flight);
     sh.members = plan[k];
     sh.initial_workers = sh.members.size();
+    for (std::size_t i = 0; i < sh.members.size(); ++i)
+      member_pos[sh.members[i]] = i;
+    sh.idle.assign(sh.members.size(), true);
+    sh.unprobed.assign(sh.members.size(), true);
     sh.sub = sh.members.front();
     for (NodeId m : sh.members)
       if (m != sh.sub) sh.detector.watch(m, t0);
@@ -390,18 +411,14 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     if (sh.dead || sh.promoting) return;
     std::vector<OpRequest> wave;
     while (!sh.queue.empty()) {
-      NodeId picked = NodeId::invalid();
-      bool probe = false;
-      for (NodeId m : sh.members) {
-        if (sh.busy[m] != 0) continue;
-        if (grasp && sh.probed[m] == 0) {
-          picked = m;
-          probe = true;
-          break;  // un-probed members calibrate before anything else
-        }
-        if (!picked.is_valid()) picked = m;
-      }
-      if (!picked.is_valid()) break;
+      // Un-probed members calibrate before anything else; otherwise the
+      // first idle member in member order.
+      std::size_t p = grasp ? sh.idle.find_first_and(sh.unprobed) : kNoPos;
+      const bool probe = p != kNoPos;
+      if (!probe) p = sh.idle.find_first();
+      if (p == kNoPos) break;
+      sh.idle.reset(p);
+      const NodeId picked = sh.members[p];
       const std::size_t len = probe ? 1 : chunk_len(sh, picked);
       std::vector<workloads::TaskSpec> chunk;
       chunk.reserve(len);
@@ -419,7 +436,6 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       if (resil_on)
         sh.log.append({resil::ReplicaRecordKind::Assign, token, picked, 0, 0,
                        0.0, {}});
-      sh.busy[picked] = 1;
       sh.inflight_tasks += chunk.size();
       shard_ev[k].emit(Kind::TaskDispatched, picked, chunk.front().id,
                        static_cast<double>(chunk.size()));
@@ -476,12 +492,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
   const auto check_calibrated = [&](std::size_t k) {
     Shard& sh = shards[k];
-    if (!grasp || sh.calibrated) return;
+    if (!grasp || sh.calibrated || sh.unprobed.any()) return;
     double cap = 0.0;
-    for (NodeId m : sh.members) {
-      if (sh.probed[m] == 0) return;
+    for (NodeId m : sh.members)
       if (sh.spm[m] > 0.0) cap += 1.0 / sh.spm[m];
-    }
     sh.calibrated = true;
     sh.cal_spm = sh.members.empty() ? 0.0 : cap > 0.0
                      ? static_cast<double>(sh.members.size()) / cap
@@ -503,8 +517,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     shard_ev[k].emit(Kind::NodeCrashDetected, w, TaskId::invalid(),
                      static_cast<double>(k));
     sh.detector.unwatch(w);
-    sh.drop_member(w);
-    sh.busy[w] = 0;
+    drop_member(sh, w);
     auto lost = sh.ledger.fail_node(w, is_done);
     for (auto& [token, entry] : lost) {
       if (auto [found, a] = asg.take(token); found)
@@ -582,7 +595,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     shard_ev[k].emit(Kind::FarmerCrashDetected, dead_sub, TaskId::invalid(),
                      static_cast<double>(k));
     root_det.unwatch(dead_sub);
-    sh.drop_member(dead_sub);
+    drop_member(sh, dead_sub);
     abort_reduction();  // the round routed through a corpse; drop it
 
     // Promotion candidate: the best-caught-up live standby (watermark
@@ -610,7 +623,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
     // Every in-flight chunk was coordinated by the dead sub-farmer.
     abandon_inflight(k);
-    for (NodeId m : sh.members) sh.busy[m] = 0;
+    sh.idle.assign(sh.members.size(), true);
     return_grant(k);
     // A result batch already on the wire left before the crash; it is
     // delivered normally and the root dedupes.
@@ -702,7 +715,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       if (drift > kDriftThreshold && recalibrations < kMaxRecalibrations) {
         ++recalibrations;
         sh.calibrated = false;
-        for (NodeId m : sh.members) sh.probed[m] = 0;
+        sh.unprobed.assign(sh.members.size(), true);
         shard_ev[k].emit(Kind::RecalibrationTriggered, sh.sub,
                          TaskId::invalid(), drift);
         shard_ev[k].emit(Kind::CalibrationStarted, sh.sub, TaskId::invalid(),
@@ -869,7 +882,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
             requeue_lost(k, *entry, a->node);
           }
           sh.spans.end(a->span, 0.0, "zombie");
-          sh.busy[a->node] = 0;
+          mark_idle(sh, a->node);
           asg.erase(token);
           dispatch_shard(k);
           break;
@@ -893,7 +906,9 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
                 prev > 0.0 ? (1.0 - kSpmBlend) * prev + kSpmBlend * sample
                            : sample;
             if (a->is_probe) {
-              sh.probed[a->node] = 1;
+              if (const std::size_t p = member_pos.at_or_default(a->node);
+                  p != kNoPos)
+                sh.unprobed.reset(p);
               sh.probe_tasks += a->chunk.size();
               calibration_tasks += a->chunk.size();
               check_calibrated(k);
@@ -919,7 +934,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
                            fin.chunk});
           sh.inflight_tasks -=
               std::min(sh.inflight_tasks, fin.chunk.size());
-          sh.busy[fin.node] = 0;
+          mark_idle(sh, fin.node);
           sh.completed += fin.chunk.size();
           sh.spans.end(fin.span, static_cast<double>(fin.chunk.size()),
                        "complete");
