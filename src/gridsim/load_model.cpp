@@ -8,7 +8,8 @@ namespace grasp::gridsim {
 
 // ---------------------------------------------------------------- Constant
 ConstantLoad::ConstantLoad(double load) : load_(load) {
-  if (load < 0.0) throw std::invalid_argument("ConstantLoad: negative load");
+  if (!std::isfinite(load) || load < 0.0)
+    throw std::invalid_argument("ConstantLoad: load must be finite and >= 0");
 }
 
 std::unique_ptr<LoadModel> ConstantLoad::clone() const {

@@ -13,6 +13,13 @@ constexpr std::size_t kMaxIntegrationSlots = 10'000'000;
 // Slot width used when the load model is continuous (slot_width() == 0);
 // fine enough that diurnal-scale variation is tracked accurately.
 constexpr double kContinuousStep = 0.25;
+
+void check_window(const Downtime& w) {
+  if (!std::isfinite(w.start.value) || !std::isfinite(w.end.value))
+    throw std::invalid_argument("NodeModel: downtime bounds must be finite");
+  if (w.end < w.start)
+    throw std::invalid_argument("NodeModel: downtime ends before it starts");
+}
 }  // namespace
 
 NodeModel::NodeModel(Params params)
@@ -24,16 +31,17 @@ NodeModel::NodeModel(Params params)
       load_(params.load ? std::move(params.load)
                         : std::make_unique<ConstantLoad>(0.0)),
       downtimes_(std::move(params.downtimes)) {
-  if (base_speed_ <= 0.0)
-    throw std::invalid_argument("NodeModel: base speed must be positive");
-  if (cores_ < 1.0)
-    throw std::invalid_argument("NodeModel: cores must be >= 1");
+  if (!std::isfinite(base_speed_) || base_speed_ <= 0.0)
+    throw std::invalid_argument(
+        "NodeModel: base speed must be positive and finite");
+  if (!std::isfinite(cores_) || cores_ < 1.0)
+    throw std::invalid_argument("NodeModel: cores must be finite and >= 1");
   for (std::size_t i = 0; i < downtimes_.size(); ++i) {
-    if (downtimes_[i].end < downtimes_[i].start)
-      throw std::invalid_argument("NodeModel: downtime ends before it starts");
+    check_window(downtimes_[i]);
     if (i > 0 && downtimes_[i].start < downtimes_[i - 1].end)
       throw std::invalid_argument("NodeModel: downtimes overlap or unsorted");
   }
+  refresh_steady_speed();
 }
 
 NodeModel::NodeModel(const NodeModel& other)
@@ -43,7 +51,8 @@ NodeModel::NodeModel(const NodeModel& other)
       base_speed_(other.base_speed_),
       cores_(other.cores_),
       load_(other.load_->clone()),
-      downtimes_(other.downtimes_) {}
+      downtimes_(other.downtimes_),
+      steady_speed_(other.steady_speed_) {}
 
 NodeModel& NodeModel::operator=(const NodeModel& other) {
   if (this == &other) return *this;
@@ -54,7 +63,15 @@ NodeModel& NodeModel::operator=(const NodeModel& other) {
   cores_ = other.cores_;
   load_ = other.load_->clone();
   downtimes_ = other.downtimes_;
+  steady_speed_ = other.steady_speed_;
   return *this;
+}
+
+void NodeModel::refresh_steady_speed() {
+  const auto* constant = dynamic_cast<const ConstantLoad*>(load_.get());
+  steady_speed_ = constant != nullptr && downtimes_.empty()
+                      ? effective_speed(Seconds::zero())
+                      : 0.0;
 }
 
 double NodeModel::load_at(Seconds t) const { return load_->load_at(t); }
@@ -88,12 +105,14 @@ Seconds NodeModel::compute_time(Mops work, Seconds start) const {
   double t = start.value;
   double remaining = work.value;
   for (std::size_t iter = 0; iter < kMaxIntegrationSlots; ++iter) {
-    const Seconds resumed = skip_downtime(Seconds{t});
-    t = resumed.value;
+    double speed = steady_speed_;
+    if (speed == 0.0) {
+      t = skip_downtime(Seconds{t}).value;
+      speed = effective_speed(Seconds{t});
+    }
     // End of the current load slot (align to the slot grid so queries agree
     // with load_at's piecewise-constant semantics).
     const double slot_end = (std::floor(t / step) + 1.0) * step;
-    const double speed = effective_speed(Seconds{t});
     if (speed <= 0.0) {
       t = slot_end;
       continue;
@@ -118,11 +137,13 @@ Mops NodeModel::work_done(Seconds start, Seconds until) const {
   double done = 0.0;
   for (std::size_t iter = 0;
        iter < kMaxIntegrationSlots && t < until.value; ++iter) {
-    const Seconds resumed = skip_downtime(Seconds{t});
-    t = resumed.value;
-    if (t >= until.value) break;
+    double speed = steady_speed_;
+    if (speed == 0.0) {
+      t = skip_downtime(Seconds{t}).value;
+      if (t >= until.value) break;
+      speed = effective_speed(Seconds{t});
+    }
     const double slot_end = (std::floor(t / step) + 1.0) * step;
-    const double speed = effective_speed(Seconds{t});
     if (speed > 0.0) done += speed * (std::min(slot_end, until.value) - t);
     t = slot_end;
   }
@@ -132,14 +153,15 @@ Mops NodeModel::work_done(Seconds start, Seconds until) const {
 void NodeModel::set_load_model(std::unique_ptr<LoadModel> load) {
   if (!load) throw std::invalid_argument("NodeModel: null load model");
   load_ = std::move(load);
+  refresh_steady_speed();
 }
 
 void NodeModel::add_downtime(Downtime window) {
-  if (window.end < window.start)
-    throw std::invalid_argument("NodeModel: downtime ends before it starts");
+  check_window(window);
   if (!downtimes_.empty() && window.start < downtimes_.back().end)
     throw std::invalid_argument("NodeModel: downtime overlaps existing window");
   downtimes_.push_back(window);
+  refresh_steady_speed();
 }
 
 }  // namespace grasp::gridsim

@@ -85,6 +85,10 @@ class NodeModel {
   /// End of the downtime window containing t, or t if none.
   [[nodiscard]] Seconds skip_downtime(Seconds t) const;
 
+  /// Re-derive steady_speed_; called wherever the load model or the
+  /// downtime windows change.
+  void refresh_steady_speed();
+
   NodeId id_;
   std::string name_;
   SiteId site_;
@@ -92,6 +96,10 @@ class NodeModel {
   double cores_;
   std::unique_ptr<LoadModel> load_;
   std::vector<Downtime> downtimes_;
+  /// The speed of a node that never changes it (a ConstantLoad and no
+  /// downtime), so the integrals skip the per-slot downtime and load
+  /// queries; 0 takes the general path.
+  double steady_speed_ = 0.0;
 };
 
 }  // namespace grasp::gridsim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,15 @@ TEST(ConstantLoad, AlwaysSameValue) {
   EXPECT_DOUBLE_EQ(load.load_at(Seconds{0.0}), 1.5);
   EXPECT_DOUBLE_EQ(load.load_at(Seconds{1e6}), 1.5);
   EXPECT_THROW(ConstantLoad(-1.0), std::invalid_argument);
+}
+
+TEST(ConstantLoad, RejectsNonFiniteLoad) {
+  // A NaN load would read as an idle node; an infinite one stalls the node
+  // for the whole integration horizon.
+  EXPECT_THROW(ConstantLoad(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(ConstantLoad(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(StepLoad, SegmentsApplyInOrder) {

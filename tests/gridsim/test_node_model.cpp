@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+
+#include "support/rng.hpp"
 
 namespace grasp::gridsim {
 namespace {
@@ -78,6 +81,14 @@ TEST(NodeModel, AddDowntimeValidates) {
                std::invalid_argument);
   EXPECT_THROW(node.add_downtime({Seconds{9.0}, Seconds{8.0}}),
                std::invalid_argument);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(node.add_downtime({Seconds{kNaN}, Seconds{8.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(node.add_downtime({Seconds{7.0}, Seconds{kNaN}}),
+               std::invalid_argument);
+  EXPECT_THROW(node.add_downtime({Seconds{7.0}, Seconds{kInf}}),
+               std::invalid_argument);
 }
 
 TEST(NodeModel, RejectsBadParams) {
@@ -89,6 +100,14 @@ TEST(NodeModel, RejectsBadParams) {
   EXPECT_THROW(make_node(100.0, nullptr, 1.0,
                          {{Seconds{0.0}, Seconds{3.0}},
                           {Seconds{2.0}, Seconds{4.0}}}),
+               std::invalid_argument);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(make_node(kNaN), std::invalid_argument);
+  EXPECT_THROW(make_node(kInf), std::invalid_argument);
+  EXPECT_THROW(make_node(100.0, nullptr, kNaN), std::invalid_argument);
+  EXPECT_THROW(make_node(100.0, nullptr, kInf), std::invalid_argument);
+  EXPECT_THROW(make_node(100.0, nullptr, 1.0, {{Seconds{kNaN}, Seconds{1.0}}}),
                std::invalid_argument);
 }
 
@@ -120,6 +139,57 @@ TEST(NodeModel, WorkConservedUnderDynamicLoad) {
   const Seconds second =
       node.compute_time(Mops{300.0}, Seconds{first.value});
   EXPECT_NEAR(whole.value, first.value + second.value, 1e-6);
+}
+
+// A ConstantLoad node without downtime takes the steady path (speed
+// computed once); StepLoad({}, load) gives the same speed through the
+// general path.  Both must integrate to the same bits.
+TEST(NodeModel, SteadyPathMatchesTheGeneralPathBitForBit) {
+  Rng rng(11);
+  for (int i = 0; i < 400; ++i) {
+    const double speed = rng.uniform(1.0, 500.0);
+    const double cores = 1.0 + static_cast<double>(rng.uniform_index(8));
+    const double load = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 12.0);
+    const Seconds start{rng.uniform(0.0, 1e5)};
+    const Mops work{rng.uniform(0.0, 5000.0)};
+    const NodeModel steady =
+        make_node(speed, std::make_unique<ConstantLoad>(load), cores);
+    const NodeModel general = make_node(
+        speed, std::make_unique<StepLoad>(std::vector<StepLoad::Segment>{}, load),
+        cores);
+    const Seconds took = steady.compute_time(work, start);
+    EXPECT_EQ(took.value, general.compute_time(work, start).value) << i;
+    const Seconds until{start.value + rng.uniform(0.0, 2.0) * took.value};
+    EXPECT_EQ(steady.work_done(start, until).value,
+              general.work_done(start, until).value)
+        << i;
+  }
+}
+
+TEST(NodeModel, DowntimeOrVaryingLoadLeavesTheSteadyPath) {
+  NodeModel node = make_node(100.0, std::make_unique<ConstantLoad>(1.0));
+  EXPECT_DOUBLE_EQ(node.compute_time(Mops{100.0}, Seconds{0.0}).value, 2.0);
+  node.add_downtime({Seconds{1.0}, Seconds{4.0}});
+  // 50 Mops before the window, 3 s down, 50 Mops after.
+  EXPECT_NEAR(node.compute_time(Mops{100.0}, Seconds{0.0}).value, 5.0, 1e-9);
+  EXPECT_NEAR(node.work_done(Seconds{0.0}, Seconds{4.0}).value, 50.0, 1e-9);
+
+  NodeModel stepped = make_node(100.0);
+  EXPECT_DOUBLE_EQ(stepped.compute_time(Mops{150.0}, Seconds{0.0}).value, 1.5);
+  stepped.set_load_model(std::make_unique<StepLoad>(
+      std::vector<StepLoad::Segment>{{Seconds{1.0}, 3.0}}, 0.0));
+  // 100 Mops in the first second, the other 50 at quarter speed.
+  EXPECT_NEAR(stepped.compute_time(Mops{150.0}, Seconds{0.0}).value, 3.0,
+              1e-9);
+  EXPECT_NEAR(stepped.work_done(Seconds{0.0}, Seconds{2.0}).value, 125.0,
+              1e-9);
+  // A copy keeps the general path; swapping a constant load back in
+  // restores the steady speed.
+  const NodeModel copy = stepped;
+  EXPECT_NEAR(copy.compute_time(Mops{150.0}, Seconds{0.0}).value, 3.0, 1e-9);
+  stepped.set_load_model(std::make_unique<ConstantLoad>(3.0));
+  EXPECT_DOUBLE_EQ(stepped.compute_time(Mops{100.0}, Seconds{0.0}).value,
+                   4.0);
 }
 
 }  // namespace
