@@ -269,10 +269,6 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     obs::SpanRecorder spans;
 
     explicit Shard(resil::FailureDetector::Params det) : detector(det) {}
-
-    [[nodiscard]] bool member(NodeId n) const {
-      return std::find(members.begin(), members.end(), n) != members.end();
-    }
   };
   // Member position of every node in its shard's `members` (each node
   // belongs to at most one shard); npos once dropped.
@@ -603,7 +599,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     NodeId promoted = NodeId::invalid();
     std::uint64_t best_mark = 0;
     for (NodeId s : sh.log.replicas()) {
-      if (!sh.member(s)) continue;
+      if (member_pos.at_or_default(s) == kNoPos) continue;  // dropped
       const std::uint64_t mark = sh.log.watermark(s);
       if (!promoted.is_valid() || mark > best_mark ||
           (mark == best_mark && s.value < promoted.value)) {

@@ -36,6 +36,9 @@ class NodeModel {
     std::vector<Downtime> downtimes;  ///< must be sorted, non-overlapping
   };
 
+  /// Throws std::invalid_argument unless the base speed is finite and
+  /// positive, cores finite and >= 1, and the downtimes finite, sorted and
+  /// non-overlapping.
   explicit NodeModel(Params params);
   NodeModel(const NodeModel& other);
   NodeModel& operator=(const NodeModel& other);
@@ -78,7 +81,8 @@ class NodeModel {
   /// Current load model (for cloning/composition in scenario scripts).
   [[nodiscard]] const LoadModel& load_model() const { return *load_; }
 
-  /// Append a downtime window (must begin at or after existing windows).
+  /// Append a finite downtime window (must begin at or after existing
+  /// windows).
   void add_downtime(Downtime window);
 
  private:
