@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <latch>
+#include <thread>
 
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 
 namespace grasp::workloads {
@@ -38,6 +42,63 @@ TEST(Mandelbrot, RejectsZeroDimensions) {
   MandelbrotSweepParams p;
   p.tiles_x = 0;
   EXPECT_THROW((void)make_mandelbrot_sweep(p), std::invalid_argument);
+}
+
+// The Mandelbrot application set as its documented direct sweep: 8x8
+// tiles, 8x8 probes, 512 iterations, and a per-tile cost scale drawn from
+// the seed.
+TaskSet documented_application_sweep(std::uint64_t seed) {
+  MandelbrotSweepParams p;
+  p.tiles_x = 8;
+  p.tiles_y = 8;
+  p.probe_resolution = 8;
+  p.max_iterations = 512;
+  p.mops_per_kilo_iteration = 1.0 + 0.5 * Rng(seed).uniform();
+  return make_mandelbrot_sweep(p);
+}
+
+void expect_same_tasks(const TaskSet& got, const TaskSet& want) {
+  EXPECT_EQ(got.name, want.name);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.tasks[i].id, want.tasks[i].id) << "task " << i;
+    EXPECT_EQ(got.tasks[i].work, want.tasks[i].work) << "task " << i;
+    EXPECT_EQ(got.tasks[i].input, want.tasks[i].input) << "task " << i;
+    EXPECT_EQ(got.tasks[i].output, want.tasks[i].output) << "task " << i;
+  }
+}
+
+TEST(Mandelbrot, ApplicationSweepMatchesDirectSweepBitForBit) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_same_tasks(
+        make_application_task_set(ApplicationKind::MandelbrotSweep, seed),
+        documented_application_sweep(seed));
+  }
+}
+
+// ctest runs each test in its own process, so these four calls are the
+// process's first application sweeps and race on whatever state the
+// generator sets up on first use.
+TEST(Mandelbrot, ConcurrentFirstCallsAgree) {
+  constexpr std::array<std::uint64_t, 4> kSeeds = {3, 17, 101, 4099};
+  std::array<TaskSet, kSeeds.size()> got;
+  std::latch start(kSeeds.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kSeeds.size(); ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      got[i] = make_application_task_set(ApplicationKind::MandelbrotSweep,
+                                         kSeeds[i]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < kSeeds.size(); ++i) {
+    SCOPED_TRACE(kSeeds[i]);
+    expect_same_tasks(got[i], documented_application_sweep(kSeeds[i]));
+    expect_same_tasks(got[i], make_application_task_set(
+                                  ApplicationKind::MandelbrotSweep, kSeeds[i]));
+  }
 }
 
 TEST(Alignment, CostsScaleWithLengthProduct) {
