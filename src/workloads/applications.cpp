@@ -4,41 +4,61 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "support/rng.hpp"
 #include "workloads/kernels.hpp"
 
 namespace grasp::workloads {
 
-TaskSet make_mandelbrot_sweep(const MandelbrotSweepParams& p) {
-  if (p.tiles_x == 0 || p.tiles_y == 0 || p.probe_resolution == 0)
-    throw std::invalid_argument("make_mandelbrot_sweep: zero dimension");
+namespace {
+
+// Row-major escape-time iteration count of each tile of the sweep window.
+// Depends only on the grid shape, never on the cost scale or byte sizes.
+std::vector<std::uint64_t> mandelbrot_tile_counts(
+    const MandelbrotSweepParams& p) {
   constexpr double kXMin = -2.0, kXMax = 1.0;
   constexpr double kYMin = -1.25, kYMax = 1.25;
   const double tile_w = (kXMax - kXMin) / static_cast<double>(p.tiles_x);
   const double tile_h = (kYMax - kYMin) / static_cast<double>(p.tiles_y);
-
-  TaskSet set;
-  set.name = "mandelbrot-" + std::to_string(p.tiles_x) + "x" +
-             std::to_string(p.tiles_y);
-  set.tasks.reserve(p.tiles_x * p.tiles_y);
-  std::size_t id = 0;
+  std::vector<std::uint64_t> counts;
+  counts.reserve(p.tiles_x * p.tiles_y);
   for (std::size_t ty = 0; ty < p.tiles_y; ++ty) {
     for (std::size_t tx = 0; tx < p.tiles_x; ++tx) {
       const double x0 = kXMin + static_cast<double>(tx) * tile_w;
       const double y0 = kYMin + static_cast<double>(ty) * tile_h;
-      const std::uint64_t iterations = mandelbrot_tile_iterations(
-          x0, y0, tile_w, tile_h, p.probe_resolution, p.max_iterations);
-      TaskSpec t;
-      t.id = TaskId{id++};
-      t.work = Mops{p.mops_per_kilo_iteration *
-                    static_cast<double>(iterations) / 1000.0};
-      t.input = Bytes{p.tile_input_bytes};
-      t.output = Bytes{p.tile_output_bytes};
-      set.tasks.push_back(t);
+      counts.push_back(mandelbrot_tile_iterations(
+          x0, y0, tile_w, tile_h, p.probe_resolution, p.max_iterations));
     }
   }
+  return counts;
+}
+
+// One task per tile, costed at `p`'s scale from the tile's iteration count.
+TaskSet price_mandelbrot_tiles(const MandelbrotSweepParams& p,
+                               const std::vector<std::uint64_t>& counts) {
+  TaskSet set;
+  set.name = "mandelbrot-" + std::to_string(p.tiles_x) + "x" +
+             std::to_string(p.tiles_y);
+  set.tasks.reserve(counts.size());
+  for (std::size_t id = 0; id < counts.size(); ++id) {
+    TaskSpec t;
+    t.id = TaskId{id};
+    t.work = Mops{p.mops_per_kilo_iteration *
+                  static_cast<double>(counts[id]) / 1000.0};
+    t.input = Bytes{p.tile_input_bytes};
+    t.output = Bytes{p.tile_output_bytes};
+    set.tasks.push_back(t);
+  }
   return set;
+}
+
+}  // namespace
+
+TaskSet make_mandelbrot_sweep(const MandelbrotSweepParams& p) {
+  if (p.tiles_x == 0 || p.tiles_y == 0 || p.probe_resolution == 0)
+    throw std::invalid_argument("make_mandelbrot_sweep: zero dimension");
+  return price_mandelbrot_tiles(p, mandelbrot_tile_counts(p));
 }
 
 TaskSet make_alignment_batch(const AlignmentBatchParams& p) {
@@ -153,11 +173,14 @@ TaskSet make_application_task_set(ApplicationKind kind, std::uint64_t seed) {
       p.tiles_x = 8;
       p.tiles_y = 8;
       p.probe_resolution = 8;
-      // The sweep itself is deterministic; the seed perturbs the per-task
-      // cost scale so distinct tenants are not byte-identical workloads.
-      p.mops_per_kilo_iteration =
-          1.0 + 0.5 * Rng(seed).uniform();
-      return make_mandelbrot_sweep(p);
+      // The tile counts are deterministic, so the process computes them
+      // once (thread-safe static initialisation); the seed perturbs the
+      // per-task cost scale so distinct tenants are not byte-identical
+      // workloads.
+      static const std::vector<std::uint64_t> counts =
+          mandelbrot_tile_counts(p);
+      p.mops_per_kilo_iteration = 1.0 + 0.5 * Rng(seed).uniform();
+      return price_mandelbrot_tiles(p, counts);
     }
     case ApplicationKind::AlignmentBatch: {
       AlignmentBatchParams p;
