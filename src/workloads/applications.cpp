@@ -13,6 +13,13 @@ namespace grasp::workloads {
 
 namespace {
 
+[[nodiscard]] bool positive_finite(double v) {
+  return std::isfinite(v) && v > 0.0;
+}
+[[nodiscard]] bool non_negative_finite(double v) {
+  return std::isfinite(v) && v >= 0.0;
+}
+
 // Row-major escape-time iteration count of each tile of the sweep window.
 // Depends only on the grid shape, never on the cost scale or byte sizes.
 std::vector<std::uint64_t> mandelbrot_tile_counts(
@@ -58,12 +65,31 @@ TaskSet price_mandelbrot_tiles(const MandelbrotSweepParams& p,
 TaskSet make_mandelbrot_sweep(const MandelbrotSweepParams& p) {
   if (p.tiles_x == 0 || p.tiles_y == 0 || p.probe_resolution == 0)
     throw std::invalid_argument("make_mandelbrot_sweep: zero dimension");
+  if (p.max_iterations == 0)
+    throw std::invalid_argument("make_mandelbrot_sweep: zero max_iterations");
+  if (!positive_finite(p.mops_per_kilo_iteration))
+    throw std::invalid_argument(
+        "make_mandelbrot_sweep: mops_per_kilo_iteration must be finite and > 0");
+  if (!non_negative_finite(p.tile_input_bytes) ||
+      !non_negative_finite(p.tile_output_bytes))
+    throw std::invalid_argument(
+        "make_mandelbrot_sweep: tile bytes must be finite and >= 0");
   return price_mandelbrot_tiles(p, mandelbrot_tile_counts(p));
 }
 
 TaskSet make_alignment_batch(const AlignmentBatchParams& p) {
   if (p.pairs == 0)
     throw std::invalid_argument("make_alignment_batch: zero pairs");
+  if (!positive_finite(p.mean_query_len) ||
+      !positive_finite(p.mean_subject_len))
+    throw std::invalid_argument(
+        "make_alignment_batch: mean lengths must be finite and > 0");
+  if (!non_negative_finite(p.length_cv))
+    throw std::invalid_argument(
+        "make_alignment_batch: length_cv must be finite and >= 0");
+  if (!positive_finite(p.mops_per_megacell))
+    throw std::invalid_argument(
+        "make_alignment_batch: mops_per_megacell must be finite and > 0");
   Rng rng(p.seed);
   const double sigma2 = std::log(1.0 + p.length_cv * p.length_cv);
   const double sigma = std::sqrt(sigma2);
@@ -91,6 +117,15 @@ TaskSet make_alignment_batch(const AlignmentBatchParams& p) {
 TaskSet make_quadrature_panels(const QuadratureParams& p) {
   if (p.panels == 0)
     throw std::invalid_argument("make_quadrature_panels: zero panels");
+  if (!positive_finite(p.mean_mops))
+    throw std::invalid_argument(
+        "make_quadrature_panels: mean_mops must be finite and > 0");
+  if (!(p.refine_probability >= 0.0 && p.refine_probability <= 1.0))
+    throw std::invalid_argument(
+        "make_quadrature_panels: refine_probability must be in [0, 1]");
+  if (!positive_finite(p.refine_factor))
+    throw std::invalid_argument(
+        "make_quadrature_panels: refine_factor must be finite and > 0");
   Rng rng(p.seed);
   TaskSet set;
   set.name = "quadrature-" + std::to_string(p.panels);

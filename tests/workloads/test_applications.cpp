@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <latch>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "support/rng.hpp"
@@ -42,6 +44,33 @@ TEST(Mandelbrot, RejectsZeroDimensions) {
   MandelbrotSweepParams p;
   p.tiles_x = 0;
   EXPECT_THROW((void)make_mandelbrot_sweep(p), std::invalid_argument);
+}
+
+TEST(Mandelbrot, RejectsHostileParams) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto rejects = [](auto mutate) {
+    MandelbrotSweepParams p;
+    p.tiles_x = p.tiles_y = p.probe_resolution = 2;
+    mutate(p);
+    EXPECT_THROW((void)make_mandelbrot_sweep(p), std::invalid_argument);
+  };
+  rejects([](MandelbrotSweepParams& p) { p.max_iterations = 0; });
+  rejects([&](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = kNaN; });
+  rejects([&](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = kInf; });
+  rejects([](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = 0.0; });
+  rejects([](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = -1.0; });
+  rejects([](MandelbrotSweepParams& p) { p.tile_input_bytes = -1.0; });
+  rejects([&](MandelbrotSweepParams& p) { p.tile_input_bytes = kNaN; });
+  rejects([&](MandelbrotSweepParams& p) { p.tile_input_bytes = kInf; });
+  rejects([](MandelbrotSweepParams& p) { p.tile_output_bytes = -1.0; });
+  rejects([&](MandelbrotSweepParams& p) { p.tile_output_bytes = kNaN; });
+  rejects([&](MandelbrotSweepParams& p) { p.tile_output_bytes = kInf; });
+  // Zero-byte tiles stay legal.
+  MandelbrotSweepParams p;
+  p.tiles_x = p.tiles_y = p.probe_resolution = 2;
+  p.tile_input_bytes = p.tile_output_bytes = 0.0;
+  EXPECT_NO_THROW((void)make_mandelbrot_sweep(p));
 }
 
 // The Mandelbrot application set as its documented direct sweep: 8x8
@@ -119,6 +148,35 @@ TEST(Alignment, CostsScaleWithLengthProduct) {
   EXPECT_NEAR(mean(costs), expected, expected * 0.15);
 }
 
+TEST(Alignment, RejectsHostileParams) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto rejects = [](auto mutate) {
+    AlignmentBatchParams p;
+    p.pairs = 4;
+    mutate(p);
+    EXPECT_THROW((void)make_alignment_batch(p), std::invalid_argument);
+  };
+  rejects([](AlignmentBatchParams& p) { p.pairs = 0; });
+  rejects([&](AlignmentBatchParams& p) { p.mean_query_len = kNaN; });
+  rejects([&](AlignmentBatchParams& p) { p.mean_query_len = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.mean_query_len = 0.0; });
+  rejects([&](AlignmentBatchParams& p) { p.mean_subject_len = kNaN; });
+  rejects([&](AlignmentBatchParams& p) { p.mean_subject_len = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.mean_subject_len = -5.0; });
+  rejects([&](AlignmentBatchParams& p) { p.length_cv = kNaN; });
+  rejects([&](AlignmentBatchParams& p) { p.length_cv = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.length_cv = -0.1; });
+  rejects([&](AlignmentBatchParams& p) { p.mops_per_megacell = kNaN; });
+  rejects([&](AlignmentBatchParams& p) { p.mops_per_megacell = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.mops_per_megacell = 0.0; });
+  // A zero coefficient of variation is a fixed-length batch, not an error.
+  AlignmentBatchParams p;
+  p.pairs = 4;
+  p.length_cv = 0.0;
+  EXPECT_NO_THROW((void)make_alignment_batch(p));
+}
+
 TEST(Quadrature, RefinedPanelsAreRareAndHeavy) {
   QuadratureParams p;
   p.panels = 10000;
@@ -128,6 +186,36 @@ TEST(Quadrature, RefinedPanelsAreRareAndHeavy) {
     if (t.work.value > p.mean_mops * 2.0) ++heavy;
   const double frac = static_cast<double>(heavy) / 10000.0;
   EXPECT_NEAR(frac, p.refine_probability, 0.02);
+}
+
+TEST(Quadrature, RejectsHostileParams) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto rejects = [](auto mutate) {
+    QuadratureParams p;
+    p.panels = 4;
+    mutate(p);
+    EXPECT_THROW((void)make_quadrature_panels(p), std::invalid_argument);
+  };
+  rejects([](QuadratureParams& p) { p.panels = 0; });
+  rejects([&](QuadratureParams& p) { p.mean_mops = kNaN; });
+  rejects([&](QuadratureParams& p) { p.mean_mops = kInf; });
+  rejects([](QuadratureParams& p) { p.mean_mops = 0.0; });
+  rejects([](QuadratureParams& p) { p.mean_mops = -1.0; });
+  rejects([&](QuadratureParams& p) { p.refine_probability = kNaN; });
+  rejects([](QuadratureParams& p) { p.refine_probability = -0.01; });
+  rejects([](QuadratureParams& p) { p.refine_probability = 1.01; });
+  rejects([&](QuadratureParams& p) { p.refine_factor = kNaN; });
+  rejects([&](QuadratureParams& p) { p.refine_factor = kInf; });
+  rejects([](QuadratureParams& p) { p.refine_factor = 0.0; });
+  rejects([](QuadratureParams& p) { p.refine_factor = -2.0; });
+  // Both ends of the probability range stay legal.
+  for (const double prob : {0.0, 1.0}) {
+    QuadratureParams p;
+    p.panels = 4;
+    p.refine_probability = prob;
+    EXPECT_NO_THROW((void)make_quadrature_panels(p));
+  }
 }
 
 TEST(ImagePipeline, StagesAreUnbalancedWithSegmentDominant) {
