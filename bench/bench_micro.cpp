@@ -85,7 +85,6 @@ void BM_ComputeTimeIntegration(benchmark::State& state) {
   lp.slot = Seconds{1.0};
   gridsim::NodeModel::Params np;
   np.id = NodeId{0};
-  np.name = "n";
   np.site = SiteId{0};
   np.base_speed_mops = 100.0;
   np.load = std::make_unique<gridsim::RandomWalkLoad>(lp, 7);

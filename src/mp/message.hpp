@@ -41,7 +41,9 @@ class Payload {
  public:
   static constexpr std::size_t kInlineCapacity = 32;
 
-  Payload() noexcept : size_(0) {}
+  // No bytes to store, but the union gets a determinate value so moving
+  // or assigning over an empty payload never reads an indeterminate one.
+  Payload() noexcept : size_(0) { storage_.heap = nullptr; }
 
   /// An uninitialised buffer of `size` bytes (callers memcpy into data()).
   explicit Payload(std::size_t size) : size_(size) {

@@ -13,7 +13,9 @@ namespace {
 
 TEST(ObsJson, StringEscapesRoundTrip) {
   const std::string raw = "a\"b\\c\nd\te\x01f";
-  const std::string doc = "\"" + json_escape(raw) + "\"";
+  std::string doc = "\"";
+  doc += json_escape(raw);
+  doc += '"';
   const auto parsed = parse_json(doc);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->is_string());
