@@ -41,8 +41,8 @@ class Payload {
  public:
   static constexpr std::size_t kInlineCapacity = 32;
 
-  // No bytes to store, but the union gets a determinate value so moving
-  // or assigning over an empty payload never reads an indeterminate one.
+  // An empty payload never reads `heap`, but g++ cannot always prove that
+  // through inlined moves and assignments (-Wmaybe-uninitialized).
   Payload() noexcept : size_(0) { storage_.heap = nullptr; }
 
   /// An uninitialised buffer of `size` bytes (callers memcpy into data()).

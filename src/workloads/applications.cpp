@@ -21,7 +21,8 @@ namespace {
 }
 
 // Row-major escape-time iteration count of each tile of the sweep window.
-// Depends only on the grid shape, never on the cost scale or byte sizes.
+// Depends on the tile grid, probe resolution and iteration budget only,
+// never on the cost scale or byte sizes.
 std::vector<std::uint64_t> mandelbrot_tile_counts(
     const MandelbrotSweepParams& p) {
   constexpr double kXMin = -2.0, kXMax = 1.0;

@@ -19,7 +19,9 @@ namespace grasp::workloads {
 /// tile.  Each tile's cost is its *actual* total escape-time iteration
 /// count (computed here at `probe_resolution^2` sample points), scaled by
 /// `mops_per_kilo_iteration`.  Border tiles near the set are orders of
-/// magnitude heavier — the classic irregular sweep.
+/// magnitude heavier — the classic irregular sweep.  Throws
+/// std::invalid_argument for a zero dimension or `max_iterations`, a
+/// non-finite or non-positive cost scale, or negative/non-finite bytes.
 struct MandelbrotSweepParams {
   std::size_t tiles_x = 16;
   std::size_t tiles_y = 16;
@@ -34,6 +36,8 @@ struct MandelbrotSweepParams {
 /// Pairwise sequence-alignment batch (Smith–Waterman shaped): query lengths
 /// lognormal around `mean_query_len`, database entries around
 /// `mean_subject_len`; cost per pair is m*n DP cells at `mops_per_megacell`.
+/// Throws std::invalid_argument for zero pairs, a non-finite or
+/// non-positive mean or cost scale, or a negative/non-finite `length_cv`.
 struct AlignmentBatchParams {
   std::size_t pairs = 500;
   double mean_query_len = 400.0;
@@ -46,6 +50,9 @@ struct AlignmentBatchParams {
 
 /// Adaptive-quadrature panels: mostly uniform cost with occasional refined
 /// panels (near-regular farm workload; the contrast case to Mandelbrot).
+/// Throws std::invalid_argument for zero panels, a non-finite or
+/// non-positive `mean_mops` or `refine_factor`, or a `refine_probability`
+/// outside [0, 1].
 struct QuadratureParams {
   std::size_t panels = 2000;
   double mean_mops = 20.0;
@@ -74,8 +81,10 @@ struct ImagePipelineParams {
 /// runs: a GridService tenant is one of these task sets, not a
 /// benchmark-scale sweep, so each kind materialises a few dozen to a few
 /// hundred tasks.  `seed` varies the stochastic kinds (alignment lengths,
-/// quadrature refinement; the Mandelbrot tile costs are the function's
-/// own, so there it scales the sweep window instead).
+/// quadrature refinement).  For Mandelbrot, an 8x8-tile sweep whose tile
+/// iteration counts are fixed, the seed draws the per-tile cost scale
+/// (`mops_per_kilo_iteration` in [1, 1.5)); the count grid is computed
+/// once per process and only re-priced per call.
 enum class ApplicationKind : std::size_t {
   MandelbrotSweep = 0,
   AlignmentBatch = 1,
