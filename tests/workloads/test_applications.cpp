@@ -15,6 +15,9 @@
 namespace grasp::workloads {
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST(Mandelbrot, TileCountAndIrregularity) {
   MandelbrotSweepParams p;
   p.tiles_x = 8;
@@ -47,8 +50,6 @@ TEST(Mandelbrot, RejectsZeroDimensions) {
 }
 
 TEST(Mandelbrot, RejectsHostileParams) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   auto rejects = [](auto mutate) {
     MandelbrotSweepParams p;
     p.tiles_x = p.tiles_y = p.probe_resolution = 2;
@@ -56,16 +57,16 @@ TEST(Mandelbrot, RejectsHostileParams) {
     EXPECT_THROW((void)make_mandelbrot_sweep(p), std::invalid_argument);
   };
   rejects([](MandelbrotSweepParams& p) { p.max_iterations = 0; });
-  rejects([&](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = kNaN; });
-  rejects([&](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = kInf; });
+  rejects([](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = kNaN; });
+  rejects([](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = kInf; });
   rejects([](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = 0.0; });
   rejects([](MandelbrotSweepParams& p) { p.mops_per_kilo_iteration = -1.0; });
   rejects([](MandelbrotSweepParams& p) { p.tile_input_bytes = -1.0; });
-  rejects([&](MandelbrotSweepParams& p) { p.tile_input_bytes = kNaN; });
-  rejects([&](MandelbrotSweepParams& p) { p.tile_input_bytes = kInf; });
+  rejects([](MandelbrotSweepParams& p) { p.tile_input_bytes = kNaN; });
+  rejects([](MandelbrotSweepParams& p) { p.tile_input_bytes = kInf; });
   rejects([](MandelbrotSweepParams& p) { p.tile_output_bytes = -1.0; });
-  rejects([&](MandelbrotSweepParams& p) { p.tile_output_bytes = kNaN; });
-  rejects([&](MandelbrotSweepParams& p) { p.tile_output_bytes = kInf; });
+  rejects([](MandelbrotSweepParams& p) { p.tile_output_bytes = kNaN; });
+  rejects([](MandelbrotSweepParams& p) { p.tile_output_bytes = kInf; });
   // Zero-byte tiles stay legal.
   MandelbrotSweepParams p;
   p.tiles_x = p.tiles_y = p.probe_resolution = 2;
@@ -149,8 +150,6 @@ TEST(Alignment, CostsScaleWithLengthProduct) {
 }
 
 TEST(Alignment, RejectsHostileParams) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   auto rejects = [](auto mutate) {
     AlignmentBatchParams p;
     p.pairs = 4;
@@ -158,17 +157,17 @@ TEST(Alignment, RejectsHostileParams) {
     EXPECT_THROW((void)make_alignment_batch(p), std::invalid_argument);
   };
   rejects([](AlignmentBatchParams& p) { p.pairs = 0; });
-  rejects([&](AlignmentBatchParams& p) { p.mean_query_len = kNaN; });
-  rejects([&](AlignmentBatchParams& p) { p.mean_query_len = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.mean_query_len = kNaN; });
+  rejects([](AlignmentBatchParams& p) { p.mean_query_len = kInf; });
   rejects([](AlignmentBatchParams& p) { p.mean_query_len = 0.0; });
-  rejects([&](AlignmentBatchParams& p) { p.mean_subject_len = kNaN; });
-  rejects([&](AlignmentBatchParams& p) { p.mean_subject_len = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.mean_subject_len = kNaN; });
+  rejects([](AlignmentBatchParams& p) { p.mean_subject_len = kInf; });
   rejects([](AlignmentBatchParams& p) { p.mean_subject_len = -5.0; });
-  rejects([&](AlignmentBatchParams& p) { p.length_cv = kNaN; });
-  rejects([&](AlignmentBatchParams& p) { p.length_cv = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.length_cv = kNaN; });
+  rejects([](AlignmentBatchParams& p) { p.length_cv = kInf; });
   rejects([](AlignmentBatchParams& p) { p.length_cv = -0.1; });
-  rejects([&](AlignmentBatchParams& p) { p.mops_per_megacell = kNaN; });
-  rejects([&](AlignmentBatchParams& p) { p.mops_per_megacell = kInf; });
+  rejects([](AlignmentBatchParams& p) { p.mops_per_megacell = kNaN; });
+  rejects([](AlignmentBatchParams& p) { p.mops_per_megacell = kInf; });
   rejects([](AlignmentBatchParams& p) { p.mops_per_megacell = 0.0; });
   // A zero coefficient of variation is a fixed-length batch, not an error.
   AlignmentBatchParams p;
@@ -189,8 +188,6 @@ TEST(Quadrature, RefinedPanelsAreRareAndHeavy) {
 }
 
 TEST(Quadrature, RejectsHostileParams) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   auto rejects = [](auto mutate) {
     QuadratureParams p;
     p.panels = 4;
@@ -198,15 +195,15 @@ TEST(Quadrature, RejectsHostileParams) {
     EXPECT_THROW((void)make_quadrature_panels(p), std::invalid_argument);
   };
   rejects([](QuadratureParams& p) { p.panels = 0; });
-  rejects([&](QuadratureParams& p) { p.mean_mops = kNaN; });
-  rejects([&](QuadratureParams& p) { p.mean_mops = kInf; });
+  rejects([](QuadratureParams& p) { p.mean_mops = kNaN; });
+  rejects([](QuadratureParams& p) { p.mean_mops = kInf; });
   rejects([](QuadratureParams& p) { p.mean_mops = 0.0; });
   rejects([](QuadratureParams& p) { p.mean_mops = -1.0; });
-  rejects([&](QuadratureParams& p) { p.refine_probability = kNaN; });
+  rejects([](QuadratureParams& p) { p.refine_probability = kNaN; });
   rejects([](QuadratureParams& p) { p.refine_probability = -0.01; });
   rejects([](QuadratureParams& p) { p.refine_probability = 1.01; });
-  rejects([&](QuadratureParams& p) { p.refine_factor = kNaN; });
-  rejects([&](QuadratureParams& p) { p.refine_factor = kInf; });
+  rejects([](QuadratureParams& p) { p.refine_factor = kNaN; });
+  rejects([](QuadratureParams& p) { p.refine_factor = kInf; });
   rejects([](QuadratureParams& p) { p.refine_factor = 0.0; });
   rejects([](QuadratureParams& p) { p.refine_factor = -2.0; });
   // Both ends of the probability range stay legal.
