@@ -276,6 +276,37 @@ TEST(GridService, ThreadedEngineExceptionsAreCapturedAndRethrown) {
   service.wait_all();  // must not rethrow or hang
 }
 
+TEST(GridService, DestructorFailsRunningJobsAndKeepsQueued) {
+  // Two tenants run, a third waits in the queue and a fourth is scheduled
+  // for later when the service goes away: the running engines observe a
+  // premature end-of-stream and fail, the others never start.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(8, 100.0);
+  core::SimBackend backend(grid);
+  std::vector<JobHandle> handles;
+  {
+    GridService service(backend, grid, grid.node_ids());
+    JobOptions half;
+    half.max_share = 0.5;
+    for (std::uint64_t j = 0; j < 3; ++j)
+      handles.push_back(service.submit(
+          FarmJob{core::make_adaptive_farm_params(), tasks(100, j + 1)},
+          half));
+    handles.push_back(service.submit_at(
+        Seconds{100.0},
+        FarmJob{core::make_adaptive_farm_params(), tasks(100, 4)}, half));
+    ASSERT_EQ(service.jobs_running(), 2u);
+    ASSERT_EQ(service.jobs_queued(), 1u);
+  }
+  for (std::size_t j = 0; j < 2; ++j) {
+    SCOPED_TRACE(::testing::Message() << "running job " << j);
+    EXPECT_EQ(handles[j].status(), JobStatus::Failed);
+    EXPECT_EQ(handles[j].error_message(),
+              "Calibrator: backend drained unexpectedly");
+  }
+  EXPECT_EQ(handles[2].status(), JobStatus::Queued);
+  EXPECT_EQ(handles[3].status(), JobStatus::Queued);
+}
+
 TEST(GridService, PerJobTelemetryIsImportedUnderScopedPrefix) {
   const gridsim::Grid grid = gridsim::make_uniform_grid(8, 100.0);
   core::SimBackend backend(grid);

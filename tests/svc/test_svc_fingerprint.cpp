@@ -161,6 +161,47 @@ TEST(GridServiceFingerprint, SubmitAtStreamOnChurnGrid) {
   }
 }
 
+// A pipeline tenant streams beside a farm tenant whose non-resilient
+// recalibration drains the farm's in-flight chunks mid-run.  The farm is
+// granted the four fast nodes and all four degrade at t=40.  Algorithm 2
+// fires at t~44, and the drain and the recalibration that follows it run
+// to t~59.  The drain waits only on the farm's own operations; the
+// pipeline's items keep completing on the slow half of the pool until it
+// finishes at t~54.
+TEST(GridServiceFingerprint, PipelineBesideRecalibratingFarm) {
+  gridsim::GridBuilder builder;
+  const SiteId site = builder.add_site("a");
+  for (int i = 0; i < 4; ++i) builder.add_node(site, 300.0);
+  for (int i = 0; i < 6; ++i) builder.add_node(site, 150.0);
+  gridsim::Grid grid = builder.build();
+  for (std::uint64_t i = 0; i < 4; ++i)
+    gridsim::inject_load_step_on(grid, NodeId{i}, Seconds{40.0}, 9.0);
+  core::SimBackend backend(grid);
+  GridService service(backend, grid, grid.node_ids());
+
+  JobOptions half;
+  half.max_share = 0.5;
+  core::FarmParams fp = core::make_adaptive_farm_params();
+  fp.calibration.select_count = 3;
+  const JobHandle farm =
+      service.submit(FarmJob{fp, stream_tasks(400, 5)}, half);
+  const JobHandle pipe = service.submit(
+      PipelineJob{core::PipelineParams{},
+                  workloads::make_uniform_pipeline(3, 40.0, 1e4), 200},
+      half);
+  service.wait_all();
+
+  ASSERT_EQ(farm.status(), JobStatus::Completed) << farm.error_message();
+  ASSERT_EQ(pipe.status(), JobStatus::Completed) << pipe.error_message();
+  ASSERT_GE(farm.farm_report().recalibrations, 1u);
+  EXPECT_EQ(service.max_concurrent_observed(), 2u);
+  EXPECT_EQ(pipe.pipeline_report().items_completed, 200u);
+  EXPECT_EQ(job_digest(farm), "990461e86a486dda");
+  EXPECT_EQ(trace_digest(farm.farm_report().trace), "a7b5fd919998fbe7");
+  EXPECT_EQ(job_digest(pipe), "68feae409f5e1648");
+  EXPECT_EQ(trace_digest(pipe.pipeline_report().trace), "8cef980b72068593");
+}
+
 // Concurrent tenants on real threads.  Whichever actor holds the turn
 // blocks in ThreadBackend::wait_next while the other tenants' ops complete
 // on the backend's worker threads.  Tasks are short (a few wall
