@@ -9,6 +9,11 @@
 // (correctness demos, real payload execution).  Engines drive per-task state
 // machines off the completion stream, so skeleton logic is identical on
 // both.
+//
+// The interface comes in two halves.  `OpPort` is what an event-driven
+// engine (core/engine.hpp) holds: submit operations, read the clock, count
+// what is in flight.  `Backend` adds the completion stream, `wait_next`,
+// which only the loop that steps the engines calls.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +84,9 @@ struct OpRequest {
   }
 };
 
-class Backend {
+class OpPort {
  public:
-  virtual ~Backend() = default;
+  virtual ~OpPort() = default;
 
   /// Current time on the backend's clock.  Virtual seconds for the
   /// simulator, wall-clock seconds since construction for threads.
@@ -98,7 +103,7 @@ class Backend {
                                Bytes payload) = 0;
 
   /// Arm a one-shot timer that fires `delay` (>= 0) after now().  The firing
-  /// is delivered through wait_next as a Completion with `is_timer` set and
+  /// is delivered as a Completion with `is_timer` set and
   /// an invalid node.  Timers are ordered: of two pending timers the earlier
   /// deadline is delivered first (ties by submission order), and a timer
   /// never fires before an operation whose completion time precedes its
@@ -144,14 +149,17 @@ class Backend {
   /// another on the threaded backend) also reports 0.
   [[nodiscard]] virtual double compute_progress(OpToken token) const = 0;
 
+  /// Number of operations submitted but not yet delivered as completions.
+  /// Pending timers are excluded.
+  [[nodiscard]] virtual std::size_t in_flight() const = 0;
+};
+
+class Backend : public OpPort {
+ public:
   /// Block (or advance virtual time) until the next operation completes or
   /// timer fires.  Returns nullopt when nothing is in flight and no timer
   /// is pending.
   [[nodiscard]] virtual std::optional<Completion> wait_next() = 0;
-
-  /// Number of operations submitted but not yet returned by wait_next.
-  /// Pending timers are excluded.
-  [[nodiscard]] virtual std::size_t in_flight() const = 0;
 };
 
 /// The engines' obs::Clock: spans and emitted events are stamped from the
@@ -159,11 +167,11 @@ class Backend {
 /// threaded backend).
 class BackendClock final : public obs::Clock {
  public:
-  explicit BackendClock(const Backend& backend) : backend_(backend) {}
+  explicit BackendClock(const OpPort& backend) : backend_(backend) {}
   [[nodiscard]] double now_s() const override { return backend_.now().value; }
 
  private:
-  const Backend& backend_;
+  const OpPort& backend_;
 };
 
 }  // namespace grasp::core

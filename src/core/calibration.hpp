@@ -18,6 +18,8 @@
 #pragma once
 
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -25,6 +27,7 @@
 #include "core/task_source.hpp"
 #include "obs/emit.hpp"
 #include "perfmon/monitor.hpp"
+#include "support/stats.hpp"
 
 namespace grasp::core {
 
@@ -141,9 +144,10 @@ class Calibrator {
  public:
   Calibrator(SkeletonTraits traits, CalibrationParams params);
 
-  /// Run Algorithm 1 on `pool`.  Consumes up to samples*|pool| tasks from
-  /// `tasks` (marking them completed); when the queue runs dry a synthetic
-  /// probe of the last seen shape is used instead.  `monitor` may be null
+  /// Run Algorithm 1 on `pool`: a short driver loop over one
+  /// CalibrationPass.  Consumes up to samples*|pool| tasks from `tasks`
+  /// (marking them completed); when the queue runs dry a synthetic probe of
+  /// the last seen shape is used instead.  `monitor` may be null
   /// (statistical strategies then degrade to TimeOnly).  `emit` (may be
   /// null) receives the pass's calibration and sample-task events.
   /// Requires every backend operation in flight to be accounted for by
@@ -154,13 +158,83 @@ class Calibrator {
                                       perfmon::MonitorDaemon* monitor,
                                       obs::Emitter* emit,
                                       TokenAllocator& tokens,
-                                      const ForeignOps* foreign = nullptr);
+                                      const ForeignOps* foreign = nullptr) const;
 
   [[nodiscard]] const CalibrationParams& params() const { return params_; }
+  [[nodiscard]] const SkeletonTraits& traits() const { return traits_; }
 
  private:
   SkeletonTraits traits_;
   CalibrationParams params_;
+};
+
+/// One Algorithm 1 pass as an event-driven sub-state of the engine that
+/// runs it.  The constructor dispatches a sample to every node without a
+/// fresh cached estimate.  The engine routes each completion of the pass's
+/// operations to on() and, on churn grids, each node it declares dead to
+/// abandon(); every other completion stays the engine's own.  Once done(),
+/// finish() ranks the pool and selects the fittest.
+class CalibrationPass {
+ public:
+  /// A sample given up on because its node died: the engine swallows the
+  /// op's eventual completion and re-queues the real task, if it carried
+  /// one.
+  struct Abandoned {
+    OpToken token;
+    workloads::TaskSpec task;
+    bool is_probe;
+  };
+
+  /// `tasks`, `monitor` (may be null), `emit` (may be null) and `tokens`
+  /// must outlive the pass.
+  CalibrationPass(const Calibrator& calibrator, OpPort& backend,
+                  const std::vector<NodeId>& pool, TaskSource& tasks,
+                  perfmon::MonitorDaemon* monitor, obs::Emitter* emit,
+                  TokenAllocator& tokens);
+
+  [[nodiscard]] bool done() const { return in_flight_.empty(); }
+  /// Drop `node` from the ranking and return the samples it still had in
+  /// flight.
+  [[nodiscard]] std::vector<Abandoned> abandon(NodeId node);
+  /// Advance the sample whose operation completed.  Throws
+  /// std::logic_error for a token that is not the pass's.
+  void on(const Completion& completion);
+  /// Rank and select (the last two lines of Algorithm 1).  Call once, when
+  /// done().
+  [[nodiscard]] CalibrationResult finish();
+
+ private:
+  /// Phases of one node's calibration sample (input -> compute -> output).
+  enum class Phase { Input, Compute, Output };
+  struct SampleOp {
+    NodeId node;
+    Phase phase = Phase::Input;
+    workloads::TaskSpec task;
+    bool is_probe = false;   ///< synthetic: result does not count as a task
+    Seconds sample_start;    ///< when the input transfer was submitted
+    std::size_t samples_left = 0;  ///< further samples after this one
+  };
+
+  void launch_sample(NodeId node, std::size_t samples_left);
+
+  CalibrationParams params_;
+  OpPort& backend_;
+  std::vector<NodeId> pool_;
+  TaskSource& tasks_;
+  perfmon::MonitorDaemon* monitor_;
+  obs::Emitter* emit_;
+  TokenAllocator& tokens_;
+  NodeId root_;
+  CalibrationResult result_;
+  std::unordered_map<OpToken, SampleOp> in_flight_;
+  std::unordered_map<NodeId, OnlineStats> spm_stats_;  // seconds-per-Mop
+  // Window over which each node executed its samples, so the statistical
+  // adjustment correlates times with the load the node *actually faced*.
+  std::unordered_map<NodeId, Seconds> window_begin_, window_end_;
+  workloads::TaskSpec probe_shape_;  // last real task seen; reused when dry
+  std::unordered_set<NodeId> warm_nodes_;
+  /// Nodes that died mid-pass: samples abandoned, excluded from the ranking.
+  std::unordered_set<NodeId> abandoned_;
 };
 
 }  // namespace grasp::core

@@ -12,11 +12,13 @@
 // dispatch costs roughly the same wall time).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/backend.hpp"
 #include "core/calibration.hpp"
+#include "core/engine.hpp"
 #include "core/execution_monitor.hpp"
 #include "core/skeleton_traits.hpp"
 #include "core/task_source.hpp"
@@ -139,51 +141,51 @@ class TaskFarm {
   explicit TaskFarm(FarmParams params);
 
   /// Execute `tasks` over `pool`.  The grid reference is used only for the
-  /// monitor daemon's sensors; all costs flow through `backend`.
-  ///
-  /// Since the GridService layer landed this is a thin wrapper: it stands
-  /// up a private single-tenant service, submits one FarmJob and waits.
-  /// With exactly one job and no scheduled arrivals the service runs the
-  /// engine inline on the caller's thread against the real backend, so the
-  /// wrapper is observably identical to calling run_engine directly.
+  /// monitor daemon's sensors; all costs flow through `backend`.  A short
+  /// driver loop (core::drive) over one FarmEngine.
   [[nodiscard]] FarmReport run(Backend& backend, const gridsim::Grid& grid,
                                const std::vector<NodeId>& pool,
                                const workloads::TaskSet& tasks);
 
-  /// The farm engine proper: the full calibrate/dispatch/adapt loop,
-  /// blocking on `backend` until the task set completes.  Called by the
-  /// service layer (under a job-scoped backend proxy when multiple tenants
-  /// share the pool); callers that want the classic standalone behaviour
-  /// use run().
-  [[nodiscard]] FarmReport run_engine(Backend& backend,
-                                      const gridsim::Grid& grid,
-                                      const std::vector<NodeId>& pool,
-                                      const workloads::TaskSet& tasks);
-
   [[nodiscard]] const FarmParams& params() const { return params_; }
 
  private:
-  struct Assignment {
-    std::vector<workloads::TaskSpec> chunk;
-    NodeId node;
-    Seconds dispatched;
-    /// When the compute phase began (the input transfer is excluded from
-    /// mid-chunk speed estimates; zero until the Input phase completes).
-    Seconds compute_started;
-    enum class Phase { Input, Compute, Output } phase = Phase::Input;
-    bool is_reissue = false;
-    bool is_probe = false;   ///< newcomer fast-path calibration chunk
-    bool duplicated = false;  ///< a reissue twin of this chunk exists
-    obs::SpanId span = 0;    ///< dispatch→complete span (0 when disabled)
-    Mops work() const {
-      Mops total = Mops::zero();
-      for (const auto& t : chunk) total += t.work;
-      return total;
-    }
-  };
+  friend class FarmEngine;
 
   FarmParams params_;
   SkeletonTraits traits_;
+};
+
+/// One TaskFarm run as an event-driven engine (core/engine.hpp): the
+/// calibrate/dispatch/adapt loop, stepped one completion at a time.
+/// Algorithm 1 runs as a CalibrationPass sub-state fed from on(), and a
+/// non-resilient recalibration first drains the chunks in flight, also
+/// from on().
+class FarmEngine final : public Engine {
+ public:
+  /// `grid` and `tasks` must outlive the engine.
+  FarmEngine(const TaskFarm& farm, OpPort& backend, const gridsim::Grid& grid,
+             std::vector<NodeId> pool, const workloads::TaskSet& tasks);
+  ~FarmEngine() override;
+
+  void start(Seconds now) override;
+  void on(const Completion& completion) override;
+  void on_idle() override;
+  [[nodiscard]] bool finished() const override;
+
+  /// Move the report out; call once, after finished().
+  [[nodiscard]] FarmReport take_report();
+
+ private:
+  class Run;
+
+  FarmParams params_;
+  SkeletonTraits traits_;
+  OpPort& backend_;
+  const gridsim::Grid& grid_;
+  std::vector<NodeId> pool_;
+  const workloads::TaskSet& tasks_;
+  std::unique_ptr<Run> run_;
 };
 
 }  // namespace grasp::core

@@ -498,9 +498,10 @@ void GridService::job_thread_main(StatePtr job) {
 
 void GridService::execute(detail::JobState& job, core::Backend& backend) {
   if (auto* farm = std::get_if<FarmJob>(&job.spec)) {
-    core::TaskFarm engine(farm->params);
-    job.farm_report =
-        engine.run_engine(backend, grid_, job.nodes, farm->tasks);
+    core::FarmEngine engine(core::TaskFarm(farm->params), backend, grid_,
+                            job.nodes, farm->tasks);
+    core::drive(backend, engine);
+    job.farm_report = engine.take_report();
   } else {
     auto& pipe = std::get<PipelineJob>(job.spec);
     core::Pipeline engine(pipe.params);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/backend_sim.hpp"
 #include "gridsim/scenarios.hpp"
 #include "workloads/generators.hpp"
@@ -199,6 +201,19 @@ TEST(Calibrator, BadSelectFractionRejected) {
   p.select_fraction = 0.0;
   EXPECT_THROW(Calibrator(task_farm_traits(), p), std::invalid_argument);
   p.select_fraction = 1.5;
+  EXPECT_THROW(Calibrator(task_farm_traits(), p), std::invalid_argument);
+  p.select_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Calibrator(task_farm_traits(), p), std::invalid_argument);
+}
+
+TEST(Calibrator, BadExclusionRatioRejected) {
+  // A NaN or negative ratio would silently turn exclusion off.
+  CalibrationParams p;
+  p.exclusion_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Calibrator(task_farm_traits(), p), std::invalid_argument);
+  p.exclusion_ratio = -1.0;
+  EXPECT_THROW(Calibrator(task_farm_traits(), p), std::invalid_argument);
+  p.exclusion_ratio = std::numeric_limits<double>::infinity();
   EXPECT_THROW(Calibrator(task_farm_traits(), p), std::invalid_argument);
 }
 

@@ -26,11 +26,20 @@ workloads::TaskSet tasks(std::size_t n, std::uint64_t seed = 42) {
   return workloads::make_task_set(p);
 }
 
-core::FarmReport run_standalone(const gridsim::Grid& grid,
-                                const workloads::TaskSet& ts) {
+// The standalone engine stepped by hand: the loop core::drive runs.
+core::FarmReport run_by_hand(const gridsim::Grid& grid,
+                             const workloads::TaskSet& ts) {
   core::SimBackend backend(grid);
-  core::TaskFarm farm(core::make_adaptive_farm_params());
-  return farm.run_engine(backend, grid, grid.node_ids(), ts);
+  core::FarmEngine engine(core::TaskFarm(core::make_adaptive_farm_params()),
+                          backend, grid, grid.node_ids(), ts);
+  engine.start(backend.now());
+  while (!engine.finished()) {
+    if (const auto c = backend.wait_next())
+      engine.on(*c);
+    else
+      engine.on_idle();
+  }
+  return engine.take_report();
 }
 
 void expect_reports_equal(const core::FarmReport& a,
@@ -45,67 +54,32 @@ void expect_reports_equal(const core::FarmReport& a,
   EXPECT_EQ(a.trace.events().size(), b.trace.events().size());
 }
 
-TEST(GridService, InlineSingleJobMatchesRunEngine) {
+TEST(GridService, LoneSubmitAndRunMatchDriverLoop) {
+  // A lone tenant and the TaskFarm::run wrapper both step the same engine
+  // over the same completion stream as a hand-written loop does.
   gridsim::ScenarioParams sp;
   sp.node_count = 8;
   sp.dynamics = gridsim::Dynamics::Mixed;
   sp.seed = 11;
   const gridsim::Grid grid = gridsim::make_grid(sp);
   const workloads::TaskSet ts = tasks(200);
-  const core::FarmReport standalone = run_standalone(grid, ts);
-
-  core::SimBackend backend(grid);
-  GridService::Params params;
-  params.use_calibration_cache = false;  // wrapper configuration
-  GridService service(backend, grid, grid.node_ids(), params);
-  const JobHandle handle =
-      service.submit(FarmJob{core::make_adaptive_farm_params(), ts});
-  service.wait(handle);
-
-  EXPECT_EQ(handle.status(), JobStatus::Completed);
-  expect_reports_equal(handle.farm_report(), standalone);
-  EXPECT_EQ(service.max_concurrent_observed(), 1u);
-}
-
-TEST(GridService, ForceThreadedSingleJobMatchesRunEngine) {
-  // Same engine, same grid, but through the job thread + token-translating
-  // proxy + turn protocol.  The completion stream the engine sees must be
-  // identical, so the whole report must match the standalone run.
-  gridsim::ScenarioParams sp;
-  sp.node_count = 8;
-  sp.dynamics = gridsim::Dynamics::Mixed;
-  sp.seed = 11;
-  const gridsim::Grid grid = gridsim::make_grid(sp);
-  const workloads::TaskSet ts = tasks(200);
-  const core::FarmReport standalone = run_standalone(grid, ts);
+  const core::FarmReport by_hand = run_by_hand(grid, ts);
 
   core::SimBackend backend(grid);
   GridService::Params params;
   params.use_calibration_cache = false;
-  params.force_threaded = true;
   GridService service(backend, grid, grid.node_ids(), params);
   const JobHandle handle =
       service.submit(FarmJob{core::make_adaptive_farm_params(), ts});
   service.wait(handle);
-
   EXPECT_EQ(handle.status(), JobStatus::Completed);
-  expect_reports_equal(handle.farm_report(), standalone);
-}
+  expect_reports_equal(handle.farm_report(), by_hand);
+  EXPECT_EQ(service.max_concurrent_observed(), 1u);
 
-TEST(GridService, WrapperRunMatchesRunEngine) {
-  gridsim::ScenarioParams sp;
-  sp.node_count = 8;
-  sp.dynamics = gridsim::Dynamics::Mixed;
-  sp.seed = 23;
-  const gridsim::Grid grid = gridsim::make_grid(sp);
-  const workloads::TaskSet ts = tasks(180);
-  const core::FarmReport standalone = run_standalone(grid, ts);
-
-  core::SimBackend backend(grid);
+  core::SimBackend backend2(grid);
   core::TaskFarm farm(core::make_adaptive_farm_params());
-  const core::FarmReport wrapped =
-      farm.run(backend, grid, grid.node_ids(), ts);
-  expect_reports_equal(wrapped, standalone);
+  expect_reports_equal(farm.run(backend2, grid, grid.node_ids(), ts),
+                       by_hand);
 }
 
 TEST(GridService, TwoTenantsRunConcurrentlyOnDisjointAllocations) {
