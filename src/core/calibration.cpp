@@ -49,10 +49,8 @@ CalibrationResult Calibrator::run(Backend& backend,
                                   TaskSource& tasks,
                                   perfmon::MonitorDaemon* monitor,
                                   obs::Emitter* emit,
-                                  TokenAllocator& tokens,
-                                  const ForeignOps* foreign) const {
-  if (pool.empty()) throw std::invalid_argument("Calibrator: empty pool");
-  if (backend.in_flight() != (foreign ? foreign->pending() : 0))
+                                  TokenAllocator& tokens) const {
+  if (backend.in_flight() != 0)
     throw std::logic_error("Calibrator: backend has foreign ops in flight");
   CalibrationPass pass(*this, backend, pool, tasks, monitor, emit, tokens);
   while (!pass.done()) {
@@ -60,15 +58,6 @@ CalibrationResult Calibrator::run(Backend& backend,
     if (!completion)
       throw std::logic_error("Calibrator: backend drained unexpectedly");
     if (monitor) monitor->advance_to(backend.now());
-    if (foreign && foreign->dead_nodes) {
-      for (const NodeId dead : foreign->dead_nodes(backend.now())) {
-        for (const auto& a : pass.abandon(dead))
-          if (foreign->surrender)
-            foreign->surrender(a.token, dead, a.task, a.is_probe);
-      }
-    }
-    if (foreign && foreign->swallow && foreign->swallow(completion->token))
-      continue;
     pass.on(*completion);
   }
   return pass.finish();

@@ -117,29 +117,6 @@ struct TokenAllocator {
   OpToken alloc() { return next++; }
 };
 
-/// Foreign operations a calling engine deliberately left in flight while
-/// calibrating — e.g. zombie chunks surrendered to crash recovery, whose
-/// completions arrive whenever the dead node's outage ends.  `pending()`
-/// reports how many are outstanding; `swallow(token)` consumes one foreign
-/// completion (returns true when the token was foreign).
-///
-/// The optional churn hooks let calibration survive a node dying mid-probe
-/// (otherwise the sample chain would stall for the whole outage):
-/// `dead_nodes(now)` is polled after every completion and returns nodes the
-/// caller has just declared dead; the calibrator abandons their pending
-/// samples, handing each stalled token (plus the real task it carried, if
-/// any) back through `surrender` so the caller can swallow the eventual
-/// zombie completion and re-queue the task.  Abandoned nodes are dropped
-/// from the ranking.
-struct ForeignOps {
-  std::function<std::size_t()> pending;
-  std::function<bool(OpToken)> swallow;
-  std::function<std::vector<NodeId>(Seconds)> dead_nodes;
-  std::function<void(OpToken, NodeId, const workloads::TaskSpec&,
-                     bool is_probe)>
-      surrender;
-};
-
 class Calibrator {
  public:
   Calibrator(SkeletonTraits traits, CalibrationParams params);
@@ -150,15 +127,13 @@ class Calibrator {
   /// the last seen shape is used instead.  `monitor` may be null
   /// (statistical strategies then degrade to TimeOnly).  `emit` (may be
   /// null) receives the pass's calibration and sample-task events.
-  /// Requires every backend operation in flight to be accounted for by
-  /// `foreign`.
+  /// Requires an otherwise idle backend.
   [[nodiscard]] CalibrationResult run(Backend& backend,
                                       const std::vector<NodeId>& pool,
                                       TaskSource& tasks,
                                       perfmon::MonitorDaemon* monitor,
                                       obs::Emitter* emit,
-                                      TokenAllocator& tokens,
-                                      const ForeignOps* foreign = nullptr) const;
+                                      TokenAllocator& tokens) const;
 
   [[nodiscard]] const CalibrationParams& params() const { return params_; }
   [[nodiscard]] const SkeletonTraits& traits() const { return traits_; }

@@ -10,12 +10,14 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/backend.hpp"
 #include "core/calibration.hpp"
+#include "core/engine.hpp"
 #include "core/execution_monitor.hpp"
 #include "core/skeleton_traits.hpp"
 #include "gridsim/grid.hpp"
@@ -115,29 +117,53 @@ class Pipeline {
   explicit Pipeline(PipelineParams params);
 
   /// Stream `item_count` items through `spec` over `pool`.  Pool must hold
-  /// at least spec.depth() nodes.
-  ///
-  /// Thin wrapper over a private single-tenant GridService (submit one
-  /// PipelineJob, wait); the single-job service runs the engine inline on
-  /// the caller's thread, so this is observably identical to run_engine.
+  /// at least spec.depth() nodes.  A short driver loop (core::drive) over
+  /// one PipelineEngine.
   [[nodiscard]] PipelineReport run(Backend& backend,
                                    const gridsim::Grid& grid,
                                    const std::vector<NodeId>& pool,
                                    const workloads::PipelineSpec& spec,
                                    std::size_t item_count);
 
-  /// The pipeline engine proper (blocking run loop); see TaskFarm::run_engine.
-  [[nodiscard]] PipelineReport run_engine(Backend& backend,
-                                          const gridsim::Grid& grid,
-                                          const std::vector<NodeId>& pool,
-                                          const workloads::PipelineSpec& spec,
-                                          std::size_t item_count);
-
   [[nodiscard]] const PipelineParams& params() const { return params_; }
 
  private:
+  friend class PipelineEngine;
+
   PipelineParams params_;
   SkeletonTraits traits_;
+};
+
+/// One Pipeline run as an event-driven engine (core/engine.hpp).  The
+/// initial calibration is a CalibrationPass sub-state fed from on(); the
+/// stream then advances one completion at a time.
+class PipelineEngine final : public Engine {
+ public:
+  /// `grid` and `spec` must outlive the engine.
+  PipelineEngine(const Pipeline& pipeline, OpPort& backend,
+                 const gridsim::Grid& grid, std::vector<NodeId> pool,
+                 const workloads::PipelineSpec& spec, std::size_t item_count);
+  ~PipelineEngine() override;
+
+  void start(Seconds now) override;
+  void on(const Completion& completion) override;
+  void on_idle() override;
+  [[nodiscard]] bool finished() const override;
+
+  /// Move the report out; call once, after finished().
+  [[nodiscard]] PipelineReport take_report();
+
+ private:
+  class Run;
+
+  PipelineParams params_;
+  SkeletonTraits traits_;
+  OpPort& backend_;
+  const gridsim::Grid& grid_;
+  std::vector<NodeId> pool_;
+  const workloads::PipelineSpec& spec_;
+  std::size_t item_count_;
+  std::unique_ptr<Run> run_;
 };
 
 }  // namespace grasp::core

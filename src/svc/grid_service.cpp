@@ -504,9 +504,10 @@ void GridService::execute(detail::JobState& job, core::Backend& backend) {
     job.farm_report = engine.take_report();
   } else {
     auto& pipe = std::get<PipelineJob>(job.spec);
-    core::Pipeline engine(pipe.params);
-    job.pipeline_report = engine.run_engine(backend, grid_, job.nodes,
-                                            pipe.spec, pipe.item_count);
+    core::PipelineEngine engine(core::Pipeline(pipe.params), backend, grid_,
+                                job.nodes, pipe.spec, pipe.item_count);
+    core::drive(backend, engine);
+    job.pipeline_report = engine.take_report();
   }
 }
 
