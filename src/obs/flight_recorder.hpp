@@ -11,8 +11,8 @@
 // dies: on an engine exception (GridService dumps failed jobs), a failed
 // --smoke gate, or an explicit dump().
 //
-// Notes take a mutex: they are rare (per-event, never per-task) and the
-// recorder may be shared across GridService job threads, so correctness
+// Notes take a mutex: they are rare (per-event, never per-task) and one
+// recorder may be shared by runs on different threads, so correctness
 // beats the nanoseconds.  Event strings must be static-lifetime literals,
 // mirroring SpanRecord's contract.
 #pragma once

@@ -4,7 +4,6 @@ namespace grasp::svc {
 
 std::optional<double> CalibrationCache::lookup(NodeId node,
                                                Seconds now) const {
-  const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(node);
   if (it == entries_.end()) {
     ++misses_;
@@ -20,46 +19,16 @@ std::optional<double> CalibrationCache::lookup(NodeId node,
 }
 
 void CalibrationCache::store(NodeId node, double spm, Seconds now) {
-  const std::lock_guard<std::mutex> lock(mu_);
   entries_[node] = Entry{spm, now};
   ++stores_;
 }
 
 bool CalibrationCache::invalidate(NodeId node) {
-  const std::lock_guard<std::mutex> lock(mu_);
   const bool removed = entries_.erase(node) > 0;
   if (removed) ++invalidations_;
   return removed;
 }
 
-std::size_t CalibrationCache::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-std::size_t CalibrationCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::size_t CalibrationCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::size_t CalibrationCache::stores() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return stores_;
-}
-
-std::size_t CalibrationCache::invalidations() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return invalidations_;
-}
-
-void CalibrationCache::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
+void CalibrationCache::clear() { entries_.clear(); }
 
 }  // namespace grasp::svc

@@ -12,11 +12,10 @@
 // calibration) but still publish their fresh measurements here.
 //
 // Entries expire after `max_age`: grid load drifts, so a stale spm is
-// worse than a probe.  Thread-safe — concurrent tenants calibrate from
-// their own job threads.
+// worse than a probe.  Not synchronized: the service steps every tenant
+// from the one thread that calls it.
 #pragma once
 
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 
@@ -49,14 +48,14 @@ class CalibrationCache final : public core::SpmCache {
 
   /// Live entries (age is evaluated lazily at lookup, so this counts
   /// stored entries including ones that would now read as stale).
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
   /// Lookups served by a fresh entry / total lookups that found nothing
   /// usable / stores.
-  [[nodiscard]] std::size_t hits() const;
-  [[nodiscard]] std::size_t misses() const;
-  [[nodiscard]] std::size_t stores() const;
+  [[nodiscard]] std::size_t hits() const { return hits_; }
+  [[nodiscard]] std::size_t misses() const { return misses_; }
+  [[nodiscard]] std::size_t stores() const { return stores_; }
   /// Entries removed via invalidate (counts removals, not no-op calls).
-  [[nodiscard]] std::size_t invalidations() const;
+  [[nodiscard]] std::size_t invalidations() const { return invalidations_; }
   void clear();
 
  private:
@@ -66,7 +65,6 @@ class CalibrationCache final : public core::SpmCache {
   };
 
   Params params_;
-  mutable std::mutex mu_;
   std::unordered_map<NodeId, Entry> entries_;
   mutable std::size_t hits_ = 0;
   mutable std::size_t misses_ = 0;

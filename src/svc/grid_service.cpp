@@ -1,6 +1,7 @@
 #include "svc/grid_service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -49,27 +50,19 @@ GridService::GridService(core::Backend& backend, const gridsim::Grid& grid,
 }
 
 GridService::~GridService() {
-  std::unique_lock<std::mutex> lk(mu_);
   // Scheduled arrivals die with the service.
   for (const auto& [token, job] : pending_arrivals_)
     backend_.cancel_timer(token);
   pending_arrivals_.clear();
   // Queued jobs never ran; drop them (their handles stay Queued).
   queue_.clear();
-  // Running engines observe a premature end-of-stream: sticky nullopt,
-  // one turn each, until every thread has unwound.
+  // Running engines observe a premature end-of-stream, one job at a time,
+  // until each has failed (or finished what it could without the backend).
   for (;;) {
-    reap(lk);
+    reap();
     if (running_.empty()) break;
-    detail::JobState* victim = nullptr;
-    for (const auto& job : running_)
-      if (job->blocked) {
-        victim = job.get();
-        break;
-      }
-    if (victim == nullptr) break;  // unreachable under the turn protocol
-    victim->deliver_nullopt = true;
-    hand_turn(lk, victim, nullptr);
+    detail::JobState& job = *running_.front();
+    while (!job.done) step(job, nullptr);
   }
 }
 
@@ -96,12 +89,14 @@ JobHandle GridService::submit_at(Seconds when, PipelineJob job,
 JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
                                    JobOptions options,
                                    std::optional<Seconds> when) {
-  if (!(options.weight > 0.0))
-    throw std::invalid_argument("GridService: job weight must be > 0");
-  if (!(options.max_share > 0.0) || options.max_share > 1.0)
+  // Written to fail on NaN and inf: an infinite weight would make the
+  // fair-share target inf/inf = NaN and hand the job every free node.
+  if (!(std::isfinite(options.weight) && options.weight > 0.0))
+    throw std::invalid_argument(
+        "GridService: job weight must be finite and > 0");
+  if (!(options.max_share > 0.0 && options.max_share <= 1.0))
     throw std::invalid_argument("GridService: max_share must be in (0, 1]");
 
-  std::unique_lock<std::mutex> lk(mu_);
   auto job = std::make_shared<detail::JobState>();
   job->seq = next_seq_++;
   job->name = options.name.empty() ? "job-" + std::to_string(job->seq)
@@ -125,11 +120,10 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
     return JobHandle(job);
   }
 
-  // A previous lone submit may be parked in the queue waiting for the
-  // inline fast path; admit whatever actually fits before judging this
-  // submit against the queue bound, so deferred-but-admissible jobs do
-  // not count as backlog.
-  if (!queue_.empty()) try_admit(lk);
+  // Jobs queued behind a tenant that has since retired may fit now: admit
+  // whatever actually fits before judging this submit against the queue
+  // bound, so admissible jobs do not count as backlog.
+  if (!queue_.empty()) try_admit();
   if (queue_.size() >= params_.max_queued_jobs) {
     job->status = JobStatus::Rejected;
     ++rejected_;
@@ -139,10 +133,8 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
   job->submitted_at = backend_.now();
   queue_.push_back(job);
   update_gauges();
-  // A lone job is left queued so wait() can take the inline fast path;
-  // anything else is admitted eagerly (engine threads start and park on
-  // their first wait_next).
-  if (!inline_eligible()) try_admit(lk);
+  // Admitted eagerly: an engine starts, and runs to its first wait, here.
+  try_admit();
   return JobHandle(job);
 }
 
@@ -151,19 +143,14 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
 void GridService::wait(const JobHandle& handle) {
   if (!handle.valid())
     throw std::invalid_argument("GridService::wait: invalid handle");
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    const auto& state = *handle.state_;
-    pump_until(lk, [&] { return terminal(state.status); });
-    if (state.status == JobStatus::Failed) error = state.error;
-  }
-  if (error) std::rethrow_exception(error);
+  const auto& state = *handle.state_;
+  pump_until([&] { return terminal(state.status); });
+  if (state.status == JobStatus::Failed && state.error)
+    std::rethrow_exception(state.error);
 }
 
 void GridService::wait_all() {
-  std::unique_lock<std::mutex> lk(mu_);
-  pump_until(lk, [&] {
+  pump_until([&] {
     if (!pending_arrivals_.empty()) return false;
     for (const auto& job : all_jobs_)
       if (!terminal(job->status)) return false;
@@ -173,22 +160,12 @@ void GridService::wait_all() {
 
 // -------------------------------------------------------- scheduler core
 
-bool GridService::inline_eligible() const {
-  return !params_.force_threaded && running_.empty() &&
-         queue_.size() == 1 && pending_arrivals_.empty();
-}
-
-void GridService::pump_until(std::unique_lock<std::mutex>& lk,
-                             const std::function<bool()>& done) {
+void GridService::pump_until(const std::function<bool()>& done) {
   for (;;) {
-    reap(lk);
+    reap();
     if (done()) return;
-    if (inline_eligible()) {
-      run_inline(lk);
-      continue;
-    }
-    try_admit(lk);
-    reap(lk);  // an admitted engine may run to completion on its first turn
+    try_admit();
+    reap();  // an admitted engine may run to completion on its first step
     if (done()) return;
     if (running_.empty() && pending_arrivals_.empty()) {
       // Nothing can make progress: the predicate waits on a job that is
@@ -198,82 +175,48 @@ void GridService::pump_until(std::unique_lock<std::mutex>& lk,
       // a pending predicate means the caller waits on a dropped job.
       return;
     }
-    if (!pump_one(lk)) {
+    if (!pump_one()) {
       // Backend has nothing in flight but live jobs remain — deliver the
       // end-of-stream verdict so their engines can unwind.
-      bool progressed = false;
-      for (const auto& job : running_) {
-        if (!job->blocked) continue;
-        job->deliver_nullopt = true;
-        hand_turn(lk, job.get(), nullptr);
-        progressed = true;
-        break;
-      }
-      if (!progressed) return;
+      const auto live =
+          std::find_if(running_.begin(), running_.end(),
+                       [](const StatePtr& job) { return !job->done; });
+      if (live == running_.end()) return;
+      step(**live, nullptr);
     }
   }
 }
 
-bool GridService::pump_one(std::unique_lock<std::mutex>& lk) {
+bool GridService::pump_one() {
   const auto completion = backend_.wait_next();
   if (!completion.has_value()) return false;
-  detail::JobState* owner = route(*completion);
-  if (owner != nullptr && owner->blocked) {
-    // Everything reaped, nothing to admit: until a turn comes back here,
-    // the service would only pump again, so the turn holders may.
-    tenants_pump_ = queue_.empty();
-    hand_turn(lk, owner, nullptr);
-    tenants_pump_ = false;
-  }
-  return true;
-}
-
-detail::JobState* GridService::route(core::Completion completion) {
-  const std::uint64_t seq = detail::seq_of(completion.token);
+  const std::uint64_t seq = detail::seq_of(completion->token);
   if (seq == 0) {
     // Service arrival timer: the scheduled job materialises now.
-    const auto it = pending_arrivals_.find(completion.token);
-    if (it == pending_arrivals_.end()) return nullptr;  // cancelled
+    const auto it = pending_arrivals_.find(completion->token);
+    if (it == pending_arrivals_.end()) return true;  // cancelled
     const StatePtr job = it->second;
     pending_arrivals_.erase(it);
     if (queue_.size() >= params_.max_queued_jobs) {
       job->status = JobStatus::Rejected;
       ++rejected_;
       if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.rejected);
-      return nullptr;
+      return true;
     }
     job->submitted_at = backend_.now();
     queue_.push_back(job);
     update_gauges();
-    return nullptr;
+    return true;
   }
+  // A retired tenant's completion (a zombie or late duplicate) is dropped.
   detail::JobState* owner = find_running(seq);
-  if (owner == nullptr) return nullptr;  // tenant retired: drop the zombie
-  completion.token = detail::to_local(completion.token);
-  owner->inbox.push_back(completion);
-  return owner;
+  if (owner == nullptr || owner->done) return true;
+  const core::Completion local = owner->port->deliver(*completion);
+  step(*owner, &local);
+  return true;
 }
 
-void GridService::await_completion(std::unique_lock<std::mutex>& lk,
-                                   detail::JobState& job) {
-  detail::JobState* next = nullptr;  // nullptr: back to the service
-  if (tenants_pump_) {
-    // The service's next steps would be exactly these two calls.
-    invalidate_departed(backend_.now());
-    if (const auto completion = backend_.wait_next()) {
-      next = route(*completion);
-      if (next == &job) return;  // our own: keep the turn, no switch
-    }
-  }
-  // Anything but another tenant's completion goes back to the service (an
-  // arrival, a zombie, end-of-stream, or a turn granted outside pump_one):
-  // it may have a job to reap, admit or unwind before it pumps again.
-  job.blocked = true;
-  hand_turn(lk, next, &job);
-  job.blocked = false;
-}
-
-void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
+void GridService::try_admit() {
   const Seconds now = backend_.now();
   invalidate_departed(now);
   // Allocate only over live members: handing a crashed/departed node to a
@@ -290,7 +233,7 @@ void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
     if (pool_.empty()) {
       // Let the engine issue its own empty-pool diagnosis.
       queue_.pop_front();
-      start_job(lk, job, {});
+      start_job(job, {});
       continue;
     }
     if (live.empty()) break;  // nobody alive: the head waits for a rejoin
@@ -319,7 +262,7 @@ void GridService::try_admit(std::unique_lock<std::mutex>& lk) {
         ShareRequest{job->weight, job->min_nodes, job->max_share});
     if (allocation.empty()) break;  // head-of-line waits: FIFO, no skipping
     queue_.pop_front();
-    start_job(lk, job, std::move(allocation));
+    start_job(job, std::move(allocation));
   }
   update_gauges();
 }
@@ -344,8 +287,7 @@ double GridService::capacity_mops(NodeId node) const {
   return grid_.node(node).base_speed_mops();
 }
 
-void GridService::start_job(std::unique_lock<std::mutex>& lk,
-                            const StatePtr& job,
+void GridService::start_job(const StatePtr& job,
                             std::vector<NodeId> allocation) {
   job->status = JobStatus::Running;
   job->started_at = backend_.now();
@@ -354,62 +296,73 @@ void GridService::start_job(std::unique_lock<std::mutex>& lk,
   running_.push_back(job);
   peak_running_ = std::max(peak_running_, running_.size());
   update_gauges();
-  job->thread = std::thread([this, job] { job_thread_main(job); });
-  // First turn: the engine runs until it parks in wait_next (or exits).
-  hand_turn(lk, job.get(), nullptr);
-}
-
-void GridService::run_inline(std::unique_lock<std::mutex>& lk) {
-  const StatePtr job = queue_.front();
-  queue_.pop_front();
-  job->status = JobStatus::Running;
-  job->started_at = backend_.now();
-  job->nodes = pool_;  // lone tenant: the whole pool, order untouched
-  prepare_params(*job);
-  running_.push_back(job);
-  peak_running_ = std::max(peak_running_, running_.size());
-  update_gauges();
-  lk.unlock();  // no other actor exists; the engine owns the backend
+  job->port.emplace(backend_, job->seq);
   try {
-    execute(*job, backend_);
-  } catch (...) {
-    job->error = std::current_exception();
-    try {
-      std::rethrow_exception(job->error);
-    } catch (const std::exception& e) {
-      job->error_message = e.what();
-    } catch (...) {
-      job->error_message = "unknown exception";
+    if (auto* farm = std::get_if<FarmJob>(&job->spec)) {
+      job->farm_engine = std::make_unique<core::FarmEngine>(
+          core::TaskFarm(farm->params), *job->port, grid_, job->nodes,
+          farm->tasks);
+    } else {
+      auto& pipe = std::get<PipelineJob>(job->spec);
+      job->pipeline_engine = std::make_unique<core::PipelineEngine>(
+          core::Pipeline(pipe.params), *job->port, grid_, job->nodes,
+          pipe.spec, pipe.item_count);
     }
+    job->engine().start(backend_.now());
+    settle(*job);
+  } catch (...) {
+    fail(*job);
   }
-  lk.lock();
-  running_.erase(std::find(running_.begin(), running_.end(), job));
-  finalize(job);
 }
 
-void GridService::hand_turn(std::unique_lock<std::mutex>& lk,
-                            detail::JobState* to, detail::JobState* self) {
-  turn_ = to != nullptr ? to->seq : 0;
-  // Wake only the actor whose turn it is, after unlocking so it does not
-  // block on the mutex this thread still holds.  Waits are predicate-
-  // guarded, so a wakeup that lands before the target waits is not lost.
-  lk.unlock();
-  (to != nullptr ? to->cv : cv_).notify_one();
-  lk.lock();
-  const std::uint64_t me = self != nullptr ? self->seq : 0;
-  (self != nullptr ? self->cv : cv_).wait(lk, [&] { return turn_ == me; });
+void GridService::step(detail::JobState& job,
+                       const core::Completion* completion) {
+  if (job.done) return;
+  try {
+    if (completion != nullptr)
+      job.engine().on(*completion);
+    else
+      job.engine().on_idle();
+    settle(job);
+  } catch (...) {
+    fail(job);
+  }
 }
 
-void GridService::reap(std::unique_lock<std::mutex>& lk) {
-  (void)lk;
+void GridService::settle(detail::JobState& job) {
+  core::Engine& engine = job.engine();
+  while (!engine.finished() && job.port->idle()) engine.on_idle();
+  if (!engine.finished()) return;
+  if (job.farm_engine)
+    job.farm_report = job.farm_engine->take_report();
+  else
+    job.pipeline_report = job.pipeline_engine->take_report();
+  job.farm_engine.reset();
+  job.pipeline_engine.reset();
+  job.done = true;
+}
+
+void GridService::fail(detail::JobState& job) {
+  job.error = std::current_exception();
+  try {
+    std::rethrow_exception(job.error);
+  } catch (const std::exception& e) {
+    job.error_message = e.what();
+  } catch (...) {
+    job.error_message = "unknown exception";
+  }
+  job.farm_engine.reset();
+  job.pipeline_engine.reset();
+  job.done = true;
+}
+
+void GridService::reap() {
   for (std::size_t i = 0; i < running_.size();) {
     const StatePtr job = running_[i];
-    if (!job->thread_done) {
+    if (!job->done) {
       ++i;
       continue;
     }
-    // The thread's final act was releasing the mutex; join is prompt.
-    if (job->thread.joinable()) job->thread.join();
     running_.erase(running_.begin() + i);
     finalize(job);
   }
@@ -466,51 +419,6 @@ void GridService::finalize(const StatePtr& job) {
   update_gauges();
 }
 
-void GridService::job_thread_main(StatePtr job) {
-  {
-    // Do nothing — not even engine construction — before the first turn
-    // grant: the admitting thread still owns the backend until then.
-    std::unique_lock<std::mutex> lk(mu_);
-    job->cv.wait(lk, [&] { return turn_ == job->seq; });
-  }
-  detail::JobBackend proxy(*this, *job);
-  try {
-    execute(*job, proxy);
-  } catch (...) {
-    job->error = std::current_exception();
-    try {
-      std::rethrow_exception(job->error);
-    } catch (const std::exception& e) {
-      job->error_message = e.what();
-    } catch (...) {
-      job->error_message = "unknown exception";
-    }
-  }
-  // The service must reap this job before anything else runs, so the
-  // last turn always goes back to it.  It joins this thread before it can
-  // be destroyed, so notifying after the unlock is safe.
-  std::unique_lock<std::mutex> lk(mu_);
-  job->thread_done = true;
-  turn_ = 0;
-  lk.unlock();
-  cv_.notify_one();
-}
-
-void GridService::execute(detail::JobState& job, core::Backend& backend) {
-  if (auto* farm = std::get_if<FarmJob>(&job.spec)) {
-    core::FarmEngine engine(core::TaskFarm(farm->params), backend, grid_,
-                            job.nodes, farm->tasks);
-    core::drive(backend, engine);
-    job.farm_report = engine.take_report();
-  } else {
-    auto& pipe = std::get<PipelineJob>(job.spec);
-    core::PipelineEngine engine(core::Pipeline(pipe.params), backend, grid_,
-                                job.nodes, pipe.spec, pipe.item_count);
-    core::drive(backend, engine);
-    job.pipeline_report = engine.take_report();
-  }
-}
-
 void GridService::prepare_params(detail::JobState& job) {
   core::CalibrationParams* cal = nullptr;
   obs::Telemetry** tel = nullptr;
@@ -527,7 +435,7 @@ void GridService::prepare_params(detail::JobState& job) {
     job.own_telemetry =
         std::make_unique<obs::Telemetry>(telemetry_->detail_enabled());
     // The flight ring is shared, not private: its whole point is one
-    // postmortem stream across tenants (the mutex makes that safe).
+    // postmortem stream across tenants.
     job.own_telemetry->flight = telemetry_->flight;
     *tel = job.own_telemetry.get();
   }
@@ -549,48 +457,7 @@ void GridService::update_gauges() {
 
 // ------------------------------------------------------------ inspection
 
-std::size_t GridService::jobs_submitted() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return all_jobs_.size();
-}
-
-std::size_t GridService::jobs_completed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
-}
-
-std::size_t GridService::jobs_failed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return failed_;
-}
-
-std::size_t GridService::jobs_rejected() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return rejected_;
-}
-
-std::size_t GridService::jobs_running() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return running_.size();
-}
-
-std::size_t GridService::jobs_queued() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
-std::size_t GridService::max_concurrent_observed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return peak_running_;
-}
-
-std::size_t GridService::min_nodes_reclamps() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return min_nodes_reclamps_;
-}
-
 std::vector<JobHandle> GridService::jobs() const {
-  const std::lock_guard<std::mutex> lock(mu_);
   std::vector<JobHandle> handles;
   handles.reserve(all_jobs_.size());
   for (const auto& job : all_jobs_) handles.push_back(JobHandle(job));

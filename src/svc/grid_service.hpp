@@ -12,48 +12,29 @@
 // CalibrationParams, so one tenant's Algorithm-1 measurements warm the
 // next tenant's start.
 //
-// Execution model — the service has no thread of its own.  The caller's
-// thread becomes the scheduler whenever it is inside wait()/wait_all(),
-// and each *running* job owns one engine thread driving the unmodified
-// run_engine loop against a JobBackend proxy.  Determinism is preserved
-// by a strict turn-based handoff: a single token (`turn_`: 0 = the
-// service, else a job's seq) says who may run.  Every actor parks on a
-// wait object of its own (the service's `cv_`, each job's JobState::cv),
-// and a handoff sets `turn_` and wakes exactly the actor whose turn it is,
-// notifying after releasing the mutex so the woken thread does not block
-// on it.  The service pumps the real backend one completion at a time and
-// routes it (arrival timer → queue, job op → owner's inbox, retired
-// tenant's zombie → dropped); a completion for a parked job hands that job
-// the turn.  While the service sits in that grant with an empty queue,
-// the turn holder pumps: an engine that blocks in wait_next with nothing
-// routed to it calls the real backend itself and keeps the turn for its
-// own completions, hands it straight to the tenant that owns the next
-// one, and hands it back to the service for anything else (an arrival, a
-// zombie, end-of-stream, a non-empty queue, or a handoff outside that
-// grant, such as an engine's first turn).  The backend sees every call in
-// the order the service alone would make them, exactly one actor touches
-// it at any moment, and every handoff is an acquire/release pair on the
-// one mutex, so runs are deterministic and TSan-clean.
-//
-// Inline fast path: with exactly one live job, no scheduled arrivals and
-// force_threaded off, the service skips threads entirely and runs the
-// engine inline on the caller's thread against the real backend — zero
-// overhead, observably identical to calling run_engine directly.  This
-// is what makes TaskFarm::run / Pipeline::run thin wrappers over a
-// private single-tenant service without perturbing a single test.
+// Execution model — one loop, no threads.  The caller's thread becomes
+// the scheduler whenever it is inside wait()/wait_all(): it pumps the real
+// backend one completion at a time and routes it (arrival timer → queue,
+// job op → its owner's engine, retired tenant's zombie → dropped).  Each
+// running job is an event-driven engine (core/engine.hpp) submitting
+// through a detail::JobBackend port; routing a completion calls the
+// owner's on(), which runs the engine until it needs its next completion.
+// When a job's port has nothing in flight and no timer armed, the engine
+// gets on_idle() straight away, as a standalone backend would answer its
+// wait_next with nullopt.  Everything runs on the client thread in one
+// fixed order, so SimBackend runs stay deterministic however many tenants
+// are live, and a lone tenant granted the whole pool runs exactly as the
+// same engine does under TaskFarm::run or Pipeline::run.
 //
 // Thread-safety: all public methods must be called from one client
-// thread (the engine threads are an implementation detail).  JobHandle
-// accessors are exact once the handle is terminal and the service has
-// quiesced.
+// thread.  JobHandle accessors are exact once the handle is terminal and
+// the service has quiesced.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <variant>
@@ -64,7 +45,6 @@
 #include "obs/telemetry.hpp"
 #include "svc/calibration_cache.hpp"
 #include "svc/job.hpp"
-#include "svc/job_backend.hpp"
 
 namespace grasp::svc {
 
@@ -85,9 +65,6 @@ class GridService {
     /// imported under a "job.<seq>." metric prefix and a "job" span root
     /// (read back per-job with obs::filter_snapshot).
     obs::Telemetry* telemetry = nullptr;
-    /// Disable the single-job inline fast path (tests: forces the
-    /// threaded protocol even for one tenant).
-    bool force_threaded = false;
   };
 
   /// The service schedules over `pool` (a subset of `grid`'s nodes) and
@@ -98,8 +75,9 @@ class GridService {
               std::vector<NodeId> pool, Params params);
   GridService(const GridService&) = delete;
   GridService& operator=(const GridService&) = delete;
-  /// Cancels scheduled arrivals, drops queued jobs, and shuts down any
-  /// running engines (they observe a premature end-of-stream and fail).
+  /// Cancels scheduled arrivals, drops queued jobs (their handles stay
+  /// Queued), and shuts down any running engines: they observe a premature
+  /// end-of-stream and fail.
   ~GridService();
 
   // ---------------------------------------------------------- submission
@@ -113,8 +91,7 @@ class GridService {
 
   // ------------------------------------------------------------- waiting
   /// Drive the service until `handle` is terminal.  Rethrows the engine's
-  /// exception when the job Failed (so the single-job wrapper surfaces
-  /// exactly what run_engine would have thrown).
+  /// exception when the job Failed.
   void wait(const JobHandle& handle);
   /// Drive the service until every submitted and scheduled job is
   /// terminal.  Does not rethrow; inspect handles for failures.
@@ -127,64 +104,54 @@ class GridService {
   [[nodiscard]] CalibrationCache& calibration_cache() { return cache_; }
   [[nodiscard]] const std::vector<NodeId>& pool() const { return pool_; }
 
-  [[nodiscard]] std::size_t jobs_submitted() const;
-  [[nodiscard]] std::size_t jobs_completed() const;
-  [[nodiscard]] std::size_t jobs_failed() const;
-  [[nodiscard]] std::size_t jobs_rejected() const;
-  [[nodiscard]] std::size_t jobs_running() const;
-  [[nodiscard]] std::size_t jobs_queued() const;
+  [[nodiscard]] std::size_t jobs_submitted() const { return all_jobs_.size(); }
+  [[nodiscard]] std::size_t jobs_completed() const { return completed_; }
+  [[nodiscard]] std::size_t jobs_failed() const { return failed_; }
+  [[nodiscard]] std::size_t jobs_rejected() const { return rejected_; }
+  [[nodiscard]] std::size_t jobs_running() const { return running_.size(); }
+  [[nodiscard]] std::size_t jobs_queued() const { return queue_.size(); }
   /// Peak number of simultaneously running jobs over the service's life —
   /// the multi-tenancy witness the bench smoke gate asserts on.
-  [[nodiscard]] std::size_t max_concurrent_observed() const;
+  [[nodiscard]] std::size_t max_concurrent_observed() const {
+    return peak_running_;
+  }
   /// Times a queued head job's min_nodes was re-clamped because churn
   /// shrank live membership below it (head-of-line anti-starvation).
-  [[nodiscard]] std::size_t min_nodes_reclamps() const;
+  [[nodiscard]] std::size_t min_nodes_reclamps() const {
+    return min_nodes_reclamps_;
+  }
   /// Every handle ever produced, in submission order.
   [[nodiscard]] std::vector<JobHandle> jobs() const;
 
  private:
-  friend class detail::JobBackend;
   using StatePtr = std::shared_ptr<detail::JobState>;
 
   JobHandle submit_impl(std::variant<FarmJob, PipelineJob> spec,
                         JobOptions options, std::optional<Seconds> when);
 
-  /// Run `job`'s engine against `backend` (dispatch on the spec variant).
-  void execute(detail::JobState& job, core::Backend& backend);
   /// Inject the calibration cache and a per-job telemetry sink into the
   /// job's engine params (in place, pre-run).
   void prepare_params(detail::JobState& job);
 
-  // Scheduler core; every method below requires mu_ held (via `lk` where
-  // it takes one) and the service turn (turn_ == 0), except
-  // await_completion, which a tenant runs on its own turn, and route,
-  // hand_turn and invalidate_departed, which it calls.
-  void pump_until(std::unique_lock<std::mutex>& lk,
-                  const std::function<bool()>& done);
-  bool pump_one(std::unique_lock<std::mutex>& lk);
+  // Scheduler core.
+  void pump_until(const std::function<bool()>& done);
   /// Deliver one completion off the real backend: an arrival timer queues
-  /// (or rejects) its job, a job op lands in its owner's inbox, a retired
-  /// tenant's zombie is dropped.  Returns the owner when it is a running
-  /// job, else nullptr.
-  detail::JobState* route(core::Completion completion);
-  /// A tenant blocked in wait_next with an empty inbox.  While the service
-  /// sits in pump_one's grant (tenants_pump_), pump one completion: keep
-  /// the turn if it is `job`'s own, else hand it to the tenant it was
-  /// routed to, or back to the service.  Otherwise hand the turn back.
-  /// Returns once `job` holds the turn again.
-  void await_completion(std::unique_lock<std::mutex>& lk,
-                        detail::JobState& job);
-  void try_admit(std::unique_lock<std::mutex>& lk);
-  void start_job(std::unique_lock<std::mutex>& lk, const StatePtr& job,
-                 std::vector<NodeId> allocation);
-  void run_inline(std::unique_lock<std::mutex>& lk);
-  void reap(std::unique_lock<std::mutex>& lk);
+  /// (or rejects) its job, a job op steps its owner's engine, a retired
+  /// tenant's zombie is dropped.  False when the backend had nothing left.
+  bool pump_one();
+  void try_admit();
+  void start_job(const StatePtr& job, std::vector<NodeId> allocation);
+  /// Step `job`'s engine with one completion, or with end-of-stream when
+  /// `completion` is null, then settle it.
+  void step(detail::JobState& job, const core::Completion* completion);
+  /// Hand the engine on_idle() for as long as its port is idle, as a
+  /// standalone backend would answer wait_next with nullopt; collect the
+  /// report once it finishes.
+  void settle(detail::JobState& job);
+  /// Record the exception in flight as the job's failure.
+  void fail(detail::JobState& job);
+  void reap();
   void finalize(const StatePtr& job);
-  /// Hand the turn from `self` to `to` (nullptr = the service, for
-  /// either) and park `self` until the turn comes back to it.
-  void hand_turn(std::unique_lock<std::mutex>& lk, detail::JobState* to,
-                 detail::JobState* self);
-  [[nodiscard]] bool inline_eligible() const;
   [[nodiscard]] detail::JobState* find_running(std::uint64_t seq) const;
   [[nodiscard]] double capacity_mops(NodeId node) const;
   /// Drop cached spm for nodes with a churn Crash/Leave in
@@ -192,8 +159,6 @@ class GridService {
   /// timeline or with the cache disabled.
   void invalidate_departed(Seconds now);
   void update_gauges();
-
-  void job_thread_main(StatePtr job);
 
   core::Backend& backend_;
   const gridsim::Grid& grid_;
@@ -207,19 +172,6 @@ class GridService {
     obs::GaugeHandle running, queued;
     obs::HistogramHandle queue_wait_s, makespan_s;
   } met_;
-
-  mutable std::mutex mu_;
-  /// The service's own wait object; each job parks on JobState::cv.
-  std::condition_variable cv_;
-  /// Whose move it is: 0 = the service loop, else a job's seq.
-  std::uint64_t turn_ = 0;
-  /// Set while the service is parked in pump_one's grant with an empty
-  /// queue: the turn holder may pump the backend itself
-  /// (JobBackend::wait_next).  Only an arrival can fill the queue, and it
-  /// hands the turn back.  Every other turn (an engine's first, or one
-  /// granted by the destructor) hands back to the service, which may have
-  /// jobs to reap, admit or unwind before the next pump.
-  bool tenants_pump_ = false;
 
   std::uint64_t next_seq_ = 1;
   std::vector<StatePtr> all_jobs_;

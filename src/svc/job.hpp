@@ -7,22 +7,16 @@
 // to completion; the JobHandle returned by submit() is the caller's view
 // of that lifecycle.
 //
-// detail::JobState is the service-side record.  Mutation discipline: the
-// service thread owns lifecycle fields under the service mutex; the
-// threaded-mode plumbing block is shared between the job's engine thread,
-// the service loop and whichever tenant holds the turn while pumping,
-// always under that same mutex (see GridService for the turn-based
-// handoff protocol that makes this deterministic).
+// detail::JobState is the service-side record, read and written only on
+// the thread that calls the service (GridService steps every tenant's
+// engine from its own loop).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -31,6 +25,7 @@
 #include "core/task_farm.hpp"
 #include "obs/telemetry.hpp"
 #include "support/ids.hpp"
+#include "svc/job_backend.hpp"
 #include "workloads/task.hpp"
 
 namespace grasp::svc {
@@ -85,7 +80,7 @@ struct JobState {
   double max_share = 1.0;
   std::variant<FarmJob, PipelineJob> spec;
 
-  // ---- lifecycle (service under its mutex; stable once terminal) ----
+  // ---- lifecycle (stable once terminal) ----
   JobStatus status = JobStatus::Queued;
   Seconds submitted_at{0.0};
   Seconds started_at{0.0};
@@ -98,23 +93,22 @@ struct JobState {
 
   // ---- telemetry ----
   // Where the engine records.  Points at the job's own params.telemetry
-  // when the caller supplied one; otherwise, in threaded mode, at a
-  // private per-job instance whose contents the service imports into its
-  // shared registry when the job retires.
+  // when the caller supplied one; otherwise, when the service has a
+  // telemetry sink, at a private per-job instance whose contents the
+  // service imports into its shared registry when the job retires.
   obs::Telemetry* telemetry = nullptr;
   std::unique_ptr<obs::Telemetry> own_telemetry;
 
-  // ---- threaded-mode plumbing (service mutex; see grid_service.hpp) ----
-  std::thread thread;
-  /// This actor's wait object: notified only when the turn is handed to
-  /// this job, so a handoff wakes one thread, not every tenant.
-  std::condition_variable cv;
-  bool thread_done = false;      ///< engine returned or threw
-  bool blocked = false;          ///< parked inside JobBackend::wait_next
-  bool deliver_nullopt = false;  ///< next wait_next resolves to nullopt
-  std::deque<core::Completion> inbox;  ///< routed, undelivered completions
-  std::size_t outstanding = 0;     ///< non-timer ops submitted, undelivered
-  std::size_t pending_timers = 0;  ///< armed timers, unfired/uncancelled
+  // ---- engine (while running) ----
+  std::optional<JobBackend> port;  ///< token translation and op counts
+  std::unique_ptr<core::FarmEngine> farm_engine;
+  std::unique_ptr<core::PipelineEngine> pipeline_engine;
+  bool done = false;  ///< engine finished or threw; reaped next
+
+  [[nodiscard]] core::Engine& engine() {
+    if (farm_engine) return *farm_engine;
+    return *pipeline_engine;
+  }
 };
 
 }  // namespace detail

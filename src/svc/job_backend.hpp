@@ -1,39 +1,27 @@
-// Per-job Backend proxy: the seam that lets unmodified engines time-share
-// one real backend.
+// Per-job op port: the seam that lets engines time-share one real backend.
 //
-// Each threaded job runs its engine against a JobBackend instead of the
-// service's real backend.  The proxy translates the engine's private op
+// Each tenant's engine submits through a JobBackend instead of the
+// service's real backend.  The port translates the engine's private op
 // tokens into a pool-global space — the job's 1-based sequence number in
 // the bits above kJobSeqShift, the engine's token below — so concurrent
 // tenants' submissions never collide, and the service can route every
 // completion coming off the real backend back to its owner (sequence 0 is
 // reserved for the service's own job-arrival timers).
 //
-// wait_next is where the turn-based handoff lives.  When the job's inbox
-// is empty but it still has work in flight, the turn holder pumps if the
-// service sits in pump_one's grant with an empty queue: it pumps the real
-// backend itself, keeps the turn while the completions are its own, and
-// hands the turn straight to the tenant that owns the next one.  In every
-// other case it parks the engine thread on the job's own wait object and
-// hands the turn back to the service (grid_service.hpp documents the full
-// protocol).  When the job has nothing in flight and no pending timer,
-// wait_next returns nullopt immediately — the exact semantics a
-// standalone backend gives a deadlocked engine, so engine error paths
-// behave identically under the service.
+// It also counts the job's undelivered operations and armed timers.
+// in_flight() therefore answers an engine's drain test with the job's own
+// operations only, and idle() tells the service when a standalone backend
+// would have answered wait_next with nullopt: the engine then gets
+// on_idle(), which is how its deadlock detection keeps working under the
+// service.
 #pragma once
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "core/backend.hpp"
-#include "svc/job.hpp"
 
-namespace grasp::svc {
-
-class GridService;
-
-namespace detail {
+namespace grasp::svc::detail {
 
 /// Bit position splitting a global token into (job seq, local token).
 inline constexpr unsigned kJobSeqShift = 40;
@@ -68,12 +56,12 @@ inline constexpr std::uint64_t kMaxJobSeq =
   return global & kLocalTokenMask;
 }
 
-class JobBackend final : public core::Backend {
+class JobBackend final : public core::OpPort {
  public:
-  JobBackend(GridService& service, JobState& job)
-      : service_(service), job_(job) {}
+  JobBackend(core::OpPort& backend, std::uint64_t seq)
+      : backend_(backend), seq_(seq) {}
 
-  [[nodiscard]] Seconds now() const override;
+  [[nodiscard]] Seconds now() const override { return backend_.now(); }
   void submit_compute(core::OpToken token, NodeId node, Mops work,
                       std::function<void()> body = {}) override;
   void submit_transfer(core::OpToken token, NodeId from, NodeId to,
@@ -82,13 +70,21 @@ class JobBackend final : public core::Backend {
   bool cancel_timer(core::OpToken token) override;
   void submit_batch(std::vector<core::OpRequest> requests) override;
   [[nodiscard]] double compute_progress(core::OpToken token) const override;
-  [[nodiscard]] std::optional<core::Completion> wait_next() override;
-  [[nodiscard]] std::size_t in_flight() const override;
+  [[nodiscard]] std::size_t in_flight() const override { return outstanding_; }
+
+  /// Account a completion routed to this job, with its token translated
+  /// back into the engine's own space.
+  [[nodiscard]] core::Completion deliver(core::Completion completion);
+  /// Nothing the engine submitted is in flight and no timer is armed.
+  [[nodiscard]] bool idle() const {
+    return outstanding_ == 0 && pending_timers_ == 0;
+  }
 
  private:
-  GridService& service_;
-  JobState& job_;
+  core::OpPort& backend_;
+  std::uint64_t seq_;
+  std::size_t outstanding_ = 0;     ///< non-timer ops submitted, undelivered
+  std::size_t pending_timers_ = 0;  ///< armed timers, unfired and uncancelled
 };
 
-}  // namespace detail
-}  // namespace grasp::svc
+}  // namespace grasp::svc::detail

@@ -285,7 +285,7 @@ TEST(PipelineChurn, QuiescentPipelineFailsOverWithinTickBound) {
 }
 
 TEST(PipelineChurn, CalibrationToleratesPoolAlreadyChurning) {
-  // ForeignOps wiring for the *initial* calibration: node 5 crashes while
+  // Churn during the *initial* calibration pass: node 5 crashes while
   // its probe is in flight (t=0.1) and node 6 joins before the mapping
   // exists (t=0.15).  The t=0 mapping must skip the corpse, admit the
   // joiner as a spare, and a later crash of a mapped node must still fail

@@ -64,9 +64,7 @@ gridsim::Grid make_fast_corpses_grid() {
 TEST(SvcChurnAdmission, ArrivalAfterCrashIsNotAllocatedDeadNodes) {
   const gridsim::Grid grid = make_fast_corpses_grid();
   core::SimBackend backend(grid);
-  GridService::Params params;
-  params.force_threaded = true;  // exercise try_admit, not the inline path
-  GridService service(backend, grid, grid.node_ids(), params);
+  GridService service(backend, grid, grid.node_ids());
 
   JobOptions opt;
   opt.max_share = 0.75;
@@ -93,9 +91,7 @@ TEST(SvcChurnAdmission, ArrivalAfterCrashIsNotAllocatedDeadNodes) {
 TEST(SvcChurnAdmission, MinNodesReclampsToLiveMembership) {
   const gridsim::Grid grid = make_fast_corpses_grid();
   core::SimBackend backend(grid);
-  GridService::Params params;
-  params.force_threaded = true;
-  GridService service(backend, grid, grid.node_ids(), params);
+  GridService service(backend, grid, grid.node_ids());
 
   JobOptions head;
   head.name = "greedy-head";
@@ -186,9 +182,7 @@ TEST(SvcChurnAdmission, CrashBetweenTenantsForcesReprobe) {
        {Seconds{210.0}, gridsim::ChurnEventKind::Rejoin, NodeId{2}}}));
 
   core::SimBackend backend(grid);
-  GridService::Params params;
-  params.force_threaded = true;
-  GridService service(backend, grid, grid.node_ids(), params);
+  GridService service(backend, grid, grid.node_ids());
 
   const JobHandle first = service.submit(
       FarmJob{core::make_adaptive_farm_params(),
@@ -229,9 +223,7 @@ TEST(SvcChurnAdmission, DegradationEvictionBetweenTenantsForcesReprobe) {
   grid.set_churn(gridsim::ChurnTimeline(std::vector<gridsim::ChurnEvent>{}));
 
   core::SimBackend backend(grid);
-  GridService::Params params;
-  params.force_threaded = true;
-  GridService service(backend, grid, grid.node_ids(), params);
+  GridService service(backend, grid, grid.node_ids());
 
   core::FarmParams evicting = core::make_adaptive_farm_params();
   evicting.chunk_size = 4;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -234,20 +235,48 @@ TEST(GridService, EngineExceptionsSurfaceThroughWait) {
 }
 
 TEST(GridService, ThreadedEngineExceptionsAreCapturedAndRethrown) {
-  // Pipeline deeper than its allocation: the engine throws on its job
-  // thread; the service must carry the exact exception back to wait().
-  const gridsim::Grid grid = gridsim::make_uniform_grid(2, 100.0);
+  // Pipeline deeper than its allocation, next to a farm tenant: the
+  // pipeline engine throws at its start; the service must carry the exact
+  // exception back to wait() while the farm runs on to completion.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(4, 100.0);
   core::SimBackend backend(grid);
-  GridService::Params params;
-  params.force_threaded = true;
-  GridService service(backend, grid, grid.node_ids(), params);
+  GridService service(backend, grid, grid.node_ids());
+  JobOptions half;
+  half.max_share = 0.5;
+  const JobHandle farm = service.submit(
+      FarmJob{core::make_adaptive_farm_params(), tasks(60, 1)}, half);
   const workloads::PipelineSpec spec =
       workloads::make_uniform_pipeline(5, 50.0, 1e4);
   const JobHandle handle =
-      service.submit(PipelineJob{core::PipelineParams{}, spec, 10});
+      service.submit(PipelineJob{core::PipelineParams{}, spec, 10}, half);
   EXPECT_THROW(service.wait(handle), std::invalid_argument);
   EXPECT_EQ(handle.status(), JobStatus::Failed);
+  EXPECT_EQ(handle.error_message(),
+            "Pipeline: pool smaller than total replicas");
   service.wait_all();  // must not rethrow or hang
+  EXPECT_EQ(farm.status(), JobStatus::Completed);
+  EXPECT_EQ(service.max_concurrent_observed(), 2u);
+}
+
+TEST(GridService, SubmitRejectsBadWeightAndShare) {
+  const gridsim::Grid grid = gridsim::make_uniform_grid(4, 100.0);
+  core::SimBackend backend(grid);
+  GridService service(backend, grid, grid.node_ids());
+  const auto submit_with = [&](double weight, double max_share) {
+    JobOptions opt;
+    opt.weight = weight;
+    opt.max_share = max_share;
+    return service.submit(
+        FarmJob{core::make_adaptive_farm_params(), tasks(10)}, opt);
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(submit_with(kInf, 1.0), std::invalid_argument);
+  EXPECT_THROW(submit_with(kNaN, 1.0), std::invalid_argument);
+  EXPECT_THROW(submit_with(0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(submit_with(1.0, kNaN), std::invalid_argument);
+  EXPECT_THROW(submit_with(1.0, 1.5), std::invalid_argument);
+  EXPECT_EQ(service.jobs_submitted(), 0u);
 }
 
 TEST(GridService, DestructorFailsRunningJobsAndKeepsQueued) {

@@ -1,18 +1,17 @@
-// Multi-tenant fingerprint of the GridService turn protocol.
+// Multi-tenant fingerprint of the GridService event loop.
 //
 // A seeded open-loop stream (submit_at) of farm and pipeline tenants over a
 // churning pool, run on SimBackend, reduced per job to two digests: one of
 // its lifecycle and report (status, start/finish time, allocation,
 // makespan, task/calibration/reissue counts) and one of its trace sequence.
 // The expected digests pin which completion each engine saw, and when: any
-// change to the order in which the service and the tenants drive the
+// change to the order in which the service steps the tenants on the
 // shared backend shows up here as a mismatch.
 //
-// The ThreadBackend test runs three tenants, at least two at once, on real
-// threads, so an engine that holds the turn blocks in the real backend's
-// wait_next.
-// Completion order there depends on wall-clock timing, so it checks
-// conservation rather than digests.
+// The ThreadBackend test runs three tenants, at least two at once, on a
+// backend whose operations complete on real worker threads.  Completion
+// order there depends on wall-clock timing, so it checks conservation
+// rather than digests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -139,8 +138,8 @@ TEST(GridServiceFingerprint, SubmitAtStreamOnChurnGrid) {
             "Pipeline: source node lost to churn (place it on a protected "
             "node)");
   constexpr JobStatus kDone = JobStatus::Completed;
-  // Recorded while the service thread still pumped every completion
-  // itself; tenants that pump the backend must reproduce them.
+  // Recorded while each tenant still ran on a thread of its own; the
+  // event loop that steps the engines must reproduce them.
   const Expected want[] = {
       {kDone, "4f42dba61157f5e7", "1244093712864ea2"},
       {kDone, "e8343552b5034130", "23365081d7f782fc"},
@@ -202,9 +201,9 @@ TEST(GridServiceFingerprint, PipelineBesideRecalibratingFarm) {
   EXPECT_EQ(trace_digest(pipe.pipeline_report().trace), "8cef980b72068593");
 }
 
-// Concurrent tenants on real threads.  Whichever actor holds the turn
-// blocks in ThreadBackend::wait_next while the other tenants' ops complete
-// on the backend's worker threads.  Tasks are short (a few wall
+// Concurrent tenants on real threads.  The service blocks in
+// ThreadBackend::wait_next while the tenants' ops complete on the
+// backend's worker threads.  Tasks are short (a few wall
 // milliseconds) and nothing is timed, so there is no wall-clock bound to
 // flake on.
 TEST(GridServiceThreadBackend, TwoConcurrentTenantsConserveTasks) {
