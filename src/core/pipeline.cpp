@@ -99,8 +99,8 @@ PipelineReport Pipeline::run(Backend& backend, const gridsim::Grid& grid,
   return engine.take_report();
 }
 
-// The run's state, with the helpers of the former blocking loop as member
-// functions (see FarmEngine::Run for the shape).
+// The run's state and the handlers that step it (the same shape as
+// FarmEngine::Run).
 class PipelineEngine::Run {
  public:
   Run(const PipelineParams& params, const SkeletonTraits& traits,
@@ -109,7 +109,6 @@ class PipelineEngine::Run {
       std::size_t item_count, Seconds now);
   Run(const Run&) = delete;
   Run& operator=(const Run&) = delete;
-  ~Run() { detach_clock(); }
 
   void on(const Completion& c);
   void on_idle();
@@ -126,7 +125,6 @@ class PipelineEngine::Run {
   void on_streaming(const Completion& c);
   void on_tick();
   void finish_run();
-  void detach_clock();
 
   [[nodiscard]] ItemState& item_at(std::uint64_t id);
   [[nodiscard]] Bytes bytes_into(std::size_t s) const;
@@ -168,7 +166,7 @@ class PipelineEngine::Run {
   obs::Telemetry& tel_;
   obs::MetricsRegistry& met_;
   const BackendClock obs_clock_;
-  bool clock_attached_ = false;
+  obs::ClockLease clock_lease_;
   std::optional<resil::ResilienceMetrics> rm_;
   // The one emission point for engine events (see obs/emit.hpp).
   std::optional<obs::Emitter> ev_;
@@ -284,8 +282,7 @@ PipelineEngine::Run::Run(const PipelineParams& params,
       params_.source_node.is_valid() ? params_.source_node : present_.front();
   if (churn_ != nullptr) tracker_.emplace(*churn_, pool);
 
-  tel_.set_clock(&obs_clock_);
-  clock_attached_ = true;
+  clock_lease_.attach(tel_, obs_clock_);
   rm_.emplace(resil::ResilienceMetrics::register_in(met_));
   ev_.emplace(obs_clock_, report_.trace, tel_.spans, tel_.flight, &met_,
               &*rm_);
@@ -327,12 +324,6 @@ PipelineEngine::Run::Run(const PipelineParams& params,
   pass_.emplace(*calibrator_, backend_, present_, *probe_source_, &*monitor_,
                 &*ev_, tokens_);
   if (pass_->done()) finish_calibration();  // every node warm-started
-}
-
-void PipelineEngine::Run::detach_clock() {
-  // The clock adapter dies with the run; the telemetry must not keep it.
-  if (clock_attached_) tel_.set_clock(nullptr);
-  clock_attached_ = false;
 }
 
 void PipelineEngine::Run::on(const Completion& c) {
@@ -651,7 +642,7 @@ void PipelineEngine::Run::finish_run() {
   if (flight_ != nullptr)
     flight_->note(report_.makespan.value, "run", "pipeline_end", source_,
                   static_cast<double>(report_.items_completed));
-  detach_clock();
+  clock_lease_.release();
   mode_ = Mode::Finished;
 }
 

@@ -114,11 +114,9 @@ FarmReport TaskFarm::run(Backend& backend, const gridsim::Grid& grid,
   return engine.take_report();
 }
 
-// The run's state: what run() kept in locals when it was one blocking
-// function, with its lambdas as member functions.  The phases of that
-// function are the modes below; each handler runs until the engine needs
-// its next completion, so the backend sees the calls it saw then, in the
-// same order.
+// The run's state and the handlers that step it.  The modes below are the
+// run's phases; each handler runs until the engine needs its next
+// completion.
 class FarmEngine::Run {
  public:
   Run(const FarmParams& params, const SkeletonTraits& traits, OpPort& backend,
@@ -126,7 +124,6 @@ class FarmEngine::Run {
       const workloads::TaskSet& tasks, Seconds now);
   Run(const Run&) = delete;
   Run& operator=(const Run&) = delete;
-  ~Run() { detach_clock(); }
 
   void on(const Completion& c);
   void on_idle();
@@ -156,7 +153,6 @@ class FarmEngine::Run {
   void end_drain();
   void end_execution();
   void finish_run();
-  void detach_clock();
 
   // ---- the run's machinery ----
   [[nodiscard]] bool is_handshake(OpToken token) const {
@@ -226,7 +222,7 @@ class FarmEngine::Run {
   obs::Telemetry& tel_;
   obs::MetricsRegistry& met_;
   const BackendClock obs_clock_;
-  bool clock_attached_ = false;
+  obs::ClockLease clock_lease_;
   const resil::ResilienceMetrics rm_;
   // Every engine event goes out through this one emitter (trace record,
   // resilience counter, span instant, flight note: see obs/emit.hpp).
@@ -398,8 +394,7 @@ FarmEngine::Run::Run(const FarmParams& params, const SkeletonTraits& traits,
                                     {1e-2, 2.0, 16})),
       flight_(tel_.flight),
       run_started_(now) {
-  tel_.set_clock(&obs_clock_);
-  clock_attached_ = true;
+  clock_lease_.attach(tel_, obs_clock_);
   if (params_.slos.any()) watchdog_.emplace(params_.slos, tel_);
   if (flight_ != nullptr)
     flight_->note(run_started_.value, "run", "farm_begin", root_,
@@ -433,12 +428,6 @@ FarmEngine::Run::Run(const FarmParams& params, const SkeletonTraits& traits,
 
   // ---- Phase: calibration (Algorithm 1) -------------------------------
   begin_pass(initial_members_, /*initial=*/true);
-}
-
-void FarmEngine::Run::detach_clock() {
-  // The clock adapter dies with the run; the telemetry must not keep it.
-  if (clock_attached_) tel_.set_clock(nullptr);
-  clock_attached_ = false;
 }
 
 void FarmEngine::Run::on(const Completion& c) {
@@ -770,7 +759,7 @@ void FarmEngine::Run::finish_run() {
   if (flight_ != nullptr)
     flight_->note(finish_time_.value, "run", "farm_end", farmer_,
                   static_cast<double>(report_.tasks_completed));
-  detach_clock();
+  clock_lease_.release();
   mode_ = Mode::Finished;
 }
 

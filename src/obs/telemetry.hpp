@@ -42,4 +42,27 @@ struct Telemetry {
   void set_clock(const Clock* clock) { spans.set_clock(clock); }
 };
 
+/// Holds an engine's clock on a Telemetry for one run: attach() sets it,
+/// and release(), or destruction while the run unwinds, clears it again so
+/// the telemetry never keeps a clock that died with the run.
+class ClockLease {
+ public:
+  ClockLease() = default;
+  ClockLease(const ClockLease&) = delete;
+  ClockLease& operator=(const ClockLease&) = delete;
+  ~ClockLease() { release(); }
+
+  void attach(Telemetry& telemetry, const Clock& clock) {
+    telemetry.set_clock(&clock);
+    telemetry_ = &telemetry;
+  }
+  void release() {
+    if (telemetry_ != nullptr) telemetry_->set_clock(nullptr);
+    telemetry_ = nullptr;
+  }
+
+ private:
+  Telemetry* telemetry_ = nullptr;
+};
+
 }  // namespace grasp::obs

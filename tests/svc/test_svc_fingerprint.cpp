@@ -138,8 +138,6 @@ TEST(GridServiceFingerprint, SubmitAtStreamOnChurnGrid) {
             "Pipeline: source node lost to churn (place it on a protected "
             "node)");
   constexpr JobStatus kDone = JobStatus::Completed;
-  // Recorded while each tenant still ran on a thread of its own; the
-  // event loop that steps the engines must reproduce them.
   const Expected want[] = {
       {kDone, "4f42dba61157f5e7", "1244093712864ea2"},
       {kDone, "e8343552b5034130", "23365081d7f782fc"},
