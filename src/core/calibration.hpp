@@ -168,6 +168,7 @@ class CalibrationPass {
                   TokenAllocator& tokens);
 
   [[nodiscard]] bool done() const { return in_flight_.empty(); }
+  [[nodiscard]] Seconds started() const { return result_.started; }
   /// Drop `node` from the ranking and return the samples it still had in
   /// flight.
   [[nodiscard]] std::vector<Abandoned> abandon(NodeId node);

@@ -1,20 +1,11 @@
-// Event-driven engine interface.
-//
-// A skeleton engine is a state object stepped by whoever owns the backend's
-// completion stream, in the shape of FastFlow's one-call-per-item svc():
-//
-//   start(now)   issue the run's first operations;
-//   on(c)        consume one completion (or timer firing) of its own ops;
-//   on_idle()    the stream has ended: wait_next returned nullopt because
-//                nothing the engine submitted is in flight or pending;
-//   finished()   the run is over and its report can be taken.
-//
-// Each call runs the engine up to the point where it needs the next
-// completion, so an engine never blocks and never owns a stack between
-// events.  `drive` is the standalone loop TaskFarm::run and Pipeline::run
-// use; the GridService steps many engines from one loop instead, routing
-// each completion to its owner.  Both make the same backend calls in the
-// same order, so a run is the same whichever loop steps it.
+// Event-driven engine interface, in the shape of FastFlow's
+// one-call-per-item svc().  start(now) issues a run's first operations,
+// on(c) consumes one completion (or timer firing) of the engine's own ops,
+// on_idle() reports that none is left in flight or pending (wait_next
+// returned nullopt), and finished() ends the run.  Each call runs until the
+// engine needs its next completion, so an engine never blocks.  `drive` is
+// the standalone loop; the GridService steps many engines from one loop
+// instead.
 #pragma once
 
 #include "core/backend.hpp"
@@ -23,6 +14,9 @@ namespace grasp::core {
 
 class Engine {
  public:
+  Engine() = default;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
   virtual ~Engine() = default;
   virtual void start(Seconds now) = 0;
   virtual void on(const Completion& completion) = 0;

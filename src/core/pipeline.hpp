@@ -112,58 +112,38 @@ struct PipelineReport {
   }
 };
 
+/// One Pipeline run as an event-driven engine (core/engine.hpp).  The
+/// initial calibration is a CalibrationPass sub-state fed from on(); the
+/// stream then advances one completion at a time.
+class PipelineEngine : public Engine {
+ public:
+  /// Move the report out; call once, after finished().
+  [[nodiscard]] virtual PipelineReport take_report() = 0;
+};
+
 class Pipeline {
  public:
   explicit Pipeline(PipelineParams params);
 
   /// Stream `item_count` items through `spec` over `pool`.  Pool must hold
   /// at least spec.depth() nodes.  A short driver loop (core::drive) over
-  /// one PipelineEngine.
+  /// one engine().
   [[nodiscard]] PipelineReport run(Backend& backend,
                                    const gridsim::Grid& grid,
                                    const std::vector<NodeId>& pool,
                                    const workloads::PipelineSpec& spec,
                                    std::size_t item_count);
 
+  /// One run of this pipeline as an engine that submits through
+  /// `backend`.  `grid` and `spec` must outlive it.
+  [[nodiscard]] std::unique_ptr<PipelineEngine> engine(
+      OpPort& backend, const gridsim::Grid& grid, std::vector<NodeId> pool,
+      const workloads::PipelineSpec& spec, std::size_t item_count) const;
+
   [[nodiscard]] const PipelineParams& params() const { return params_; }
 
  private:
-  friend class PipelineEngine;
-
   PipelineParams params_;
-  SkeletonTraits traits_;
-};
-
-/// One Pipeline run as an event-driven engine (core/engine.hpp).  The
-/// initial calibration is a CalibrationPass sub-state fed from on(); the
-/// stream then advances one completion at a time.
-class PipelineEngine final : public Engine {
- public:
-  /// `grid` and `spec` must outlive the engine.
-  PipelineEngine(const Pipeline& pipeline, OpPort& backend,
-                 const gridsim::Grid& grid, std::vector<NodeId> pool,
-                 const workloads::PipelineSpec& spec, std::size_t item_count);
-  ~PipelineEngine() override;
-
-  void start(Seconds now) override;
-  void on(const Completion& completion) override;
-  void on_idle() override;
-  [[nodiscard]] bool finished() const override;
-
-  /// Move the report out; call once, after finished().
-  [[nodiscard]] PipelineReport take_report();
-
- private:
-  class Run;
-
-  PipelineParams params_;
-  SkeletonTraits traits_;
-  OpPort& backend_;
-  const gridsim::Grid& grid_;
-  std::vector<NodeId> pool_;
-  const workloads::PipelineSpec& spec_;
-  std::size_t item_count_;
-  std::unique_ptr<Run> run_;
 };
 
 }  // namespace grasp::core

@@ -136,56 +136,38 @@ struct FarmReport {
   }
 };
 
+/// One TaskFarm run as an event-driven engine (core/engine.hpp): the
+/// calibrate/dispatch/adapt loop, stepped one completion at a time.
+/// Algorithm 1 runs as a CalibrationPass sub-state fed from on(), and a
+/// non-resilient recalibration first drains the chunks in flight, also
+/// from on().
+class FarmEngine : public Engine {
+ public:
+  /// Move the report out; call once, after finished().
+  [[nodiscard]] virtual FarmReport take_report() = 0;
+};
+
 class TaskFarm {
  public:
   explicit TaskFarm(FarmParams params);
 
   /// Execute `tasks` over `pool`.  The grid reference is used only for the
   /// monitor daemon's sensors; all costs flow through `backend`.  A short
-  /// driver loop (core::drive) over one FarmEngine.
+  /// driver loop (core::drive) over one engine().
   [[nodiscard]] FarmReport run(Backend& backend, const gridsim::Grid& grid,
                                const std::vector<NodeId>& pool,
                                const workloads::TaskSet& tasks);
 
+  /// One run of this farm as an engine that submits through `backend`.
+  /// `grid` must outlive it; `tasks` is copied.
+  [[nodiscard]] std::unique_ptr<FarmEngine> engine(
+      OpPort& backend, const gridsim::Grid& grid, std::vector<NodeId> pool,
+      const workloads::TaskSet& tasks) const;
+
   [[nodiscard]] const FarmParams& params() const { return params_; }
 
  private:
-  friend class FarmEngine;
-
   FarmParams params_;
-  SkeletonTraits traits_;
-};
-
-/// One TaskFarm run as an event-driven engine (core/engine.hpp): the
-/// calibrate/dispatch/adapt loop, stepped one completion at a time.
-/// Algorithm 1 runs as a CalibrationPass sub-state fed from on(), and a
-/// non-resilient recalibration first drains the chunks in flight, also
-/// from on().
-class FarmEngine final : public Engine {
- public:
-  /// `grid` and `tasks` must outlive the engine.
-  FarmEngine(const TaskFarm& farm, OpPort& backend, const gridsim::Grid& grid,
-             std::vector<NodeId> pool, const workloads::TaskSet& tasks);
-  ~FarmEngine() override;
-
-  void start(Seconds now) override;
-  void on(const Completion& completion) override;
-  void on_idle() override;
-  [[nodiscard]] bool finished() const override;
-
-  /// Move the report out; call once, after finished().
-  [[nodiscard]] FarmReport take_report();
-
- private:
-  class Run;
-
-  FarmParams params_;
-  SkeletonTraits traits_;
-  OpPort& backend_;
-  const gridsim::Grid& grid_;
-  std::vector<NodeId> pool_;
-  const workloads::TaskSet& tasks_;
-  std::unique_ptr<Run> run_;
 };
 
 }  // namespace grasp::core

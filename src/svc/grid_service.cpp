@@ -299,14 +299,14 @@ void GridService::start_job(const StatePtr& job,
   job->port.emplace(backend_, job->seq);
   try {
     if (auto* farm = std::get_if<FarmJob>(&job->spec)) {
-      job->farm_engine = std::make_unique<core::FarmEngine>(
-          core::TaskFarm(farm->params), *job->port, grid_, job->nodes,
-          farm->tasks);
+      job->farm_engine = core::TaskFarm(farm->params)
+                             .engine(*job->port, grid_, job->nodes,
+                                     farm->tasks);
     } else {
       auto& pipe = std::get<PipelineJob>(job->spec);
-      job->pipeline_engine = std::make_unique<core::PipelineEngine>(
-          core::Pipeline(pipe.params), *job->port, grid_, job->nodes,
-          pipe.spec, pipe.item_count);
+      job->pipeline_engine = core::Pipeline(pipe.params)
+                                 .engine(*job->port, grid_, job->nodes,
+                                         pipe.spec, pipe.item_count);
     }
     job->engine().start(backend_.now());
     settle(*job);
@@ -439,7 +439,6 @@ void GridService::prepare_params(detail::JobState& job) {
     job.own_telemetry->flight = telemetry_->flight;
     *tel = job.own_telemetry.get();
   }
-  job.telemetry = *tel;
 }
 
 detail::JobState* GridService::find_running(std::uint64_t seq) const {

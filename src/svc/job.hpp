@@ -92,11 +92,9 @@ struct JobState {
   std::string error_message;
 
   // ---- telemetry ----
-  // Where the engine records.  Points at the job's own params.telemetry
-  // when the caller supplied one; otherwise, when the service has a
-  // telemetry sink, at a private per-job instance whose contents the
-  // service imports into its shared registry when the job retires.
-  obs::Telemetry* telemetry = nullptr;
+  // The job's private sink, when the service has a telemetry sink and the
+  // caller supplied none: the service imports its contents into its shared
+  // registry when the job retires.
   std::unique_ptr<obs::Telemetry> own_telemetry;
 
   // ---- engine (while running) ----

@@ -31,16 +31,16 @@ workloads::TaskSet tasks(std::size_t n, std::uint64_t seed = 42) {
 core::FarmReport run_by_hand(const gridsim::Grid& grid,
                              const workloads::TaskSet& ts) {
   core::SimBackend backend(grid);
-  core::FarmEngine engine(core::TaskFarm(core::make_adaptive_farm_params()),
-                          backend, grid, grid.node_ids(), ts);
-  engine.start(backend.now());
-  while (!engine.finished()) {
+  const auto engine = core::TaskFarm(core::make_adaptive_farm_params())
+                          .engine(backend, grid, grid.node_ids(), ts);
+  engine->start(backend.now());
+  while (!engine->finished()) {
     if (const auto c = backend.wait_next())
-      engine.on(*c);
+      engine->on(*c);
     else
-      engine.on_idle();
+      engine->on_idle();
   }
-  return engine.take_report();
+  return engine->take_report();
 }
 
 void expect_reports_equal(const core::FarmReport& a,
