@@ -135,7 +135,7 @@ class Pipeline {
                                    std::size_t item_count);
 
   /// One run of this pipeline as an engine that submits through
-  /// `backend`.  `grid` and `spec` must outlive it.
+  /// `backend`.  `backend`, `grid` and `spec` must outlive it.
   [[nodiscard]] std::unique_ptr<PipelineEngine> engine(
       OpPort& backend, const gridsim::Grid& grid, std::vector<NodeId> pool,
       const workloads::PipelineSpec& spec, std::size_t item_count) const;

@@ -159,7 +159,7 @@ class TaskFarm {
                                const workloads::TaskSet& tasks);
 
   /// One run of this farm as an engine that submits through `backend`.
-  /// `grid` must outlive it; `tasks` is copied.
+  /// `backend` and `grid` must outlive it; `tasks` is copied.
   [[nodiscard]] std::unique_ptr<FarmEngine> engine(
       OpPort& backend, const gridsim::Grid& grid, std::vector<NodeId> pool,
       const workloads::TaskSet& tasks) const;
