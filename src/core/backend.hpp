@@ -103,11 +103,11 @@ class OpPort {
                                Bytes payload) = 0;
 
   /// Arm a one-shot timer that fires `delay` (>= 0) after now().  The firing
-  /// is delivered as a Completion with `is_timer` set and
-  /// an invalid node.  Timers are ordered: of two pending timers the earlier
-  /// deadline is delivered first (ties by submission order), and a timer
-  /// never fires before an operation whose completion time precedes its
-  /// deadline.  Pending timers keep wait_next alive but are *not* counted by
+  /// is delivered as a Completion with `is_timer` set and an invalid node.
+  /// Timers are ordered: of two pending timers the earlier deadline is
+  /// delivered first (ties by submission order), and a timer never fires
+  /// before an operation whose completion time precedes its deadline.
+  /// Pending timers keep wait_next alive but are *not* counted by
   /// in_flight(), so engine drain invariants see real work only.
   virtual void submit_timer(OpToken token, Seconds delay) = 0;
 
