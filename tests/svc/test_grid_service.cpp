@@ -27,9 +27,10 @@ workloads::TaskSet tasks(std::size_t n, std::uint64_t seed = 42) {
   return workloads::make_task_set(p);
 }
 
-// The standalone engine stepped by hand: the loop core::drive runs.
-core::FarmReport run_by_hand(const gridsim::Grid& grid,
-                             const workloads::TaskSet& ts) {
+// The standalone engine stepped by hand: the loop core::drive runs.  The
+// "RunEngine" in the test names below is this loop.
+core::FarmReport run_engine_by_hand(const gridsim::Grid& grid,
+                                    const workloads::TaskSet& ts) {
   core::SimBackend backend(grid);
   const auto engine = core::TaskFarm(core::make_adaptive_farm_params())
                           .engine(backend, grid, grid.node_ids(), ts);
@@ -55,16 +56,16 @@ void expect_reports_equal(const core::FarmReport& a,
   EXPECT_EQ(a.trace.events().size(), b.trace.events().size());
 }
 
-TEST(GridService, LoneSubmitAndRunMatchDriverLoop) {
-  // A lone tenant and the TaskFarm::run wrapper both step the same engine
-  // over the same completion stream as a hand-written loop does.
+TEST(GridService, InlineSingleJobMatchesRunEngine) {
+  // A lone tenant steps the same engine over the same completion stream as
+  // the hand-written loop does.
   gridsim::ScenarioParams sp;
   sp.node_count = 8;
   sp.dynamics = gridsim::Dynamics::Mixed;
   sp.seed = 11;
   const gridsim::Grid grid = gridsim::make_grid(sp);
   const workloads::TaskSet ts = tasks(200);
-  const core::FarmReport by_hand = run_by_hand(grid, ts);
+  const core::FarmReport by_hand = run_engine_by_hand(grid, ts);
 
   core::SimBackend backend(grid);
   GridService::Params params;
@@ -76,10 +77,21 @@ TEST(GridService, LoneSubmitAndRunMatchDriverLoop) {
   EXPECT_EQ(handle.status(), JobStatus::Completed);
   expect_reports_equal(handle.farm_report(), by_hand);
   EXPECT_EQ(service.max_concurrent_observed(), 1u);
+}
 
-  core::SimBackend backend2(grid);
+TEST(GridService, WrapperRunMatchesRunEngine) {
+  // TaskFarm::run is the same hand-written loop behind one call.
+  gridsim::ScenarioParams sp;
+  sp.node_count = 8;
+  sp.dynamics = gridsim::Dynamics::Mixed;
+  sp.seed = 23;
+  const gridsim::Grid grid = gridsim::make_grid(sp);
+  const workloads::TaskSet ts = tasks(180);
+  const core::FarmReport by_hand = run_engine_by_hand(grid, ts);
+
+  core::SimBackend backend(grid);
   core::TaskFarm farm(core::make_adaptive_farm_params());
-  expect_reports_equal(farm.run(backend2, grid, grid.node_ids(), ts),
+  expect_reports_equal(farm.run(backend, grid, grid.node_ids(), ts),
                        by_hand);
 }
 
