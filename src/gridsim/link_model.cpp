@@ -6,8 +6,8 @@
 namespace grasp::gridsim {
 
 namespace {
-constexpr std::size_t kMaxIntegrationSlots = 10'000'000;
-constexpr double kContinuousStep = 0.25;
+// Bounds the segment walk, as NodeModel's does.
+constexpr std::size_t kMaxSegments = 10'000'000;
 }  // namespace
 
 LinkModel::LinkModel(Params params)
@@ -16,10 +16,11 @@ LinkModel::LinkModel(Params params)
       bandwidth_(params.bandwidth),
       contention_(params.contention ? std::move(params.contention)
                                     : std::make_unique<ConstantLoad>(0.0)) {
-  if (latency_.value < 0.0)
-    throw std::invalid_argument("LinkModel: negative latency");
-  if (bandwidth_.value <= 0.0)
-    throw std::invalid_argument("LinkModel: bandwidth must be positive");
+  if (!std::isfinite(latency_.value) || latency_.value < 0.0)
+    throw std::invalid_argument("LinkModel: latency must be finite and >= 0");
+  if (!std::isfinite(bandwidth_.value) || bandwidth_.value <= 0.0)
+    throw std::invalid_argument(
+        "LinkModel: bandwidth must be finite and positive");
 }
 
 LinkModel::LinkModel(const LinkModel& other)
@@ -48,25 +49,16 @@ BytesPerSecond LinkModel::effective_bandwidth(Seconds t) const {
 
 Seconds LinkModel::transfer_duration(Bytes payload, Seconds start) const {
   if (payload.value <= 0.0) return latency_;
-  const Seconds slot = contention_->slot_width();
-  const double step = slot.value > 0.0 ? slot.value : kContinuousStep;
-
+  // Walk segments of constant contention; the last one finishes the payload.
   double t = start.value + latency_.value;
   double remaining = payload.value;
-  for (std::size_t iter = 0; iter < kMaxIntegrationSlots; ++iter) {
-    const double slot_end = (std::floor(t / step) + 1.0) * step;
+  for (std::size_t i = 0; i < kMaxSegments; ++i) {
+    const double end = contention_->next_change(Seconds{t}).value;
     const double bw = effective_bandwidth(Seconds{t}).value;
-    if (bw <= 0.0) {
-      t = slot_end;
-      continue;
-    }
-    const double slot_capacity = bw * (slot_end - t);
-    if (slot_capacity >= remaining) {
-      t += remaining / bw;
-      return Seconds{t - start.value};
-    }
-    remaining -= slot_capacity;
-    t = slot_end;
+    const double capacity = bw * (end - t);
+    if (capacity >= remaining) return Seconds{t + remaining / bw - start.value};
+    remaining -= capacity;
+    t = end;
   }
   return Seconds::infinity();
 }

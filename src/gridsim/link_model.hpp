@@ -23,6 +23,8 @@ class LinkModel {
     std::unique_ptr<LoadModel> contention;
   };
 
+  /// Throws std::invalid_argument unless the latency is finite and >= 0
+  /// and the bandwidth finite and positive.
   explicit LinkModel(Params params);
   LinkModel(const LinkModel& other);
   LinkModel& operator=(const LinkModel& other);
@@ -40,7 +42,7 @@ class LinkModel {
   [[nodiscard]] BytesPerSecond effective_bandwidth(Seconds t) const;
 
   /// Total time (latency + transmission) to move `payload` starting at
-  /// `start`, integrating effective bandwidth across contention slots.
+  /// `start`, integrating effective bandwidth across contention segments.
   [[nodiscard]] Seconds transfer_duration(Bytes payload, Seconds start) const;
 
  private:

@@ -3,11 +3,14 @@
 // A computational grid node is shared: other users' processes come and go
 // and steal CPU from our skeleton.  We model this as a non-negative external
 // load L(t) — the average number of competing runnable processes — that is
-// piecewise-constant over fixed-width slots of duration `slot`.  The
-// piecewise-constant discretisation gives every model deterministic O(1)
-// amortised random access (stochastic models memoise slot values, which are
-// derived only from the seed and preceding slots), which in turn makes whole
-// simulation runs reproducible.
+// piecewise-constant: each model reports, through `next_change(t)`, the
+// earliest time after t at which L may change, so integrals over L walk one
+// segment per change instead of a fixed time grid.  Stochastic models are
+// slotted (their L changes only at multiples of `slot`) and memoise slot
+// values, which are derived only from the seed and preceding slots; that
+// gives deterministic O(1) amortised random access and in turn makes whole
+// simulation runs reproducible.  The smooth diurnal model is sampled on a
+// fixed 0.25 s grid.
 //
 // Effective node speed under load follows the classic processor-sharing
 // rule: a node with `c` cores running one of our tasks alongside L external
@@ -35,10 +38,10 @@ class LoadModel {
   /// External load (competing runnable processes, >= 0) at time t.
   [[nodiscard]] virtual double load_at(Seconds t) const = 0;
 
-  /// Width of the piecewise-constant slots.  load_at is constant on
-  /// [k*slot, (k+1)*slot).  Deterministic models may return 0 meaning
-  /// "continuous".
-  [[nodiscard]] virtual Seconds slot_width() const = 0;
+  /// Earliest time after t at which load_at may change: load_at is
+  /// constant on [t, next_change(t)).  Seconds::infinity() when it never
+  /// changes again.
+  [[nodiscard]] virtual Seconds next_change(Seconds t) const = 0;
 
   [[nodiscard]] virtual std::unique_ptr<LoadModel> clone() const = 0;
 };
@@ -48,7 +51,9 @@ class ConstantLoad final : public LoadModel {
  public:
   explicit ConstantLoad(double load = 0.0);
   [[nodiscard]] double load_at(Seconds) const override { return load_; }
-  [[nodiscard]] Seconds slot_width() const override { return Seconds::zero(); }
+  [[nodiscard]] Seconds next_change(Seconds) const override {
+    return Seconds::infinity();
+  }
   [[nodiscard]] std::unique_ptr<LoadModel> clone() const override;
 
  private:
@@ -64,11 +69,11 @@ class StepLoad final : public LoadModel {
     Seconds start;
     double load;
   };
-  /// Segments must be sorted by start time; load before the first segment
-  /// is `initial`.
+  /// Segments must be sorted by finite start time; load before the first
+  /// segment is `initial`.  Every load must be finite and >= 0.
   explicit StepLoad(std::vector<Segment> segments, double initial = 0.0);
   [[nodiscard]] double load_at(Seconds t) const override;
-  [[nodiscard]] Seconds slot_width() const override { return Seconds::zero(); }
+  [[nodiscard]] Seconds next_change(Seconds t) const override;
   [[nodiscard]] std::unique_ptr<LoadModel> clone() const override;
 
  private:
@@ -77,13 +82,18 @@ class StepLoad final : public LoadModel {
 };
 
 /// Smooth daily cycle: load = mean + amplitude * sin(2*pi*(t+phase)/period),
-/// clamped at 0.  Grids see diurnal interactive-user load.
+/// clamped at 0.  Grids see diurnal interactive-user load.  Integrals sample
+/// it on a fixed `kSampleStep` grid, fine enough to track diurnal-scale
+/// variation.
 class DiurnalLoad final : public LoadModel {
  public:
+  static constexpr double kSampleStep = 0.25;
+
+  /// Every parameter must be finite, and the period positive.
   DiurnalLoad(double mean, double amplitude, Seconds period,
               Seconds phase = Seconds::zero());
   [[nodiscard]] double load_at(Seconds t) const override;
-  [[nodiscard]] Seconds slot_width() const override { return Seconds::zero(); }
+  [[nodiscard]] Seconds next_change(Seconds t) const override;
   [[nodiscard]] std::unique_ptr<LoadModel> clone() const override;
 
  private:
@@ -105,9 +115,10 @@ class RandomWalkLoad final : public LoadModel {
     double max_load = 8.0;
     Seconds slot{1.0};
   };
+  /// The slot must be finite and positive.
   RandomWalkLoad(Params params, std::uint64_t seed);
   [[nodiscard]] double load_at(Seconds t) const override;
-  [[nodiscard]] Seconds slot_width() const override { return params_.slot; }
+  [[nodiscard]] Seconds next_change(Seconds t) const override;
   [[nodiscard]] std::unique_ptr<LoadModel> clone() const override;
 
  private:
@@ -133,9 +144,11 @@ class BurstyLoad final : public LoadModel {
     Seconds slot{1.0};
     bool start_busy = false;
   };
+  /// The slot must be finite and positive, and both transition
+  /// probabilities in [0, 1].
   BurstyLoad(Params params, std::uint64_t seed);
   [[nodiscard]] double load_at(Seconds t) const override;
-  [[nodiscard]] Seconds slot_width() const override { return params_.slot; }
+  [[nodiscard]] Seconds next_change(Seconds t) const override;
   [[nodiscard]] std::unique_ptr<LoadModel> clone() const override;
 
  private:
@@ -151,9 +164,10 @@ class BurstyLoad final : public LoadModel {
 /// extends to infinity, mirroring how NWS traces are replayed.
 class TraceLoad final : public LoadModel {
  public:
+  /// Samples must be finite and >= 0, the spacing finite and positive.
   TraceLoad(std::vector<double> samples, Seconds sample_spacing);
   [[nodiscard]] double load_at(Seconds t) const override;
-  [[nodiscard]] Seconds slot_width() const override { return spacing_; }
+  [[nodiscard]] Seconds next_change(Seconds t) const override;
   [[nodiscard]] std::unique_ptr<LoadModel> clone() const override;
 
  private:
@@ -162,14 +176,18 @@ class TraceLoad final : public LoadModel {
 };
 
 /// Sum of component loads, clamped to [0, max_load].  Lets scenarios layer a
-/// diurnal baseline under bursty episodes plus a scripted step.
+/// diurnal baseline under bursty episodes plus a scripted step.  The sum can
+/// change only where a part does, so next_change is the earliest over the
+/// parts: a diurnal part keeps its 0.25 s grid beside slotted parts, and a
+/// step part takes effect at its own time.
 class CompositeLoad final : public LoadModel {
  public:
+  /// Parts must be non-null, and max_load finite and >= 0.
   explicit CompositeLoad(std::vector<std::unique_ptr<LoadModel>> parts,
                          double max_load = 64.0);
   CompositeLoad(const CompositeLoad& other);
   [[nodiscard]] double load_at(Seconds t) const override;
-  [[nodiscard]] Seconds slot_width() const override;
+  [[nodiscard]] Seconds next_change(Seconds t) const override;
   [[nodiscard]] std::unique_ptr<LoadModel> clone() const override;
 
  private:

@@ -7,12 +7,9 @@
 namespace grasp::gridsim {
 
 namespace {
-// Bounds the compute_time integration: if a task cannot finish within this
-// many load slots the node is effectively dead to us.
-constexpr std::size_t kMaxIntegrationSlots = 10'000'000;
-// Slot width used when the load model is continuous (slot_width() == 0);
-// fine enough that diurnal-scale variation is tracked accurately.
-constexpr double kContinuousStep = 0.25;
+// Bounds the segment walks: if a task cannot finish within this many load
+// or downtime segments the node is effectively dead to us.
+constexpr std::size_t kMaxSegments = 10'000'000;
 
 void check_window(const Downtime& w) {
   if (!std::isfinite(w.start.value) || !std::isfinite(w.end.value))
@@ -41,7 +38,6 @@ NodeModel::NodeModel(Params params)
     if (i > 0 && downtimes_[i].start < downtimes_[i - 1].end)
       throw std::invalid_argument("NodeModel: downtimes overlap or unsorted");
   }
-  refresh_steady_speed();
 }
 
 NodeModel::NodeModel(const NodeModel& other)
@@ -51,8 +47,7 @@ NodeModel::NodeModel(const NodeModel& other)
       base_speed_(other.base_speed_),
       cores_(other.cores_),
       load_(other.load_->clone()),
-      downtimes_(other.downtimes_),
-      steady_speed_(other.steady_speed_) {}
+      downtimes_(other.downtimes_) {}
 
 NodeModel& NodeModel::operator=(const NodeModel& other) {
   if (this == &other) return *this;
@@ -63,15 +58,7 @@ NodeModel& NodeModel::operator=(const NodeModel& other) {
   cores_ = other.cores_;
   load_ = other.load_->clone();
   downtimes_ = other.downtimes_;
-  steady_speed_ = other.steady_speed_;
   return *this;
-}
-
-void NodeModel::refresh_steady_speed() {
-  const auto* constant = dynamic_cast<const ConstantLoad*>(load_.get());
-  steady_speed_ = constant != nullptr && downtimes_.empty()
-                      ? effective_speed(Seconds::zero())
-                      : 0.0;
 }
 
 double NodeModel::load_at(Seconds t) const { return load_->load_at(t); }
@@ -89,63 +76,42 @@ double NodeModel::effective_speed(Seconds t) const {
   return base_speed_ * sharing_fraction(cores_, load_->load_at(t));
 }
 
-Seconds NodeModel::skip_downtime(Seconds t) const {
-  for (const auto& w : downtimes_) {
-    if (t >= w.start && t < w.end) return w.end;
-    if (w.start > t) break;
-  }
-  return t;
+NodeModel::Segment NodeModel::segment_from(double t) const {
+  // Windows are sorted and disjoint: pass those over by t, then chain
+  // through the windows that cover it.
+  auto w = std::upper_bound(
+      downtimes_.begin(), downtimes_.end(), t,
+      [](double at, const Downtime& d) { return at < d.end.value; });
+  for (; w != downtimes_.end() && w->start.value <= t; ++w) t = w->end.value;
+  double end = load_->next_change(Seconds{t}).value;
+  if (w != downtimes_.end()) end = std::min(end, w->start.value);
+  return {t, end,
+          base_speed_ * sharing_fraction(cores_, load_->load_at(Seconds{t}))};
 }
 
 Seconds NodeModel::compute_time(Mops work, Seconds start) const {
   if (work.value <= 0.0) return Seconds::zero();
-  const Seconds slot = load_->slot_width();
-  const double step = slot.value > 0.0 ? slot.value : kContinuousStep;
-
   double t = start.value;
   double remaining = work.value;
-  for (std::size_t iter = 0; iter < kMaxIntegrationSlots; ++iter) {
-    double speed = steady_speed_;
-    if (speed == 0.0) {
-      t = skip_downtime(Seconds{t}).value;
-      speed = effective_speed(Seconds{t});
-    }
-    // End of the current load slot (align to the slot grid so queries agree
-    // with load_at's piecewise-constant semantics).
-    const double slot_end = (std::floor(t / step) + 1.0) * step;
-    if (speed <= 0.0) {
-      t = slot_end;
-      continue;
-    }
-    const double slot_capacity = speed * (slot_end - t);
-    if (slot_capacity >= remaining) {
-      t += remaining / speed;
-      return Seconds{t - start.value};
-    }
-    remaining -= slot_capacity;
-    t = slot_end;
+  for (std::size_t i = 0; i < kMaxSegments; ++i) {
+    const Segment seg = segment_from(t);
+    const double capacity = seg.speed * (seg.end - seg.begin);
+    if (capacity >= remaining)
+      return Seconds{seg.begin + remaining / seg.speed - start.value};
+    remaining -= capacity;
+    t = seg.end;
   }
   return Seconds::infinity();
 }
 
 Mops NodeModel::work_done(Seconds start, Seconds until) const {
-  if (until <= start) return Mops::zero();
-  const Seconds slot = load_->slot_width();
-  const double step = slot.value > 0.0 ? slot.value : kContinuousStep;
-
   double t = start.value;
   double done = 0.0;
-  for (std::size_t iter = 0;
-       iter < kMaxIntegrationSlots && t < until.value; ++iter) {
-    double speed = steady_speed_;
-    if (speed == 0.0) {
-      t = skip_downtime(Seconds{t}).value;
-      if (t >= until.value) break;
-      speed = effective_speed(Seconds{t});
-    }
-    const double slot_end = (std::floor(t / step) + 1.0) * step;
-    if (speed > 0.0) done += speed * (std::min(slot_end, until.value) - t);
-    t = slot_end;
+  for (std::size_t i = 0; i < kMaxSegments && t < until.value; ++i) {
+    const Segment seg = segment_from(t);
+    if (seg.begin >= until.value) break;
+    done += seg.speed * (std::min(seg.end, until.value) - seg.begin);
+    t = seg.end;
   }
   return Mops{done};
 }
@@ -153,7 +119,6 @@ Mops NodeModel::work_done(Seconds start, Seconds until) const {
 void NodeModel::set_load_model(std::unique_ptr<LoadModel> load) {
   if (!load) throw std::invalid_argument("NodeModel: null load model");
   load_ = std::move(load);
-  refresh_steady_speed();
 }
 
 void NodeModel::add_downtime(Downtime window) {
@@ -161,7 +126,6 @@ void NodeModel::add_downtime(Downtime window) {
   if (!downtimes_.empty() && window.start < downtimes_.back().end)
     throw std::invalid_argument("NodeModel: downtime overlaps existing window");
   downtimes_.push_back(window);
-  refresh_steady_speed();
 }
 
 }  // namespace grasp::gridsim

@@ -3,9 +3,12 @@
 // A node has a base speed (Mops/s), a core count, a background-load model
 // and optional downtime windows.  The central operation is
 // `compute_time(work, start)`: how long `work` Mops take when started at
-// `start`, integrating the processor-sharing speed across load slots and
-// downtime.  This is what makes the simulated grid *dynamic* — the same task
-// on the same node costs different amounts at different times.
+// `start`, integrating the processor-sharing speed over segments of constant
+// speed.  A segment ends at the load model's next change or at the next
+// downtime start, so a load step or a crash takes effect at its own time,
+// and a node whose load never changes finishes in one segment.  This is what
+// makes the simulated grid *dynamic* — the same task on the same node costs
+// different amounts at different times.
 #pragma once
 
 #include <memory>
@@ -62,14 +65,14 @@ class NodeModel {
   [[nodiscard]] double effective_speed(Seconds t) const;
 
   /// Duration to complete `work` Mops starting at `start`, integrating
-  /// speed across load slots and skipping downtime.  Returns
+  /// speed across load segments and skipping downtime.  Returns
   /// Seconds::infinity() if the node never recovers enough to finish
   /// within the integration horizon.
   [[nodiscard]] Seconds compute_time(Mops work, Seconds start) const;
 
   /// Work completed in [start, until): the inverse view of compute_time,
-  /// over the same slot-aligned integral, so
-  /// `work_done(s, s + compute_time(w, s)) == w`.  Stall-aware by
+  /// over the same segments, so `work_done(s, s + compute_time(w, s)) == w`
+  /// up to rounding.  Stall-aware by
   /// construction — spans inside downtime windows contribute nothing, which
   /// is what makes checkpoint progress honest for a chunk whose modelled
   /// duration straddles its node's crash.
@@ -86,12 +89,18 @@ class NodeModel {
   void add_downtime(Downtime window);
 
  private:
-  /// End of the downtime window containing t, or t if none.
-  [[nodiscard]] Seconds skip_downtime(Seconds t) const;
+  /// A stretch of constant speed: the node delivers `speed` on
+  /// [begin, end).
+  struct Segment {
+    double begin;
+    double end;
+    double speed;
+  };
 
-  /// Re-derive steady_speed_; called wherever the load model or the
-  /// downtime windows change.
-  void refresh_steady_speed();
+  /// The segment that begins at t, or at the end of the downtime covering
+  /// t (chaining back-to-back windows).  It ends at the load model's next
+  /// change or the next downtime start, whichever is first.
+  [[nodiscard]] Segment segment_from(double t) const;
 
   NodeId id_;
   std::string name_;
@@ -100,10 +109,6 @@ class NodeModel {
   double cores_;
   std::unique_ptr<LoadModel> load_;
   std::vector<Downtime> downtimes_;
-  /// The speed of a node that never changes it (a ConstantLoad and no
-  /// downtime), so the integrals skip the per-slot downtime and load
-  /// queries; 0 takes the general path.
-  double steady_speed_ = 0.0;
 };
 
 }  // namespace grasp::gridsim

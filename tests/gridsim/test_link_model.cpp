@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 namespace grasp::gridsim {
@@ -47,9 +48,25 @@ TEST(LinkModel, SteppedContentionIntegrates) {
               1e-6);
 }
 
+TEST(LinkModel, ContentionStepTakesEffectAtItsTime) {
+  // The competitor arrives at t = 1.1, inside a 0.25 s grid cell: 1.1 MB
+  // by then, the other 0.4 MB at 0.5 MB/s.
+  auto contention = std::make_unique<StepLoad>(
+      std::vector<StepLoad::Segment>{{Seconds{1.1}, 1.0}}, 0.0);
+  const LinkModel link = make_link(0.0, 1e6, std::move(contention));
+  EXPECT_NEAR(link.transfer_duration(Bytes{1.5e6}, Seconds{0.0}).value, 1.9,
+              1e-12);
+}
+
 TEST(LinkModel, RejectsBadParams) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(make_link(-0.1, 1e6), std::invalid_argument);
   EXPECT_THROW(make_link(0.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(make_link(kNaN, 1e6), std::invalid_argument);
+  EXPECT_THROW(make_link(kInf, 1e6), std::invalid_argument);
+  EXPECT_THROW(make_link(0.0, kNaN), std::invalid_argument);
+  EXPECT_THROW(make_link(0.0, kInf), std::invalid_argument);
 }
 
 TEST(LinkModel, CopyIsDeep) {

@@ -311,8 +311,8 @@ TEST(EmitFingerprint, TaskFarmChurnCheckpointFailover) {
   expect_fingerprint(
       {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
        blame_digest(tel, r.makespan.value)},
-      {"a30779ece111b0fe", "7c9f3d82894925ca", "29ff6e6f1033ecef",
-       "a1a7d0f4aa4458dc"});
+      {"464912f91265cdc6", "54b4ae1cd8b36e09", "9ca367cbefa4b668",
+       "e5cdb9d9f4c383c9"});
 }
 
 // HierFarm with a planted sub-farmer crash (shard 0's initial coordinator
@@ -357,8 +357,8 @@ TEST(EmitFingerprint, HierFarmPlantedSubFarmerCrash) {
   expect_fingerprint(
       {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
        blame_digest(tel, r.makespan.value)},
-      {"dba89eab61588e52", "98072fd734c2989f", "b99e2376437da706",
-       "c30692936a44956d"});
+      {"fe7690ec34733b71", "98072fd734c2989f", "781d5f095052f884",
+       "d016821a68924772"});
 }
 
 // HierFarm over two shards of 75 members each, so per-member state spans
@@ -414,8 +414,8 @@ TEST(EmitFingerprint, HierFarmWideShardsRecalibrateAndZombie) {
   expect_fingerprint(
       {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
        blame_digest(tel, r.makespan.value)},
-      {"5ab1087280ff4fa8", "2ef7946dc6a515b2", "f4ddcf5b8b0b2323",
-       "b348eeacb173abe0"});
+      {"6e8be4ba9c5c8f8a", "2ef7946dc6a515b2", "21cad8d24cdb77f8",
+       "38f03344c5eb6c62"});
 }
 
 // Pipeline on a churning pool: a crash inside the initial calibration, a
@@ -450,7 +450,7 @@ TEST(EmitFingerprint, PipelineChurn) {
   expect_fingerprint(
       {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
        blame_digest(tel, r.makespan.value)},
-      {"93118014c72bed11", "de30c44a6613289f", "8420e35f2ae3abf9",
+      {"1662d53fc429650a", "de30c44a6613289f", "dc7d4e4616b1c881",
        "5be0a48dabb7be1a"});
 }
 
@@ -483,11 +483,11 @@ TEST(EmitFingerprint, GridServiceTwoJobStream) {
   const core::FarmReport& rb = b.farm_report();
   expect_fingerprint({trace_digest(ra.trace), count_digest(ra.trace),
                       report_digest(ra), ""},
-                     {"1d60b38c7aa6540c", "e6a3237dccfca025",
-                      "26b8ca383b6da49a", ""});
+                     {"6adde318bf10620b", "e6a3237dccfca025",
+                      "bc058b98a3f76dc8", ""});
   expect_fingerprint({trace_digest(rb.trace), count_digest(rb.trace),
                       report_digest(rb), ""},
-                     {"0531df4649487087", "e6a3237dccfca025",
+                     {"4e097d3844b7bc3a", "e6a3237dccfca025",
                       "c18388dfab3c4b6e", ""});
 }
 

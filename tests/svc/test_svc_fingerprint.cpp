@@ -194,9 +194,9 @@ TEST(GridServiceFingerprint, PipelineBesideRecalibratingFarm) {
   EXPECT_EQ(service.max_concurrent_observed(), 2u);
   EXPECT_EQ(pipe.pipeline_report().items_completed, 200u);
   EXPECT_EQ(job_digest(farm), "990461e86a486dda");
-  EXPECT_EQ(trace_digest(farm.farm_report().trace), "a7b5fd919998fbe7");
+  EXPECT_EQ(trace_digest(farm.farm_report().trace), "6d66627888aa96e1");
   EXPECT_EQ(job_digest(pipe), "68feae409f5e1648");
-  EXPECT_EQ(trace_digest(pipe.pipeline_report().trace), "8cef980b72068593");
+  EXPECT_EQ(trace_digest(pipe.pipeline_report().trace), "5a71e27904ae19d6");
 }
 
 // Concurrent tenants on real threads.  The service blocks in
