@@ -8,6 +8,10 @@ namespace grasp::gridsim {
 
 namespace {
 
+// DiurnalLoad's sampling grid: fine enough that diurnal-scale variation is
+// tracked accurately.
+constexpr double kDiurnalSampleStep = 0.25;
+
 bool finite_non_negative(double v) { return std::isfinite(v) && v >= 0.0; }
 
 bool positive_finite(Seconds s) {
@@ -19,10 +23,11 @@ std::size_t slot_index(Seconds t, double w) {
   return t.value <= 0.0 ? 0 : static_cast<std::size_t>(t.value / w);
 }
 
-// The first time after t at which slot_index moves past t's slot.  The
-// product (k + 1) * w can round to either side of the point where t / w
-// reaches k + 1, so step it by ulps until it agrees with slot_index: then
-// every time in [t, end) reads t's slot and `end` reads the next one.
+// End of the cell of width w holding t: the first time at which
+// floor(t / w), and so slot_index, moves on.  The product (k + 1) * w can
+// round to either side of the point where t / w reaches k + 1, so step it
+// by ulps until it agrees: then every time in [t, end) reads t's slot and
+// `end` reads the next one.
 Seconds slot_end(Seconds t, double w) {
   const double k = std::floor(t.value / w);
   double end = (k + 1.0) * w;
@@ -48,12 +53,14 @@ std::unique_ptr<LoadModel> ConstantLoad::clone() const {
 StepLoad::StepLoad(std::vector<Segment> segments, double initial)
     : segments_(std::move(segments)), initial_(initial) {
   if (!finite_non_negative(initial))
-    throw std::invalid_argument("StepLoad: initial load must be finite and >= 0");
+    throw std::invalid_argument(
+        "StepLoad: initial load must be finite and >= 0");
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     if (!std::isfinite(segments_[i].start.value))
       throw std::invalid_argument("StepLoad: segment start must be finite");
     if (!finite_non_negative(segments_[i].load))
-      throw std::invalid_argument("StepLoad: segment load must be finite and >= 0");
+      throw std::invalid_argument(
+          "StepLoad: segment load must be finite and >= 0");
     if (i > 0 && segments_[i].start < segments_[i - 1].start)
       throw std::invalid_argument("StepLoad: segments not sorted");
   }
@@ -83,7 +90,8 @@ DiurnalLoad::DiurnalLoad(double mean, double amplitude, Seconds period,
                          Seconds phase)
     : mean_(mean), amplitude_(amplitude), period_(period), phase_(phase) {
   if (!positive_finite(period))
-    throw std::invalid_argument("DiurnalLoad: period must be finite and positive");
+    throw std::invalid_argument(
+        "DiurnalLoad: period must be finite and positive");
   if (!std::isfinite(mean) || !std::isfinite(amplitude) ||
       !std::isfinite(phase.value))
     throw std::invalid_argument(
@@ -97,7 +105,7 @@ double DiurnalLoad::load_at(Seconds t) const {
 }
 
 Seconds DiurnalLoad::next_change(Seconds t) const {
-  return slot_end(t, kSampleStep);
+  return slot_end(t, kDiurnalSampleStep);
 }
 
 std::unique_ptr<LoadModel> DiurnalLoad::clone() const {
@@ -108,7 +116,8 @@ std::unique_ptr<LoadModel> DiurnalLoad::clone() const {
 RandomWalkLoad::RandomWalkLoad(Params params, std::uint64_t seed)
     : params_(params), seed_(seed), rng_(seed) {
   if (!positive_finite(params_.slot))
-    throw std::invalid_argument("RandomWalkLoad: slot must be finite and positive");
+    throw std::invalid_argument(
+        "RandomWalkLoad: slot must be finite and positive");
   cache_.push_back(std::clamp(params_.initial, 0.0, params_.max_load));
 }
 
@@ -177,7 +186,8 @@ TraceLoad::TraceLoad(std::vector<double> samples, Seconds sample_spacing)
   if (samples_.empty())
     throw std::invalid_argument("TraceLoad: empty trace");
   if (!positive_finite(spacing_))
-    throw std::invalid_argument("TraceLoad: spacing must be finite and positive");
+    throw std::invalid_argument(
+        "TraceLoad: spacing must be finite and positive");
   for (const double v : samples_)
     if (!finite_non_negative(v))
       throw std::invalid_argument("TraceLoad: samples must be finite and >= 0");
@@ -208,7 +218,8 @@ CompositeLoad::CompositeLoad(std::vector<std::unique_ptr<LoadModel>> parts,
   for (const auto& p : parts_)
     if (!p) throw std::invalid_argument("CompositeLoad: null component");
   if (!finite_non_negative(max_load_))
-    throw std::invalid_argument("CompositeLoad: max_load must be finite and >= 0");
+    throw std::invalid_argument(
+        "CompositeLoad: max_load must be finite and >= 0");
 }
 
 CompositeLoad::CompositeLoad(const CompositeLoad& other)

@@ -83,12 +83,9 @@ class StepLoad final : public LoadModel {
 
 /// Smooth daily cycle: load = mean + amplitude * sin(2*pi*(t+phase)/period),
 /// clamped at 0.  Grids see diurnal interactive-user load.  Integrals sample
-/// it on a fixed `kSampleStep` grid, fine enough to track diurnal-scale
-/// variation.
+/// it on a fixed 0.25 s grid, fine enough to track diurnal-scale variation.
 class DiurnalLoad final : public LoadModel {
  public:
-  static constexpr double kSampleStep = 0.25;
-
   /// Every parameter must be finite, and the period positive.
   DiurnalLoad(double mean, double amplitude, Seconds period,
               Seconds phase = Seconds::zero());

@@ -303,7 +303,8 @@ TEST(CompositeLoad, NextChangeIsEarliestComponent) {
 
   // A diurnal part keeps its own 0.25 s grid beside 1 s slotted parts.
   std::vector<std::unique_ptr<LoadModel>> mixed;
-  mixed.push_back(std::make_unique<RandomWalkLoad>(RandomWalkLoad::Params{}, 3));
+  mixed.push_back(
+      std::make_unique<RandomWalkLoad>(RandomWalkLoad::Params{}, 3));
   mixed.push_back(std::make_unique<DiurnalLoad>(0.5, 0.5, Seconds{600.0}));
   const CompositeLoad both(std::move(mixed));
   EXPECT_DOUBLE_EQ(both.next_change(Seconds{0.3}).value, 0.5);
