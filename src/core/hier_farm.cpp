@@ -63,6 +63,8 @@ constexpr std::uint64_t kShardShift = 40;
 }
 
 constexpr double kReduceHopBytes = 128.0;  // one folded monitor sample
+/// Fan-in of the sub-farmer reduction tree.
+constexpr std::size_t kReduceArity = 4;
 constexpr double kSpmBlend = 0.5;          // EWMA weight of a new sample
 
 /// Root fan-out ceiling (shard_count_for's max_shards).
@@ -144,8 +146,7 @@ HierFarm::HierFarm(HierFarmParams params) : params_(std::move(params)) {
         "HierFarm: workers_per_shard must be positive");
   if (params_.chunk_size == 0)
     throw std::invalid_argument("HierFarm: chunk_size must be positive");
-  if (params_.reduce_arity == 0)
-    throw std::invalid_argument("HierFarm: reduce_arity must be positive");
+  params_.detector.validate();
   const auto non_negative = [](double v) {
     return std::isfinite(v) && v >= 0.0;
   };
@@ -675,7 +676,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       backend.submit_transfer(token, from, root, Bytes{kReduceHopBytes});
       red_dest.emplace(token, kRedRoot);
     } else {
-      const std::size_t parent = mp::tree_parent(pos, params_.reduce_arity);
+      const std::size_t parent = mp::tree_parent(pos, kReduceArity);
       const OpToken token = make_token(OpKind::ReduceHop, 0, seq++);
       backend.submit_transfer(token, from, shards[red.positions[parent]].sub,
                               Bytes{kReduceHopBytes});
@@ -694,7 +695,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     red.pending.assign(red.positions.size(), 0);
     for (std::size_t p = 0; p < red.positions.size(); ++p)
       red.pending[p] =
-          mp::tree_children(p, red.positions.size(), params_.reduce_arity)
+          mp::tree_children(p, red.positions.size(), kReduceArity)
               .size();
     for (std::size_t p = 0; p < red.positions.size(); ++p)
       if (red.pending[p] == 0) send_hop(p);

@@ -73,18 +73,13 @@ struct HierFarmParams {
   /// A shard recalibrates when its observed spm drifts from the calibrated
   /// baseline by more than half (at most 16 times per run).
   Seconds monitor_period{8.0};
-  /// Fan-in of the sub-farmer reduction tree (> 0).
-  std::size_t reduce_arity = 4;
 
   // ---------------------------------------------------------- resilience
   // Active whenever the grid carries a ChurnTimeline.
   /// Worker-level detector (one instance per shard, owned by its
-  /// sub-farmer) and the root's sub-farmer watch (same settings).  The
-  /// detection mode threads through whole: with DetectionMode::Accrual
-  /// every per-shard detector keeps per-node inter-arrival statistics for
-  /// its own workers, and the root's watch does the same for the K
-  /// sub-farmers — the `timeout + period` hard cap bounds promotion
-  /// latency in either mode.
+  /// sub-farmer) and the root's sub-farmer watch (same settings): a crash
+  /// is declared within `timeout + heartbeat_period`, which also bounds
+  /// promotion latency.  Both fields must be finite and positive.
   resil::FailureDetector::Params detector;
   /// Replica-log standbys per shard (clamped to the shard size - 1).
   std::size_t standby_count = 2;
@@ -162,9 +157,10 @@ struct HierFarmReport {
 
 class HierFarm {
  public:
-  /// Throws std::invalid_argument on a zero workers_per_shard, chunk_size
-  /// or reduce_arity, or a negative or non-finite target_chunk_seconds,
-  /// monitor_period or promotion_handshake.
+  /// Throws std::invalid_argument on a zero workers_per_shard or
+  /// chunk_size, a negative or non-finite target_chunk_seconds,
+  /// monitor_period or promotion_handshake, or a detector whose
+  /// heartbeat_period or timeout is not finite and positive.
   explicit HierFarm(HierFarmParams params);
 
   /// Execute `tasks` over `pool` (root = params.root or pool.front(),

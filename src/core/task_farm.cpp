@@ -103,8 +103,6 @@ class FarmRun final : public FarmEngine {
     h_ckpt_interval_ =
         met_.histogram("farm.checkpoint_interval_seconds", {1e-3, 2.0, 48});
     h_wave_ = met_.histogram("farm.dispatch_wave_size", {1.0, 2.0, 16});
-    h_eff_timeout_ =
-        met_.histogram("resil.detector.effective_timeout_s", {1e-2, 2.0, 16});
     if (params_.slos.any()) watchdog_.emplace(params_.slos, tel_);
     run_started_ = now;
     if (flight_ != nullptr)
@@ -130,11 +128,9 @@ class FarmRun final : public FarmEngine {
 
     failover_on_ = resil_on_ && params_.resilience.failover.standby_count > 0;
     farmer_ = root;
-    if (failover_on_) {
-      resil::FailoverCoordinator::Params fp = params_.resilience.failover;
-      fp.detector = params_.resilience.detector;  // ride the same heartbeats
-      failover_.emplace(fp, root, now);
-    }
+    if (failover_on_)
+      failover_.emplace(params_.resilience.failover,
+                        params_.resilience.detector, root, now);
 
     // ---- Phase: calibration (Algorithm 1) -----------------------------
     begin_pass(initial_members_);
@@ -646,8 +642,6 @@ class FarmRun final : public FarmEngine {
   // ledger.  `why` lands in the trace for post-hoc timelines.
   void declare_dead(NodeId node, const char* why) {
     if (!resil_on_ || !detector_->watching(node)) return;
-    if (met_.enabled())
-      met_.observe(h_eff_timeout_, detector_->effective_timeout(node).value);
     detector_->unwatch(node);
     elastic_->remove(node);
     busy_[node] = false;
@@ -1014,10 +1008,7 @@ class FarmRun final : public FarmEngine {
           [this](const resil::ReplicaLog::Record& r) { undo_record(r); });
       handshake_span_ = tel_.spans.begin("handshake", failover_span_, *s);
       handshake_token_ = tokens_.alloc();
-      // The reconnect window scales with the membership the successor must
-      // re-establish channels with (flat when handshake_per_worker is 0).
-      backend_.submit_timer(handshake_token_, failover_->handshake_cost(
-                                                  detector_->watched().size()));
+      backend_.submit_timer(handshake_token_, failover_->handshake_cost());
     } else if (live_member_now(farmer_)) {
       // No standby reachable but the old farmer rejoined: it resumes with
       // its own intact state (nothing to roll back), paying the same
@@ -1027,8 +1018,7 @@ class FarmRun final : public FarmEngine {
       pending_farmer_ = farmer_;
       handshake_span_ = tel_.spans.begin("handshake", failover_span_, farmer_);
       handshake_token_ = tokens_.alloc();
-      backend_.submit_timer(handshake_token_, failover_->handshake_cost(
-                                                  detector_->watched().size()));
+      backend_.submit_timer(handshake_token_, failover_->handshake_cost());
     } else if ((now - failover_->down_since()) > kFailoverPatience) {
       cancel_tick();
       throw std::runtime_error(
@@ -1425,9 +1415,6 @@ class FarmRun final : public FarmEngine {
   obs::HistogramHandle h_promote_;
   obs::HistogramHandle h_ckpt_interval_;
   obs::HistogramHandle h_wave_;
-  // Detection instrumentation: the effective-timeout histogram shows what
-  // leash the accrual detector actually gave each node it declared dead.
-  obs::HistogramHandle h_eff_timeout_;
   // Online SLO watchdog (observation only, never steers): probed from the
   // liveness ticks and the crash-declaration path.
   std::optional<obs::Watchdog> watchdog_;
@@ -1565,24 +1552,11 @@ TaskFarm::TaskFarm(FarmParams params) : params_(std::move(params)) {
   if (!finite_at_least(res.checkpoint_period.value, 0.0))
     throw std::invalid_argument(
         "TaskFarm: checkpoint_period must be finite and non-negative");
-  if (res.checkpoint_period.value > 0.0 &&
-      !finite_above(res.detector.heartbeat_period.value, 0.0))
+  if (res.enabled) res.detector.validate();
+  if (res.failover.standby_count > 0 &&
+      !finite_at_least(res.failover.handshake.value, 0.0))
     throw std::invalid_argument(
-        "TaskFarm: checkpointing needs a finite positive heartbeat_period "
-        "to ride");
-  if (res.failover.standby_count > 0) {
-    if (!finite_above(res.detector.heartbeat_period.value, 0.0))
-      throw std::invalid_argument(
-          "TaskFarm: farmer failover needs a finite positive "
-          "heartbeat_period");
-    if (!finite_at_least(res.failover.handshake.value, 0.0))
-      throw std::invalid_argument(
-          "TaskFarm: failover handshake must be finite and non-negative");
-    if (!finite_at_least(res.failover.handshake_per_worker.value, 0.0))
-      throw std::invalid_argument(
-          "TaskFarm: failover handshake_per_worker must be finite and "
-          "non-negative");
-  }
+        "TaskFarm: failover handshake must be finite and non-negative");
 }
 
 

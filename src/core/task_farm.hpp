@@ -42,6 +42,7 @@ namespace grasp::core {
 /// really completed.
 struct FarmResilience {
   bool enabled = false;
+  /// Checked by TaskFarm's constructor when `enabled` (Params::validate).
   resil::FailureDetector::Params detector;
   resil::ElasticPool::Params pool;
   /// Rerun Algorithm 1 over the surviving pool after a detected crash.
@@ -64,9 +65,8 @@ struct FarmResilience {
   /// longer assumed reliable: hot standbys shadow its state through a
   /// replication log flushed on every heartbeat tick, and when the farmer
   /// dies the lowest-id live standby is promoted within
-  /// timeout + heartbeat_period + handshake of the crash.  The `detector`
-  /// member of these params is ignored — the farmer-watch always rides the
-  /// same heartbeat settings as the worker detector above.
+  /// timeout + heartbeat_period + handshake of the crash.  The standbys
+  /// watch the farmer with the worker `detector` settings above.
   resil::FailoverCoordinator::Params failover;
 };
 

@@ -17,12 +17,8 @@ bool erase_value(std::vector<NodeId>& v, NodeId node) {
 }  // namespace
 
 ElasticPool::ElasticPool(Params params) : params_(params) {
-  if (params_.admit_ratio <= 0.0)
-    throw std::invalid_argument("ElasticPool: admit_ratio must be positive");
   if (params_.evict_ratio < 0.0)
     throw std::invalid_argument("ElasticPool: evict_ratio must be >= 0");
-  if (params_.evict_after == 0)
-    throw std::invalid_argument("ElasticPool: evict_after must be positive");
 }
 
 void ElasticPool::reset(std::vector<NodeId> workers) {
@@ -54,11 +50,7 @@ bool ElasticPool::in_probation(NodeId node) const {
 bool ElasticPool::admit(NodeId node, double probe_spm, double baseline_spm) {
   erase_value(probation_, node);
   if (contains(node)) return true;  // recalibration admitted it meanwhile
-  const bool room =
-      params_.max_workers == 0 || workers_.size() < params_.max_workers;
-  const bool fit =
-      baseline_spm <= 0.0 || probe_spm <= params_.admit_ratio * baseline_spm;
-  if (room && fit) {
+  if (baseline_spm <= 0.0 || probe_spm <= kAdmitRatio * baseline_spm) {
     workers_.push_back(node);
     ++admissions_;
     return true;
@@ -71,8 +63,7 @@ bool ElasticPool::observe(NodeId node, double spm, double baseline_spm) {
   if (params_.evict_ratio <= 0.0 || baseline_spm <= 0.0) return false;
   if (!contains(node)) return false;
   if (spm > params_.evict_ratio * baseline_spm) {
-    if (++strikes_[node] >= params_.evict_after &&
-        workers_.size() > params_.min_workers) {
+    if (++strikes_[node] >= kEvictAfter && workers_.size() > kMinWorkers) {
       remove(node);
       ++evictions_;
       return true;

@@ -20,17 +20,17 @@ namespace grasp::resil {
 class ElasticPool {
  public:
   struct Params {
-    /// Admit a probationer when probe spm <= admit_ratio * baseline spm.
-    double admit_ratio = 3.0;
-    /// Evict a worker after `evict_after` consecutive observations with
+    /// Evict a worker after kEvictAfter consecutive observations with
     /// spm > evict_ratio * baseline.  0 disables eviction.
     double evict_ratio = 0.0;
-    std::size_t evict_after = 3;
-    /// Upper bound on the worker set (0 = unbounded).
-    std::size_t max_workers = 0;
-    /// Never shrink below this many workers through eviction.
-    std::size_t min_workers = 1;
   };
+
+  /// Admit a probationer when probe spm <= kAdmitRatio * baseline spm.
+  static constexpr double kAdmitRatio = 3.0;
+  /// Consecutive slow observations that evict a worker.
+  static constexpr std::size_t kEvictAfter = 3;
+  /// Never shrink below this many workers through eviction.
+  static constexpr std::size_t kMinWorkers = 1;
 
   explicit ElasticPool(Params params);
 

@@ -5,10 +5,10 @@
 
 namespace grasp::resil {
 
-FailoverCoordinator::FailoverCoordinator(Params params, NodeId farmer,
-                                         Seconds now)
-    : params_(std::move(params)), farmer_(farmer),
-      farmer_watch_(params_.detector) {
+FailoverCoordinator::FailoverCoordinator(Params params,
+                                         FailureDetector::Params detector,
+                                         NodeId farmer, Seconds now)
+    : params_(params), farmer_(farmer), farmer_watch_(detector) {
   if (!farmer.is_valid())
     throw std::invalid_argument("FailoverCoordinator: invalid farmer");
   farmer_watch_.watch(farmer_, now);
@@ -100,12 +100,9 @@ void FailoverCoordinator::account_flush(const ReplicaLog::FlushStats& stats) {
   replication_bytes_ += stats.bytes;
 }
 
-Seconds FailoverCoordinator::handshake_cost(std::size_t live_workers) {
-  const Seconds cost{params_.handshake.value +
-                     params_.handshake_per_worker.value *
-                         static_cast<double>(live_workers)};
-  handshake_cost_s_ += cost.value;
-  return cost;
+Seconds FailoverCoordinator::handshake_cost() {
+  handshake_cost_s_ += params_.handshake.value;
+  return params_.handshake;
 }
 
 }  // namespace grasp::resil

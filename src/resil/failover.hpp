@@ -48,17 +48,12 @@ class FailoverCoordinator {
     /// Reconnect cost after promotion: dispatching is suspended and raced
     /// completions stay parked at their workers for this long.
     Seconds handshake{2.0};
-    /// Additional reconnect cost per live worker the successor must
-    /// re-establish channels with: the handshake window is
-    /// handshake + handshake_per_worker * live_workers, so a promotion
-    /// over a large membership pays proportionally more than one over a
-    /// decimated pool.  Zero keeps the flat-constant model.
-    Seconds handshake_per_worker{0.0};
-    /// Farmer-watch detector (typically the worker detector's params).
-    FailureDetector::Params detector;
   };
 
-  FailoverCoordinator(Params params, NodeId farmer, Seconds now);
+  /// `detector` sets the farmer watch; the engine passes its worker
+  /// detector's params, so the farmer rides the same heartbeats.
+  FailoverCoordinator(Params params, FailureDetector::Params detector,
+                      NodeId farmer, Seconds now);
 
   [[nodiscard]] bool enabled() const { return params_.standby_count > 0; }
   [[nodiscard]] const Params& params() const { return params_; }
@@ -129,11 +124,10 @@ class FailoverCoordinator {
   /// back so the virtual-time farm books traffic without charging time).
   void account_flush(const ReplicaLog::FlushStats& stats);
 
-  /// The reconnect window for a promotion over `live_workers` reachable
-  /// members: handshake + handshake_per_worker * live_workers.  Accounts
-  /// the window into handshake_cost_s — call once per armed handshake
+  /// The reconnect window for a promotion: `handshake`.  Accounts the
+  /// window into handshake_cost_s — call once per armed handshake
   /// (abandoned handshakes were still paid for).
-  [[nodiscard]] Seconds handshake_cost(std::size_t live_workers);
+  [[nodiscard]] Seconds handshake_cost();
   /// Total reconnect-handshake time paid across every armed handshake.
   [[nodiscard]] double handshake_cost_s() const { return handshake_cost_s_; }
 

@@ -51,10 +51,8 @@ struct ResilienceReport {
   /// Replication traffic volume (log records + result/snapshot state); like
   /// checkpoint_state_bytes, accounted but not charged to the virtual clock.
   double replication_bytes = 0.0;
-  /// Total reconnect-handshake time paid across promotions.  Each armed
-  /// handshake window costs handshake + handshake_per_worker * live_workers
-  /// (see FailoverCoordinator::Params), so the column scales with the
-  /// membership the successor had to re-establish channels with.
+  /// Total reconnect-handshake time paid across promotions: each armed
+  /// handshake window costs FailoverCoordinator::Params::handshake.
   double handshake_cost_s = 0.0;
 };
 

@@ -179,7 +179,6 @@ TEST(HierFarm, MonitorRoundsAggregateThroughTheTreeNotTheRoot) {
   SimBackend backend(grid);
   HierFarmParams p;
   p.workers_per_shard = 8;  // 8 shards
-  p.reduce_arity = 2;
   p.monitor_period = Seconds{5.0};
   const workloads::TaskSet ts = gen_tasks(512, 2000.0, 5);
   const HierFarmReport r = HierFarm(p).run(backend, grid, grid.node_ids(), ts);
@@ -240,8 +239,6 @@ TEST(HierFarm, RejectsBadParamsAtConstruction) {
   };
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  // A zero arity would divide by zero in the reduction tree.
-  rejects([](HierFarmParams& p) { p.reduce_arity = 0; });
   rejects([](HierFarmParams& p) { p.workers_per_shard = 0; });
   rejects([](HierFarmParams& p) { p.chunk_size = 0; });
   rejects([](HierFarmParams& p) { p.target_chunk_seconds = -1.0; });
@@ -250,6 +247,15 @@ TEST(HierFarm, RejectsBadParamsAtConstruction) {
   rejects([&](HierFarmParams& p) { p.monitor_period = Seconds{inf}; });
   rejects([](HierFarmParams& p) { p.promotion_handshake = Seconds{-1.0}; });
   rejects([&](HierFarmParams& p) { p.promotion_handshake = Seconds{nan}; });
+  // The detector is built from these params on every run; a NaN period
+  // would reach its floor-to-integer cast and the liveness timer.
+  for (const double bad : {nan, inf, 0.0, -1.0}) {
+    SCOPED_TRACE(bad);
+    rejects([&](HierFarmParams& p) {
+      p.detector.heartbeat_period = Seconds{bad};
+    });
+    rejects([&](HierFarmParams& p) { p.detector.timeout = Seconds{bad}; });
+  }
   // monitor_period 0 still means "monitor off".
   HierFarmParams off;
   off.monitor_period = Seconds{0.0};

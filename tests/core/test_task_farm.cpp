@@ -310,17 +310,23 @@ TEST(TaskFarm, ValidationErrors) {
   });
   rejects([&](FarmParams& p) { p.resilience.checkpoint_period = Seconds{nan}; });
   rejects([&](FarmParams& p) { p.resilience.checkpoint_period = Seconds{inf}; });
-  rejects([&](FarmParams& p) {
-    p.resilience.checkpoint_period = Seconds{4.0};
-    p.resilience.detector.heartbeat_period = Seconds{nan};
-  });
+  // With resilience enabled, both detector fields must be finite and
+  // positive: a NaN period would reach the detector's floor-to-integer
+  // cast, an infinite timeout would turn detection off.
+  for (const double bad : {nan, inf, 0.0, -1.0}) {
+    SCOPED_TRACE(bad);
+    rejects([&](FarmParams& p) {
+      p.resilience.enabled = true;
+      p.resilience.detector.heartbeat_period = Seconds{bad};
+    });
+    rejects([&](FarmParams& p) {
+      p.resilience.enabled = true;
+      p.resilience.detector.timeout = Seconds{bad};
+    });
+  }
   const auto with_standby = [](FarmParams& p) {
     p.resilience.failover.standby_count = 1;
   };
-  rejects([&](FarmParams& p) {
-    with_standby(p);
-    p.resilience.detector.heartbeat_period = Seconds{inf};
-  });
   rejects([&](FarmParams& p) {
     with_standby(p);
     p.resilience.failover.handshake = Seconds{-1.0};
@@ -328,10 +334,6 @@ TEST(TaskFarm, ValidationErrors) {
   rejects([&](FarmParams& p) {
     with_standby(p);
     p.resilience.failover.handshake = Seconds{nan};
-  });
-  rejects([&](FarmParams& p) {
-    with_standby(p);
-    p.resilience.failover.handshake_per_worker = Seconds{nan};
   });
   // Zero target seconds is legal: every adaptive chunk clamps to 1 task.
   FarmParams zero_target;

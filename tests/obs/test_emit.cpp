@@ -273,8 +273,11 @@ workloads::TaskSet task_set(std::size_t n, double mean_mops, double cv,
 }
 
 // TaskFarm with every emitting subsystem on: churn (nobody protected, the
-// farmer included), checkpoints, a hot standby and accrual detection, plus
-// adaptive chunk sizing.
+// farmer included), checkpoints, a hot standby and a 1.5-period detection
+// timeout, plus adaptive chunk sizing.  The digests were recorded under
+// accrual detection, whose estimate sat at its 1.5-period floor on the
+// simulator's evenly spaced heartbeats; the fixed 1.5 s timeout reproduces
+// them.
 TEST(EmitFingerprint, TaskFarmChurnCheckpointFailover) {
   gridsim::ChurnScenarioParams scenario;
   scenario.grid.node_count = 12;
@@ -290,8 +293,7 @@ TEST(EmitFingerprint, TaskFarmChurnCheckpointFailover) {
   params.chunk_size = 4;
   params.resilience.enabled = true;
   params.resilience.detector.heartbeat_period = Seconds{1.0};
-  params.resilience.detector.timeout = Seconds{5.0};
-  params.resilience.detector.mode = resil::DetectionMode::Accrual;
+  params.resilience.detector.timeout = Seconds{1.5};
   params.resilience.checkpoint_period = Seconds{4.0};
   params.resilience.failover.standby_count = 1;
   params.resilience.failover.handshake = Seconds{2.0};

@@ -38,7 +38,6 @@ core::FarmParams resilient_params(Telemetry* telemetry) {
   params.resilience.checkpoint_period = Seconds{4.0};
   params.resilience.failover.standby_count = 1;
   params.resilience.failover.handshake = Seconds{2.0};
-  params.resilience.failover.handshake_per_worker = Seconds{0.25};
   params.telemetry = telemetry;
   return params;
 }

@@ -33,6 +33,11 @@
 
 namespace grasp::testing {
 
+/// Detector settings the harness uses unless a config overrides the
+/// timeout.
+inline constexpr double kPropertyHeartbeat = 1.0;
+inline constexpr double kPropertyTimeout = 4.0;
+
 struct ChurnPropertyConfig {
   std::size_t tasks = 240;
   double mean_mops = 120.0;
@@ -47,15 +52,10 @@ struct ChurnPropertyConfig {
   std::size_t protected_prefix = 1;
   std::size_t standby_count = 0;  ///< hot standbys (farmer failover)
   Seconds handshake{2.0};         ///< post-promotion reconnect cost
-  /// Failure-detection mode under test (Accrual tightens per-node timeouts
-  /// but must never exceed the kPropertyTimeout hard cap).
-  resil::DetectionMode detection_mode = resil::DetectionMode::Fixed;
+  /// Detector silence timeout; the detection latency bounds below are
+  /// stated as `timeout + kPropertyHeartbeat`.
+  Seconds timeout{kPropertyTimeout};
 };
-
-/// Detector settings the harness always uses (the failover latency bound
-/// below is stated in these terms).
-inline constexpr double kPropertyHeartbeat = 1.0;
-inline constexpr double kPropertyTimeout = 4.0;
 
 /// Pool + timeline derived from one seed (different seeds give different
 /// node speeds, task mixes and churn schedules).
@@ -83,12 +83,11 @@ inline core::FarmParams make_property_params(const ChurnPropertyConfig& cfg) {
   p.chunk_size = 3;
   p.resilience.enabled = true;
   p.resilience.detector.heartbeat_period = Seconds{kPropertyHeartbeat};
-  p.resilience.detector.timeout = Seconds{kPropertyTimeout};
+  p.resilience.detector.timeout = cfg.timeout;
   p.resilience.checkpoint_period = cfg.checkpoint_period;
   p.resilience.pool.evict_ratio = cfg.evict_ratio;
   p.resilience.failover.standby_count = cfg.standby_count;
   p.resilience.failover.handshake = cfg.handshake;
-  p.resilience.detector.mode = cfg.detection_mode;
   return p;
 }
 
@@ -228,7 +227,7 @@ inline void check_churn_invariants(const ChurnRun& run, std::uint64_t seed) {
           crash_at = c.at.value;
       ASSERT_GE(crash_at, 0.0);
       EXPECT_LE(e.at.value - crash_at,
-                kPropertyTimeout + kPropertyHeartbeat + 1e-6);
+                run.cfg.timeout.value + kPropertyHeartbeat + 1e-6);
     }
     if (e.kind == TraceEventKind::FarmerPromoted && e.note == "prompt") {
       EXPECT_LE(e.value, run.cfg.handshake.value + 1e-6);
@@ -236,16 +235,14 @@ inline void check_churn_invariants(const ChurnRun& run, std::uint64_t seed) {
   }
 }
 
-/// Worker-crash detection bounds, valid in both detector modes:
+/// Worker-crash detection bounds:
 ///
 ///   * no false positive — every silence-declared death corresponds to a
-///     real crash at or before the detection timestamp (an accrual
-///     detector that tightened its leash past the heartbeat cadence would
-///     fail here by evicting a live node);
+///     real crash at or before the detection timestamp (a timeout shorter
+///     than the heartbeat cadence would fail here by evicting a live
+///     node);
 ///   * bounded latency — detection lands within `timeout +
-///     heartbeat_period` of the crash.  In accrual mode the per-node
-///     effective timeout may be shorter, never longer: `timeout` is the
-///     hard cap, so the same bound must hold verbatim.
+///     heartbeat_period` of the crash.
 ///
 /// The bound applies to the live phase only.  Once every task is done the
 /// farm cancels its liveness tick ("liveness no longer matters") and the
@@ -272,7 +269,7 @@ inline void check_detection_latency_bound(const ChurnRun& run,
                              << " declared dead at t=" << e.at.value
                              << " without a preceding crash";
     EXPECT_LE(e.at.value - crash_at,
-              kPropertyTimeout + kPropertyHeartbeat + 1e-6)
+              run.cfg.timeout.value + kPropertyHeartbeat + 1e-6)
         << "node " << e.node.value << " crash at t=" << crash_at
         << " detected at t=" << e.at.value;
   }

@@ -140,7 +140,6 @@ TEST(CheckpointRecovery, EvictedNodeChunkResumesFromLastCheckpoint) {
 
   FarmParams p = checkpointed_params();
   p.resilience.pool.evict_ratio = 2.0;
-  p.resilience.pool.evict_after = 3;
   // No straggler twins: tail steal would quietly rescue the crawling chunk
   // and mask the path under test — eviction must be what saves it.
   p.reissue_stragglers = false;

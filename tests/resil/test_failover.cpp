@@ -124,7 +124,7 @@ TEST(ReplicaLog, RetargetFollowsRekeyedTokensForRollback) {
 TEST(FailoverCoordinator, PruneDropsOutageSurvivingCorpsesOnceFarmerIsBack) {
   FailoverCoordinator::Params p;
   p.standby_count = 2;
-  FailoverCoordinator c(p, NodeId{0}, Seconds{0.0});
+  FailoverCoordinator c(p, FailureDetector::Params{}, NodeId{0}, Seconds{0.0});
   c.recruit(NodeId{1}, 64.0);
   c.recruit(NodeId{2}, 64.0);
 
@@ -364,44 +364,29 @@ TEST(FarmerFailover, DisabledSubsystemKeepsFarmerReliableContract) {
   EXPECT_EQ(report.resilience.replication_records, 0u);
 }
 
-TEST(FailoverCoordinator, HandshakeCostScalesWithLiveMembership) {
-  FailoverCoordinator::Params p;
-  p.standby_count = 1;
-  p.handshake = Seconds{2.0};
-  p.handshake_per_worker = Seconds{0.5};
-  FailoverCoordinator c(p, NodeId{0}, Seconds{0.0});
-  // Reconnect fan-out: 4 live workers cost 2 + 0.5*4; 2 workers cost
-  // 2 + 0.5*2; the accumulator surfaces the total spent.
-  EXPECT_DOUBLE_EQ(c.handshake_cost(4).value, 4.0);
-  EXPECT_DOUBLE_EQ(c.handshake_cost(2).value, 3.0);
-  EXPECT_DOUBLE_EQ(c.handshake_cost_s(), 7.0);
-}
-
 TEST(FarmerFailover, PerWorkerHandshakeSurfacesInReportAndSlowsPromotion) {
-  // Same planted farmer crash, flat vs per-worker handshake: the scaled
-  // variant must report a strictly larger reconnect spend (it pays per
-  // live worker) and cannot finish earlier.
+  // Same planted farmer crash, default vs triple handshake window: the
+  // report carries each reconnect spend, and the longer window cannot
+  // finish earlier.  (The name predates the flat handshake; a per-worker
+  // term no longer exists.)
   const workloads::TaskSet ts = tasks(500);
-  const auto run_with = [&](double per_worker) {
+  const auto run_with = [&](double handshake) {
     const gridsim::Grid grid = planted_grid({{0, 40.0, -1.0}});
     SimBackend backend(grid);
     FarmParams p = failover_params(1);
-    p.resilience.failover.handshake_per_worker = Seconds{per_worker};
+    p.resilience.failover.handshake = Seconds{handshake};
     return TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
   };
-  const FarmReport flat = run_with(0.0);
-  const FarmReport scaled = run_with(0.5);
+  const FarmReport flat = run_with(kHandshake);
+  const FarmReport slow = run_with(3.0 * kHandshake);
 
   ASSERT_EQ(flat.resilience.failovers, 1u);
-  ASSERT_EQ(scaled.resilience.failovers, 1u);
-  // Flat reproduces the legacy constant-cost accounting exactly.
+  ASSERT_EQ(slow.resilience.failovers, 1u);
+  // One armed handshake each, paid in full.
   EXPECT_DOUBLE_EQ(flat.resilience.handshake_cost_s, kHandshake);
-  // Scaled pays kHandshake + 0.5 per live watched worker (at least one
-  // worker was alive, at most the 6 non-farmer nodes).
-  EXPECT_GE(scaled.resilience.handshake_cost_s, kHandshake + 0.5);
-  EXPECT_LE(scaled.resilience.handshake_cost_s, kHandshake + 0.5 * 6);
-  EXPECT_GE(scaled.makespan.value, flat.makespan.value);
-  expect_exactly_once(scaled, 500);
+  EXPECT_DOUBLE_EQ(slow.resilience.handshake_cost_s, 3.0 * kHandshake);
+  EXPECT_GE(slow.makespan.value, flat.makespan.value);
+  expect_exactly_once(slow, 500);
 }
 
 }  // namespace

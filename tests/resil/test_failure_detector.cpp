@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 
 #include "resil/heartbeat.hpp"
 
@@ -81,12 +82,21 @@ TEST(FailureDetector, AdvanceHandlesLargeClockJumps) {
 }
 
 TEST(FailureDetector, ValidationErrors) {
-  FailureDetector::Params bad;
-  bad.heartbeat_period = Seconds{0.0};
-  EXPECT_THROW(FailureDetector{bad}, std::invalid_argument);
-  bad = {};
-  bad.timeout = Seconds{-1.0};
-  EXPECT_THROW(FailureDetector{bad}, std::invalid_argument);
+  // Both fields must be finite and positive: NaN compares false against
+  // any bound, a NaN period would reach advance()'s floor-to-integer cast,
+  // and an infinite timeout would never suspect anyone.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -1.0}) {
+    SCOPED_TRACE(bad);
+    FailureDetector::Params p;
+    p.heartbeat_period = Seconds{bad};
+    EXPECT_THROW(FailureDetector{p}, std::invalid_argument);
+    p = {};
+    p.timeout = Seconds{bad};
+    EXPECT_THROW(FailureDetector{p}, std::invalid_argument);
+  }
+  EXPECT_NO_THROW(FailureDetector{FailureDetector::Params{}});
 }
 
 // Real transport: heartbeats travel as messages between ranks of the

@@ -232,7 +232,6 @@ TEST(SvcChurnAdmission, DegradationEvictionBetweenTenantsForcesReprobe) {
   evicting.resilience.detector.timeout = Seconds{5.0};
   evicting.resilience.checkpoint_period = Seconds{1.0};
   evicting.resilience.pool.evict_ratio = 2.0;
-  evicting.resilience.pool.evict_after = 3;
   evicting.reissue_stragglers = false;  // eviction, not tail-steal, rescues
 
   const JobHandle first = service.submit(

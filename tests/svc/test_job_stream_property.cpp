@@ -53,7 +53,6 @@ core::FarmParams resilient_params() {
   p.resilience.checkpoint_period = Seconds{4.0};
   p.resilience.failover.standby_count = 1;
   p.resilience.failover.handshake = Seconds{1.0};
-  p.resilience.failover.handshake_per_worker = Seconds{0.1};
   return p;
 }
 
