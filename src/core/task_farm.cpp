@@ -1552,7 +1552,10 @@ TaskFarm::TaskFarm(FarmParams params) : params_(std::move(params)) {
   if (!finite_at_least(res.checkpoint_period.value, 0.0))
     throw std::invalid_argument(
         "TaskFarm: checkpoint_period must be finite and non-negative");
-  if (res.enabled) res.detector.validate();
+  if (res.enabled) {
+    res.detector.validate();
+    res.pool.validate();
+  }
   if (res.failover.standby_count > 0 &&
       !finite_at_least(res.failover.handshake.value, 0.0))
     throw std::invalid_argument(

@@ -42,7 +42,8 @@ namespace grasp::core {
 /// really completed.
 struct FarmResilience {
   bool enabled = false;
-  /// Checked by TaskFarm's constructor when `enabled` (Params::validate).
+  /// Checked by TaskFarm's constructor when `enabled` (Params::validate),
+  /// as is `pool`.
   resil::FailureDetector::Params detector;
   resil::ElasticPool::Params pool;
   /// Rerun Algorithm 1 over the surviving pool after a detected crash.

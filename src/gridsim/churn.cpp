@@ -1,10 +1,30 @@
 #include "gridsim/churn.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "support/rng.hpp"
 
 namespace grasp::gridsim {
+
+namespace {
+
+/// (node, time) order over ChurnEvents, for the per-node index.
+bool node_then_time(const ChurnEvent& a, const ChurnEvent& b) {
+  if (a.node.value != b.node.value) return a.node.value < b.node.value;
+  return a.at < b.at;
+}
+
+/// Position just past the last event of `node` at or before `t` in a
+/// node_then_time-sorted list.
+std::vector<ChurnEvent>::const_iterator after(
+    const std::vector<ChurnEvent>& list, NodeId node, Seconds t) {
+  return std::upper_bound(list.begin(), list.end(),
+                          ChurnEvent{t, ChurnEventKind::Crash, node},
+                          node_then_time);
+}
+
+}  // namespace
 
 const char* to_string(ChurnEventKind kind) {
   switch (kind) {
@@ -19,11 +39,21 @@ const char* to_string(ChurnEventKind kind) {
 ChurnTimeline::ChurnTimeline(std::vector<ChurnEvent> events,
                              std::vector<NodeId> initially_absent)
     : events_(std::move(events)),
-      initially_absent_(initially_absent.begin(), initially_absent.end()) {
+      initially_absent_(std::move(initially_absent)) {
   std::stable_sort(events_.begin(), events_.end(),
                    [](const ChurnEvent& a, const ChurnEvent& b) {
                      return a.at < b.at;
                    });
+  by_node_ = events_;
+  std::stable_sort(by_node_.begin(), by_node_.end(), node_then_time);
+  std::copy_if(by_node_.begin(), by_node_.end(), std::back_inserter(crashes_),
+               [](const ChurnEvent& e) {
+                 return e.kind == ChurnEventKind::Crash;
+               });
+  std::sort(initially_absent_.begin(), initially_absent_.end(), by_id);
+  initially_absent_.erase(
+      std::unique(initially_absent_.begin(), initially_absent_.end()),
+      initially_absent_.end());
 }
 
 std::size_t ChurnTimeline::count(ChurnEventKind kind) const {
@@ -33,41 +63,26 @@ std::size_t ChurnTimeline::count(ChurnEventKind kind) const {
 }
 
 bool ChurnTimeline::is_member(NodeId node, Seconds t) const {
-  bool member = initially_member(node);
-  for (const auto& e : events_) {
-    if (e.at > t) break;
-    if (e.node != node) continue;
-    switch (e.kind) {
-      case ChurnEventKind::Crash:
-      case ChurnEventKind::Leave:
-        member = false;
-        break;
-      case ChurnEventKind::Join:
-      case ChurnEventKind::Rejoin:
-        member = true;
-        break;
-    }
-  }
-  return member;
+  const auto it = after(by_node_, node, t);
+  if (it == by_node_.begin() || std::prev(it)->node != node)
+    return initially_member(node);
+  const ChurnEventKind last = std::prev(it)->kind;
+  return last == ChurnEventKind::Join || last == ChurnEventKind::Rejoin;
 }
 
 bool ChurnTimeline::crashed_during(NodeId node, Seconds from,
                                    Seconds to) const {
-  for (const auto& e : events_) {
-    if (e.at > to) break;
-    if (e.at > from && e.node == node && e.kind == ChurnEventKind::Crash)
-      return true;
-  }
-  return false;
+  const auto it = after(crashes_, node, from);
+  return it != crashes_.end() && it->node == node && it->at <= to;
 }
 
 std::vector<ChurnEvent> ChurnTimeline::events_between(Seconds from,
                                                       Seconds to) const {
   std::vector<ChurnEvent> out;
-  for (const auto& e : events_) {
-    if (e.at > to) break;
-    if (e.at > from) out.push_back(e);
-  }
+  auto it = std::upper_bound(
+      events_.begin(), events_.end(), from,
+      [](Seconds f, const ChurnEvent& e) { return f < e.at; });
+  for (; it != events_.end() && !(it->at > to); ++it) out.push_back(*it);
   return out;
 }
 

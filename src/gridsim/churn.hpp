@@ -15,9 +15,9 @@
 // trace-driven timelines are built directly from an event list.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "support/ids.hpp"
@@ -53,16 +53,18 @@ class ChurnTimeline {
   [[nodiscard]] std::size_t count(ChurnEventKind kind) const;
 
   [[nodiscard]] bool initially_member(NodeId node) const {
-    return initially_absent_.count(node) == 0;
+    return !std::binary_search(initially_absent_.begin(),
+                               initially_absent_.end(), node, by_id);
   }
 
   /// Membership state at time t: the initial state with every event at or
-  /// before t applied.
+  /// before t applied.  O(log events).
   [[nodiscard]] bool is_member(NodeId node, Seconds t) const;
 
   /// True when a Crash event for `node` lies in (from, to].  The engines use
   /// this to invalidate work whose dispatch-to-completion window straddles a
   /// crash (the completion is a zombie: physically the node died mid-chunk).
+  /// O(log events).
   [[nodiscard]] bool crashed_during(NodeId node, Seconds from,
                                     Seconds to) const;
 
@@ -75,8 +77,15 @@ class ChurnTimeline {
       const std::vector<NodeId>& pool, Seconds t) const;
 
  private:
+  static bool by_id(NodeId a, NodeId b) { return a.value < b.value; }
+
   std::vector<ChurnEvent> events_;  ///< sorted by time
-  std::unordered_set<NodeId> initially_absent_;
+  /// Per-node index: the events grouped by node (ascending id), each group
+  /// in events_ order.  Every event sets membership outright, so the last
+  /// one at or before t decides is_member.
+  std::vector<ChurnEvent> by_node_;
+  std::vector<ChurnEvent> crashes_;  ///< the Crash events, same order
+  std::vector<NodeId> initially_absent_;  ///< sorted, unique
 };
 
 /// Poisson churn-schedule generator.

@@ -19,11 +19,14 @@ MonitorDaemon::MonitorDaemon(const gridsim::Grid& grid,
   if (params_.period.value <= 0.0)
     throw std::invalid_argument("MonitorDaemon: period must be positive");
   if (!params_.root.is_valid() && !watched_.empty()) params_.root = watched_.front();
-  for (const NodeId n : watched_) state_[n] = make_state();
+  for (const NodeId n : watched_) state_[n] = make_state(n);
 }
 
-std::unique_ptr<MonitorDaemon::PerNode> MonitorDaemon::make_state() const {
+std::unique_ptr<MonitorDaemon::PerNode> MonitorDaemon::make_state(
+    NodeId node) const {
   auto per = std::make_unique<PerNode>(params_.history);
+  per->model = &grid_->node(node);
+  per->link = bw_sensor_.link(params_.root, node);
   per->load_forecast = make_forecaster(params_.forecaster);
   per->bw_forecast = make_forecaster(params_.forecaster);
   return per;
@@ -44,11 +47,11 @@ void MonitorDaemon::advance_to(Seconds t) {
 void MonitorDaemon::sample_all(Seconds t) {
   for (const NodeId node : watched_) {
     PerNode& per = *state_[node];
-    const Sample load = cpu_sensor_.sample(node, t);
+    const Sample load = cpu_sensor_.sample(*per.model, t);
     per.load_history.push(load);
     per.load_forecast->observe(load);
     per.last_load = load.value;
-    const Sample bw = bw_sensor_.sample(params_.root, node, t);
+    const Sample bw = bw_sensor_.sample(per.link, t);
     per.bw_history.push(bw);
     per.bw_forecast->observe(bw);
     per.last_bw = bw.value;
@@ -124,10 +127,15 @@ void MonitorDaemon::rewatch(std::vector<NodeId> watched) {
   NodeMap<std::unique_ptr<PerNode>> kept;
   for (const NodeId n : watched) {
     std::unique_ptr<PerNode>& old = state_[n];
-    kept[n] = old ? std::move(old) : make_state();
+    kept[n] = old ? std::move(old) : make_state(n);
   }
   state_ = std::move(kept);
   watched_ = std::move(watched);
+}
+
+void MonitorDaemon::reroot(NodeId root) {
+  params_.root = root;
+  for (const NodeId n : watched_) state_[n]->link = bw_sensor_.link(root, n);
 }
 
 }  // namespace grasp::perfmon

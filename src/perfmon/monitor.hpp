@@ -75,7 +75,7 @@ class MonitorDaemon {
   /// Move the bandwidth-measurement root (farmer failover promoted a new
   /// coordinator).  Load histories are unaffected; bandwidth samples taken
   /// from here on measure the new root's links.
-  void reroot(NodeId root) { params_.root = root; }
+  void reroot(NodeId root);
 
   /// Attach a metrics registry (non-owning; must outlive the daemon): every
   /// sampling tick increments the `perfmon.monitor_samples` counter, so a
@@ -89,6 +89,9 @@ class MonitorDaemon {
 
  private:
   struct PerNode {
+    /// Resolved once (make_state, rewatch, reroot), not on every tick.
+    const gridsim::NodeModel* model = nullptr;
+    const gridsim::LinkModel* link = nullptr;  ///< root -> node; null: loopback
     RingBuffer<Sample> load_history;
     RingBuffer<Sample> bw_history;
     std::unique_ptr<Forecaster> load_forecast;
@@ -111,7 +114,7 @@ class MonitorDaemon {
   Params params_;
   CpuLoadSensor cpu_sensor_;
   BandwidthSensor bw_sensor_;
-  [[nodiscard]] std::unique_ptr<PerNode> make_state() const;
+  [[nodiscard]] std::unique_ptr<PerNode> make_state(NodeId node) const;
 
   /// Dense per-node state: sample_all touches every watched node each
   /// period tick, so the lookup is a direct index, not a hash probe.

@@ -1,13 +1,8 @@
 #include "perfmon/sensor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace grasp::perfmon {
-
-namespace {
-constexpr double kLoopbackBandwidth = 1e12;  // bytes/s, effectively free
-}
 
 NoiseModel::NoiseModel(double relative_stddev, double absolute_stddev,
                        std::uint64_t seed)
@@ -20,32 +15,17 @@ NoiseModel::NoiseModel(double relative_stddev, double absolute_stddev,
 
 NoiseModel NoiseModel::none() { return NoiseModel(0.0, 0.0, 0); }
 
-double NoiseModel::perturb(double value) {
-  double out = value;
-  if (relative_stddev_ > 0.0)
-    out *= 1.0 + rng_.normal(0.0, relative_stddev_);
-  if (absolute_stddev_ > 0.0) out += rng_.normal(0.0, absolute_stddev_);
-  return std::max(0.0, out);
-}
-
 CpuLoadSensor::CpuLoadSensor(const gridsim::Grid& grid, NoiseModel noise)
     : grid_(&grid), noise_(noise) {}
-
-Sample CpuLoadSensor::sample(NodeId node, Seconds t) {
-  const double truth = grid_->node(node).load_at(t);
-  return Sample{t, noise_.perturb(truth)};
-}
 
 BandwidthSensor::BandwidthSensor(const gridsim::Grid& grid, NoiseModel noise)
     : grid_(&grid), noise_(noise) {}
 
-Sample BandwidthSensor::sample(NodeId from, NodeId to, Seconds t) {
-  if (from == to) return Sample{t, kLoopbackBandwidth};
-  const SiteId sa = grid_->node(from).site();
-  const SiteId sb = grid_->node(to).site();
-  const double truth =
-      grid_->topology().link(sa, sb).effective_bandwidth(t).value;
-  return Sample{t, noise_.perturb(truth)};
+const gridsim::LinkModel* BandwidthSensor::link(NodeId from,
+                                                NodeId to) const {
+  if (from == to) return nullptr;
+  return &grid_->topology().link(grid_->node(from).site(),
+                                 grid_->node(to).site());
 }
 
 }  // namespace grasp::perfmon

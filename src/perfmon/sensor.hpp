@@ -5,8 +5,13 @@
 // ground truth through a configurable noise model, so experiments can study
 // calibration quality as observation fidelity degrades (perfect sensors are
 // noise_stddev = 0).
+//
+// Each sensor has one sampling path, over an already-resolved NodeModel or
+// LinkModel; the NodeId overloads resolve and delegate to it.  A periodic
+// caller (MonitorDaemon) resolves once and samples the models directly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "gridsim/grid.hpp"
@@ -31,7 +36,13 @@ class NoiseModel {
   /// Perfect observation (no noise).
   static NoiseModel none();
 
-  [[nodiscard]] double perturb(double value);
+  [[nodiscard]] double perturb(double value) {
+    double out = value;
+    if (relative_stddev_ > 0.0)
+      out *= 1.0 + rng_.normal(0.0, relative_stddev_);
+    if (absolute_stddev_ > 0.0) out += rng_.normal(0.0, absolute_stddev_);
+    return std::max(0.0, out);
+  }
 
  private:
   double relative_stddev_;
@@ -44,7 +55,12 @@ class CpuLoadSensor {
  public:
   CpuLoadSensor(const gridsim::Grid& grid, NoiseModel noise);
 
-  [[nodiscard]] Sample sample(NodeId node, Seconds t);
+  [[nodiscard]] Sample sample(NodeId node, Seconds t) {
+    return sample(grid_->node(node), t);
+  }
+  [[nodiscard]] Sample sample(const gridsim::NodeModel& node, Seconds t) {
+    return Sample{t, noise_.perturb(node.load_at(t))};
+  }
 
  private:
   const gridsim::Grid* grid_;
@@ -55,9 +71,22 @@ class CpuLoadSensor {
 /// paired with itself the loopback is reported as a large constant.
 class BandwidthSensor {
  public:
+  /// Bytes/s reported for loopback; never perturbed (no noise draw).
+  static constexpr double kLoopbackBandwidth = 1e12;
+
   BandwidthSensor(const gridsim::Grid& grid, NoiseModel noise);
 
-  [[nodiscard]] Sample sample(NodeId from, NodeId to, Seconds t);
+  /// The link carrying from -> to traffic; nullptr for loopback.
+  [[nodiscard]] const gridsim::LinkModel* link(NodeId from, NodeId to) const;
+
+  [[nodiscard]] Sample sample(NodeId from, NodeId to, Seconds t) {
+    return sample(link(from, to), t);
+  }
+  /// `link` as resolved by link(); nullptr samples the loopback.
+  [[nodiscard]] Sample sample(const gridsim::LinkModel* link, Seconds t) {
+    if (link == nullptr) return Sample{t, kLoopbackBandwidth};
+    return Sample{t, noise_.perturb(link->effective_bandwidth(t).value)};
+  }
 
  private:
   const gridsim::Grid* grid_;

@@ -1,6 +1,7 @@
 #include "resil/elastic_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace grasp::resil {
@@ -16,9 +17,14 @@ bool erase_value(std::vector<NodeId>& v, NodeId node) {
 
 }  // namespace
 
+void ElasticPool::Params::validate() const {
+  if (!(std::isfinite(evict_ratio) && evict_ratio >= 0.0))
+    throw std::invalid_argument(
+        "ElasticPool: evict_ratio must be finite and >= 0");
+}
+
 ElasticPool::ElasticPool(Params params) : params_(params) {
-  if (params_.evict_ratio < 0.0)
-    throw std::invalid_argument("ElasticPool: evict_ratio must be >= 0");
+  params_.validate();
 }
 
 void ElasticPool::reset(std::vector<NodeId> workers) {

@@ -23,6 +23,12 @@ class ElasticPool {
     /// Evict a worker after kEvictAfter consecutive observations with
     /// spm > evict_ratio * baseline.  0 disables eviction.
     double evict_ratio = 0.0;
+
+    /// Throws std::invalid_argument unless evict_ratio is finite and
+    /// non-negative.  A NaN ratio would fail every strike comparison and
+    /// silently turn eviction off.  The pool and TaskFarm (when resilience
+    /// is enabled) call it from their constructors.
+    void validate() const;
   };
 
   /// Admit a probationer when probe spm <= kAdmitRatio * baseline spm.

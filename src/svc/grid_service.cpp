@@ -4,9 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "obs/flight_recorder.hpp"
+#include "support/flat_map.hpp"
 #include "svc/fair_share.hpp"
 
 namespace grasp::svc {
@@ -151,10 +151,8 @@ void GridService::wait(const JobHandle& handle) {
 
 void GridService::wait_all() {
   pump_until([&] {
-    if (!pending_arrivals_.empty()) return false;
-    for (const auto& job : all_jobs_)
-      if (!terminal(job->status)) return false;
-    return true;
+    return pending_arrivals_.empty() &&
+           completed_ + failed_ + rejected_ == all_jobs_.size();
   });
 }
 
@@ -219,6 +217,10 @@ bool GridService::pump_one() {
 void GridService::try_admit() {
   const Seconds now = backend_.now();
   invalidate_departed(now);
+  if (queue_.empty()) {
+    update_gauges();
+    return;
+  }
   // Allocate only over live members: handing a crashed/departed node to a
   // tenant wastes its allocation (and an all-dead grant kills the engine
   // at t=0).  Churn-free grids take the identity path.
@@ -245,9 +247,9 @@ void GridService::try_admit() {
       ++min_nodes_reclamps_;
       if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.reclamped);
     }
-    std::unordered_set<NodeId> busy;
+    NodeMap<char> busy;
     for (const auto& r : running_)
-      busy.insert(r->nodes.begin(), r->nodes.end());
+      for (const NodeId node : r->nodes) busy[node] = 1;
     double running_weight = 0.0;
     for (const auto& r : running_) running_weight += r->weight;
     std::vector<NodeCapacity> free_nodes;
@@ -255,7 +257,7 @@ void GridService::try_admit() {
     for (const NodeId node : live) {
       const double mops = capacity_mops(node);
       total_mops += mops;
-      if (busy.count(node) == 0) free_nodes.push_back({node, mops});
+      if (busy.at_or_default(node) == 0) free_nodes.push_back({node, mops});
     }
     std::vector<NodeId> allocation = pick_allocation(
         free_nodes, total_mops, running_weight,
@@ -340,6 +342,7 @@ void GridService::settle(detail::JobState& job) {
   job.farm_engine.reset();
   job.pipeline_engine.reset();
   job.done = true;
+  ++unreaped_;
 }
 
 void GridService::fail(detail::JobState& job) {
@@ -354,15 +357,18 @@ void GridService::fail(detail::JobState& job) {
   job.farm_engine.reset();
   job.pipeline_engine.reset();
   job.done = true;
+  ++unreaped_;
 }
 
 void GridService::reap() {
+  if (unreaped_ == 0) return;
+  unreaped_ = 0;
   for (std::size_t i = 0; i < running_.size();) {
-    const StatePtr job = running_[i];
-    if (!job->done) {
+    if (!running_[i]->done) {
       ++i;
       continue;
     }
+    const StatePtr job = std::move(running_[i]);
     running_.erase(running_.begin() + i);
     finalize(job);
   }

@@ -150,6 +150,8 @@ class GridService {
   void settle(detail::JobState& job);
   /// Record the exception in flight as the job's failure.
   void fail(detail::JobState& job);
+  /// Retire every done tenant, in running order.  O(1) when none finished
+  /// since the last call.
   void reap();
   void finalize(const StatePtr& job);
   [[nodiscard]] detail::JobState* find_running(std::uint64_t seq) const;
@@ -180,6 +182,8 @@ class GridService {
   std::unordered_map<core::OpToken, StatePtr> pending_arrivals_;
   core::OpToken next_arrival_token_ = 1;
 
+  /// Tenants marked done (settle/fail) and not yet reaped.
+  std::size_t unreaped_ = 0;
   std::size_t completed_ = 0;
   std::size_t failed_ = 0;
   std::size_t rejected_ = 0;

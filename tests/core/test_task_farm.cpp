@@ -335,6 +335,15 @@ TEST(TaskFarm, ValidationErrors) {
     with_standby(p);
     p.resilience.failover.handshake = Seconds{nan};
   });
+  // With resilience enabled, the pool's evict_ratio is checked here too,
+  // not first when the engine builds its ElasticPool at start().
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    SCOPED_TRACE(bad);
+    rejects([&](FarmParams& p) {
+      p.resilience.enabled = true;
+      p.resilience.pool.evict_ratio = bad;
+    });
+  }
   // Zero target seconds is legal: every adaptive chunk clamps to 1 task.
   FarmParams zero_target;
   zero_target.target_chunk_seconds = 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace grasp::resil {
 namespace {
 
@@ -82,6 +84,23 @@ TEST(ElasticPool, ValidationErrors) {
   ElasticPool::Params bad;
   bad.evict_ratio = -1.0;
   EXPECT_THROW(ElasticPool{bad}, std::invalid_argument);
+}
+
+TEST(ElasticPool, RejectsNonFiniteEvictRatio) {
+  // NaN fails every strike comparison, so it used to turn eviction off
+  // without a word; the infinities are no ratio either.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE(bad);
+    ElasticPool::Params p;
+    p.evict_ratio = bad;
+    EXPECT_THROW(p.validate(), std::invalid_argument);
+    EXPECT_THROW(ElasticPool{p}, std::invalid_argument);
+  }
+  ElasticPool::Params off;  // 0 (eviction off) stays legal
+  EXPECT_NO_THROW(off.validate());
+  EXPECT_NO_THROW(params().validate());
 }
 
 }  // namespace

@@ -18,6 +18,10 @@
 namespace grasp::svc {
 namespace {
 
+/// Queue wait of the blocked job in QueuedJobStartsAtTheBlockingTenantsFinish
+/// (virtual seconds): its blocker's finish time minus its arrival at t=5.
+constexpr double kBlockedQueueWait = 21.917253496504671;
+
 workloads::TaskSet tasks(std::size_t n, std::uint64_t seed = 42) {
   workloads::TaskSetParams p;
   p.count = n;
@@ -166,6 +170,84 @@ TEST(GridService, SaturatedPoolQueuesFifo) {
   EXPECT_EQ(service.max_concurrent_observed(), 1u);
   EXPECT_GT(b.queue_wait_s(), 0.0);
   EXPECT_GE(b.started_at().value, a.finished_at().value);
+}
+
+TEST(GridService, JobDoneOnItsFirstStepIsReaped) {
+  // A tenant whose engine throws at start is done before it ever waits;
+  // the next pump must still reap it, so its allocation frees up at once.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(4, 100.0);
+  core::SimBackend backend(grid);
+  GridService service(backend, grid, grid.node_ids());
+  const workloads::PipelineSpec spec =
+      workloads::make_uniform_pipeline(2, 50.0, 1e4);
+  const JobHandle dead =
+      service.submit(PipelineJob{core::PipelineParams{}, spec, 0});
+  const JobHandle next = service.submit(
+      FarmJob{core::make_adaptive_farm_params(), tasks(40, 1)});
+  EXPECT_EQ(dead.nodes().size(), 4u);  // it held the whole pool
+  service.wait(next);
+
+  EXPECT_EQ(dead.status(), JobStatus::Failed);
+  EXPECT_EQ(dead.error_message(), "Pipeline: item_count must be positive");
+  EXPECT_EQ(dead.finished_at().value, 0.0);
+  EXPECT_EQ(next.status(), JobStatus::Completed);
+  EXPECT_EQ(next.started_at().value, 0.0);
+  EXPECT_EQ(next.nodes().size(), 4u);
+  EXPECT_EQ(service.jobs_failed(), 1u);
+  EXPECT_EQ(service.jobs_running(), 0u);
+}
+
+TEST(GridService, QueuedJobStartsAtTheBlockingTenantsFinish) {
+  // Every node is busy when the second job arrives at t=5: it waits in the
+  // queue and is admitted at the very instant the first tenant retires.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(4, 100.0);
+  core::SimBackend backend(grid);
+  GridService service(backend, grid, grid.node_ids());
+  const JobHandle a = service.submit(
+      FarmJob{core::make_adaptive_farm_params(), tasks(100, 1)});
+  const JobHandle b = service.submit_at(
+      Seconds{5.0}, FarmJob{core::make_adaptive_farm_params(), tasks(50, 2)});
+  service.wait_all();
+
+  ASSERT_EQ(a.status(), JobStatus::Completed);
+  ASSERT_EQ(b.status(), JobStatus::Completed);
+  EXPECT_EQ(b.submitted_at().value, 5.0);
+  EXPECT_GT(a.finished_at().value, 5.0);
+  EXPECT_EQ(b.started_at().value, a.finished_at().value);
+  EXPECT_EQ(b.queue_wait_s(), a.finished_at().value - 5.0);
+  EXPECT_DOUBLE_EQ(b.queue_wait_s(), kBlockedQueueWait);
+}
+
+TEST(GridService, WaitAllCoversLateArrivalsAndRejections) {
+  // wait_all returns only after the last scheduled arrival has fired and
+  // every job is terminal: two run, one is rejected at arrival, and one
+  // arrives long after the service went idle.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(4, 100.0);
+  core::SimBackend backend(grid);
+  GridService::Params params;
+  params.max_concurrent_jobs = 1;
+  params.max_queued_jobs = 1;
+  GridService service(backend, grid, grid.node_ids(), params);
+  const auto farm = [](std::uint64_t seed) {
+    return FarmJob{core::make_adaptive_farm_params(), tasks(60, seed)};
+  };
+  const JobHandle running = service.submit(farm(1));
+  const JobHandle queued = service.submit_at(Seconds{1.0}, farm(2));
+  const JobHandle rejected = service.submit_at(Seconds{1.0}, farm(3));
+  const JobHandle late = service.submit_at(Seconds{1000.0}, farm(4));
+  service.wait_all();
+
+  EXPECT_EQ(running.status(), JobStatus::Completed);
+  EXPECT_EQ(queued.status(), JobStatus::Completed);
+  EXPECT_EQ(rejected.status(), JobStatus::Rejected);
+  EXPECT_EQ(late.status(), JobStatus::Completed);
+  EXPECT_LT(queued.finished_at().value, 1000.0);
+  EXPECT_EQ(late.started_at().value, 1000.0);
+  EXPECT_GE(backend.now().value, late.finished_at().value);
+  EXPECT_EQ(service.jobs_completed(), 3u);
+  EXPECT_EQ(service.jobs_rejected(), 1u);
+  EXPECT_EQ(service.jobs_running(), 0u);
+  EXPECT_EQ(service.jobs_queued(), 0u);
 }
 
 TEST(GridService, AdmissionControlRejectsBeyondQueueBound) {
