@@ -115,8 +115,9 @@ int main(int argc, char** argv) {
           continue;
       }
       std::cout << "  t=" << e.at.value << "s  node " << e.node.value
-                << "  " << what
-                << (e.note.empty() ? "" : "  (" + e.note + ")") << "\n";
+                << "  " << what;
+      if (!e.note.empty()) std::cout << "  (" << e.note << ")";
+      std::cout << "\n";
     }
     std::cout << "\n";
   }

@@ -43,15 +43,33 @@ void ExecutionMonitor::arm(double baseline_spm,
   if (chosen.empty())
     throw std::invalid_argument("ExecutionMonitor: empty chosen set");
   baseline_spm_ = baseline_spm;
+  for (const NodeId n : chosen_) is_chosen_[n] = 0;
   chosen_ = chosen;
+  distinct_chosen_ = 0;
+  for (const NodeId n : chosen_) {
+    char& flag = is_chosen_[n];
+    if (flag == 0) ++distinct_chosen_;
+    flag = 1;
+  }
   latest_.clear();
+  chosen_reported_ = 0;
   begin_round(now);
 }
 
 void ExecutionMonitor::begin_round(Seconds now) {
   round_times_.clear();
   round_reported_ = 0;
+  chosen_in_round_ = 0;
   round_started_ = now;
+}
+
+void ExecutionMonitor::store(NodeId node, double& slot, double value,
+                             std::size_t& count) {
+  if (is_chosen_.at_or_default(node) != 0) {
+    if (std::isnan(slot) && !std::isnan(value)) ++count;
+    if (!std::isnan(slot) && std::isnan(value)) --count;
+  }
+  slot = value;
 }
 
 void ExecutionMonitor::observe(NodeId node, double seconds_per_mop,
@@ -61,8 +79,8 @@ void ExecutionMonitor::observe(NodeId node, double seconds_per_mop,
   // "collect t from Chosen nodes into T" implies one slot per node.
   double& slot = round_times_[node];
   if (std::isnan(slot)) ++round_reported_;
-  slot = seconds_per_mop;
-  latest_[node] = seconds_per_mop;
+  store(node, slot, seconds_per_mop, chosen_in_round_);
+  store(node, latest_[node], seconds_per_mop, chosen_reported_);
 }
 
 double ExecutionMonitor::threshold_spm() const {
@@ -84,11 +102,7 @@ MonitorVerdict ExecutionMonitor::check(Seconds now) {
   // forever, and a *single* degraded observation already proves a
   // bottleneck.  Evaluate over the latest per-node observations instead.
   if (policy_.kind == ThresholdPolicy::Kind::RelativeMax) {
-    const bool all_reported =
-        std::all_of(chosen_.begin(), chosen_.end(), [&](NodeId n) {
-          return !std::isnan(latest_.at_or_default(n));
-        });
-    if (!all_reported) return MonitorVerdict::None;
+    if (chosen_reported_ != distinct_chosen_) return MonitorVerdict::None;
     double max_t = 0.0;
     for (const NodeId n : chosen_)
       max_t = std::max(max_t, latest_.at_or_default(n));
@@ -105,11 +119,7 @@ MonitorVerdict ExecutionMonitor::check(Seconds now) {
   }
 
   // Staleness: some chosen node has gone silent for the whole window.
-  const bool round_complete =
-      std::all_of(chosen_.begin(), chosen_.end(), [&](NodeId n) {
-        return !std::isnan(round_times_.at_or_default(n));
-      });
-  if (!round_complete) {
+  if (chosen_in_round_ != distinct_chosen_) {
     if (policy_.stale_after > 0.0 &&
         (now - round_started_).value > policy_.stale_after &&
         round_reported_ > 0) {

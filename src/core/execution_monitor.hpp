@@ -71,17 +71,28 @@ class ExecutionMonitor {
 
  private:
   void begin_round(Seconds now);
+  /// Store `value` in `slot`, keeping `count` equal to the number of chosen
+  /// nodes whose slot holds a number.
+  void store(NodeId node, double& slot, double value, std::size_t& count);
 
   SkeletonTraits traits_;
   ThresholdPolicy policy_;
   double baseline_spm_ = 0.0;
   std::vector<NodeId> chosen_;
-  // Dense per-node slots (NaN marks "no observation"): check() runs on
-  // every completion and scans the chosen set, so these reads must be
-  // direct loads, not hash probes.
+  // Per-node flag set by arm() for every chosen node, and the number of
+  // distinct chosen nodes: check() runs on every completion, so it tests a
+  // count instead of scanning the chosen set.
+  NodeMap<char> is_chosen_;
+  std::size_t distinct_chosen_ = 0;
+  // Dense per-node slots (NaN marks "no observation").
   NodeMap<double> round_times_;  ///< this round
   NodeMap<double> latest_;       ///< across rounds
   std::size_t round_reported_ = 0;  ///< nodes heard from this round
+  /// Chosen nodes with a (non-NaN) slot in round_times_ / latest_: the
+  /// round is complete, or every chosen node has reported since arm(),
+  /// when the count reaches distinct_chosen_.
+  std::size_t chosen_in_round_ = 0;
+  std::size_t chosen_reported_ = 0;
   Seconds round_started_{0.0};
   std::size_t rounds_ = 0;
   std::size_t triggers_ = 0;

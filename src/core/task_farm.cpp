@@ -11,6 +11,7 @@
 #include "obs/flight_recorder.hpp"
 #include "resil/chunk_ledger.hpp"
 #include "resil/membership.hpp"
+#include "support/dynamic_bitset.hpp"
 #include "support/flat_map.hpp"
 #include "support/log.hpp"
 
@@ -242,7 +243,7 @@ class FarmRun final : public FarmEngine {
       initial_baseline_spm_ = result.baseline_spm;
       for (const auto& s : result.ranking) node_spm_[s.node] = s.adjusted_spm;
       for (const NodeId n : pool_) node_chunk_[n] = params_.chunk_size;
-      for (const NodeId n : pool_) busy_[n] = false;
+      for (const NodeId n : pool_) set_busy(n, false);
       report_.final_baseline_spm = result.baseline_spm;
       execution_started_ = true;
       consume_membership(backend_.now());
@@ -567,7 +568,7 @@ class FarmRun final : public FarmEngine {
       ev_.emit(is_reissue ? gridsim::TraceEventKind::TaskReissued
                           : gridsim::TraceEventKind::TaskDispatched,
                node, t.id, t.work.value);
-    busy_[node] = true;
+    set_busy(node, true);
     if (resil_on_)
       ledger_.record(token, {node, a.chunk, a.dispatched, a.work()});
     if (failover_on_)
@@ -581,6 +582,35 @@ class FarmRun final : public FarmEngine {
     met_.observe(h_wave_, static_cast<double>(dispatch_wave_.size()));
     backend_.submit_batch(std::move(dispatch_wave_));
     dispatch_wave_.clear();
+  }
+
+  // The one writer of busy_: keeps the idle bit of a worker in step.
+  void set_busy(NodeId n, bool busy) {
+    busy_[n] = busy;
+    if (idle_revision_ != elastic_->revision()) return;  // sync_idle rebuilds
+    const std::size_t p = member_pos_.at_or_default(n);
+    if (p == DynamicBitset::npos) return;  // not a worker
+    if (busy)
+      idle_.reset(p);
+    else
+      idle_.set(p);
+  }
+
+  // Rebuild the worker positions and idle bits after the pool changed.
+  void sync_idle() {
+    if (idle_revision_ == elastic_->revision()) return;
+    idle_revision_ = elastic_->revision();
+    const std::vector<NodeId>& workers = elastic_->workers();
+    member_pos_.clear();
+    idle_.assign(workers.size(), false);
+    for (std::size_t p = 0; p < workers.size(); ++p) {
+      const NodeId n = workers[p];
+      // A repeated worker keeps its first position; the repeat is never
+      // idle, so it is never picked twice.
+      if (member_pos_.at_or_default(n) != DynamicBitset::npos) continue;
+      member_pos_[n] = p;
+      if (busy_.at_or_default(n) == 0) idle_.set(p);
+    }
   }
 
   // Return the unfinished tasks of a lost chunk to the front of the queue
@@ -644,7 +674,7 @@ class FarmRun final : public FarmEngine {
     if (!resil_on_ || !detector_->watching(node)) return;
     detector_->unwatch(node);
     elastic_->remove(node);
-    busy_[node] = false;
+    set_busy(node, false);
     newly_dead_.push_back(node);
     if (failover_on_) {
       failover_->log().append(
@@ -769,7 +799,7 @@ class FarmRun final : public FarmEngine {
             (void)token;
             if (a.node == e.node) occupied = true;
           }
-          if (!occupied) busy_[e.node] = false;
+          if (!occupied) set_busy(e.node, false);
           if (params_.resilience.elastic_join)
             elastic_->begin_probation(e.node);
           monitor_->rewatch(farmer_live_view());
@@ -872,7 +902,7 @@ class FarmRun final : public FarmEngine {
       const auto entry = ledger_.invalidate(token, already_done);
       if (entry) recover_checkpointed(*entry);
       requeue_pending(a.chunk, a.node);
-      busy_[a.node] = false;
+      set_busy(a.node, false);
       exec_monitor_->arm(exec_monitor_->baseline_spm(), elastic_->workers(),
                          backend_.now());
     }
@@ -1057,35 +1087,44 @@ class FarmRun final : public FarmEngine {
     // handshake of the promoted coordinator closes.
     if (failover_on_ && (failover_->farmer_down() || handshake_token_ != 0))
       return;
-    // Copy only on churn runs, where declare_dead (via the liveness check)
-    // can mutate the worker set mid-loop; churn-free passes iterate the
-    // pool's own vector and never allocate.
-    std::vector<NodeId> workers_copy;
-    if (resil_on_) workers_copy = elastic_->workers();
-    const std::vector<NodeId>& workers =
-        resil_on_ ? workers_copy : elastic_->workers();
-    for (const NodeId n : workers) {
-      if (source_.empty()) break;
-      if (busy_[n]) continue;
+    if (source_.empty()) {
+      flush_dispatches();
+      return;
+    }
+    // Idle workers in worker order, one bit search per pick.  Everything
+    // before `from` has been visited: a dispatch clears the worker's bit,
+    // and a death shifts the later workers down onto its position.  A
+    // worker the farmer cannot declare dead (it no longer watches it) keeps
+    // its bit and is stepped over, as a walk over workers() would.
+    std::size_t from = 0;
+    while (!source_.empty()) {
+      sync_idle();
+      const std::size_t p = idle_.find_next(from);
+      if (p == DynamicBitset::npos) break;
+      const NodeId n = elastic_->workers()[p];
       // Dispatch-time liveness check: opening the connection to a dead node
       // fails fast, so the farmer learns of the crash here even before the
       // heartbeat timeout.
       if (resil_on_ && !churn_->is_member(n, backend_.now())) {
+        const std::size_t before = elastic_->revision();
         declare_dead(n, "dispatch failed");
+        from = elastic_->revision() == before ? p + 1 : p;
         continue;
       }
       const std::size_t want = chunk_for(n);
       std::vector<workloads::TaskSpec> chunk;
       while (chunk.size() < want && !source_.empty())
         chunk.push_back(source_.pop());
-      if (!chunk.empty()) queue_chunk(n, std::move(chunk), false);
+      queue_chunk(n, std::move(chunk), false);
+      from = p + 1;
     }
-    // Fast-path calibration probes for newcomers in probation.
-    if (resil_on_) {
+    // Fast-path calibration probes for newcomers in probation (a copy:
+    // declare_dead edits the list).
+    if (resil_on_ && !elastic_->probationers().empty()) {
       const std::vector<NodeId> probationers = elastic_->probationers();
       for (const NodeId n : probationers) {
         if (source_.empty()) break;
-        if (busy_[n]) continue;
+        if (busy_.at_or_default(n)) continue;
         if (!churn_->is_member(n, backend_.now())) {
           declare_dead(n, "dispatch failed");
           continue;
@@ -1109,9 +1148,11 @@ class FarmRun final : public FarmEngine {
     if (!params_.reissue_stragglers || !source_.empty()) return;
     if ((traits_.actions & kActionReissueTask) == 0) return;
     // Idle chosen workers, fastest first.
+    sync_idle();
     std::vector<NodeId> idle;
-    for (const NodeId n : elastic_->workers())
-      if (!busy_[n]) idle.push_back(n);
+    for (std::size_t p = idle_.find_first(); p != DynamicBitset::npos;
+         p = idle_.find_next(p + 1))
+      idle.push_back(elastic_->workers()[p]);
     std::sort(idle.begin(), idle.end(), [&](NodeId a, NodeId b) {
       return spm_estimate(a) < spm_estimate(b);
     });
@@ -1122,7 +1163,8 @@ class FarmRun final : public FarmEngine {
     std::size_t probation_targets = 0;
     if (resil_on_) {
       for (const NodeId n : elastic_->probationers()) {
-        if (!busy_[n] && churn_->is_member(n, backend_.now())) {
+        if (busy_.at_or_default(n) == 0 &&
+            churn_->is_member(n, backend_.now())) {
           idle.push_back(n);
           ++probation_targets;
         }
@@ -1233,7 +1275,7 @@ class FarmRun final : public FarmEngine {
       if (resil_on_ && !tracker_->is_member(a.node))
         declare_dead(a.node, "connection lost");
       else
-        busy_[a.node] = false;
+        set_busy(a.node, false);
       return;
     }
 
@@ -1269,7 +1311,7 @@ class FarmRun final : public FarmEngine {
         // Blend the observation into the node estimate (EWMA, alpha 0.5).
         double& estimate = node_spm_[a.node];
         estimate = estimate > 0.0 ? 0.5 * estimate + 0.5 * spm : spm;
-        busy_[a.node] = false;
+        set_busy(a.node, false);
         std::vector<workloads::TaskSpec> marked;
         for (const auto& t : a.chunk) {
           if (source_.mark_completed(t.id)) {
@@ -1508,7 +1550,16 @@ class FarmRun final : public FarmEngine {
   NodeMap<double> node_spm_;
   // Per-node current chunk size (adaptive chunking).
   NodeMap<std::size_t> node_chunk_;
+  // One chunk per worker: busy_ is written only through set_busy.  Bit p
+  // of idle_ is set when worker p of elastic_->workers() is not busy, so a
+  // dispatch pick is a first-set-bit search, not a walk over the pool.
+  // member_pos_ maps a worker to p.  Both are rebuilt by sync_idle when
+  // the pool's revision moves (reset, remove, admit, evict); npos means
+  // "never built".
   NodeMap<char> busy_;
+  NodeMap<std::size_t> member_pos_{DynamicBitset::npos};
+  DynamicBitset idle_;
+  std::size_t idle_revision_ = DynamicBitset::npos;
 
   Seconds finish_time_ = Seconds::zero();
   bool all_done_seen_ = false;  ///< finish_time_ holds the makespan

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
+#include <numeric>
+#include <span>
+#include <stdexcept>
 
+#include "support/flat_map.hpp"
 #include "support/rng.hpp"
 
 namespace grasp::gridsim {
@@ -15,13 +19,31 @@ bool node_then_time(const ChurnEvent& a, const ChurnEvent& b) {
   return a.at < b.at;
 }
 
-/// Position just past the last event of `node` at or before `t` in a
-/// node_then_time-sorted list.
-std::vector<ChurnEvent>::const_iterator after(
-    const std::vector<ChurnEvent>& list, NodeId node, Seconds t) {
-  return std::upper_bound(list.begin(), list.end(),
-                          ChurnEvent{t, ChurnEventKind::Crash, node},
-                          node_then_time);
+/// Offsets into a node_then_time-sorted list: node v's events are
+/// [offsets[v], offsets[v + 1]).  `ids` is one past the largest event id.
+std::vector<std::size_t> node_offsets(const std::vector<ChurnEvent>& list,
+                                      std::size_t ids) {
+  std::vector<std::size_t> offsets(ids + 1, 0);
+  for (const ChurnEvent& e : list) ++offsets[e.node.value + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return offsets;
+}
+
+/// Node `node`'s run of a node-grouped list; empty for a node past the
+/// table, including the invalid id.
+std::span<const ChurnEvent> of_node(const std::vector<ChurnEvent>& list,
+                                    const std::vector<std::size_t>& offsets,
+                                    NodeId node) {
+  if (!node.is_valid() || node.value + 1 >= offsets.size()) return {};
+  return {list.data() + offsets[node.value],
+          list.data() + offsets[node.value + 1]};
+}
+
+/// Position just past the last event at or before `t` in a time-sorted run.
+const ChurnEvent* after(std::span<const ChurnEvent> run, Seconds t) {
+  return std::upper_bound(
+      run.data(), run.data() + run.size(), t,
+      [](Seconds x, const ChurnEvent& e) { return x < e.at; });
 }
 
 }  // namespace
@@ -44,12 +66,21 @@ ChurnTimeline::ChurnTimeline(std::vector<ChurnEvent> events,
                    [](const ChurnEvent& a, const ChurnEvent& b) {
                      return a.at < b.at;
                    });
+  std::size_t ids = 0;
+  for (const ChurnEvent& e : events_) {
+    if (!e.node.is_valid() || e.node.value >= kMaxDenseNodeId)
+      throw std::invalid_argument(
+          "ChurnTimeline: event node id outside the dense id range");
+    ids = std::max<std::size_t>(ids, e.node.value + 1);
+  }
   by_node_ = events_;
   std::stable_sort(by_node_.begin(), by_node_.end(), node_then_time);
   std::copy_if(by_node_.begin(), by_node_.end(), std::back_inserter(crashes_),
                [](const ChurnEvent& e) {
                  return e.kind == ChurnEventKind::Crash;
                });
+  node_start_ = node_offsets(by_node_, ids);
+  crash_start_ = node_offsets(crashes_, ids);
   std::sort(initially_absent_.begin(), initially_absent_.end(), by_id);
   initially_absent_.erase(
       std::unique(initially_absent_.begin(), initially_absent_.end()),
@@ -63,17 +94,18 @@ std::size_t ChurnTimeline::count(ChurnEventKind kind) const {
 }
 
 bool ChurnTimeline::is_member(NodeId node, Seconds t) const {
-  const auto it = after(by_node_, node, t);
-  if (it == by_node_.begin() || std::prev(it)->node != node)
-    return initially_member(node);
+  const auto run = of_node(by_node_, node_start_, node);
+  const ChurnEvent* it = after(run, t);
+  if (it == run.data()) return initially_member(node);
   const ChurnEventKind last = std::prev(it)->kind;
   return last == ChurnEventKind::Join || last == ChurnEventKind::Rejoin;
 }
 
 bool ChurnTimeline::crashed_during(NodeId node, Seconds from,
                                    Seconds to) const {
-  const auto it = after(crashes_, node, from);
-  return it != crashes_.end() && it->node == node && it->at <= to;
+  const auto run = of_node(crashes_, crash_start_, node);
+  const ChurnEvent* it = after(run, from);
+  return it != run.data() + run.size() && it->at <= to;
 }
 
 std::vector<ChurnEvent> ChurnTimeline::events_between(Seconds from,

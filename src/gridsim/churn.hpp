@@ -43,6 +43,9 @@ class ChurnTimeline {
 
   /// `events` are sorted on construction (stable, by time).  Nodes listed in
   /// `initially_absent` are not members until a Join event admits them.
+  /// Throws std::invalid_argument when an event names the invalid node id
+  /// or one at or past kMaxDenseNodeId (support/flat_map.hpp): the index
+  /// is dense in node ids.
   explicit ChurnTimeline(std::vector<ChurnEvent> events,
                          std::vector<NodeId> initially_absent = {});
 
@@ -58,13 +61,13 @@ class ChurnTimeline {
   }
 
   /// Membership state at time t: the initial state with every event at or
-  /// before t applied.  O(log events).
+  /// before t applied.  O(log k) in the node's own k events.
   [[nodiscard]] bool is_member(NodeId node, Seconds t) const;
 
   /// True when a Crash event for `node` lies in (from, to].  The engines use
   /// this to invalidate work whose dispatch-to-completion window straddles a
   /// crash (the completion is a zombie: physically the node died mid-chunk).
-  /// O(log events).
+  /// O(log k) in the node's own k crashes.
   [[nodiscard]] bool crashed_during(NodeId node, Seconds from,
                                     Seconds to) const;
 
@@ -85,6 +88,11 @@ class ChurnTimeline {
   /// one at or before t decides is_member.
   std::vector<ChurnEvent> by_node_;
   std::vector<ChurnEvent> crashes_;  ///< the Crash events, same order
+  /// Offset tables into the two lists: node v's run is [start[v],
+  /// start[v + 1]).  They end at the largest event id; a query for a node
+  /// past the end (or the invalid id) finds no events.
+  std::vector<std::size_t> node_start_;
+  std::vector<std::size_t> crash_start_;
   std::vector<NodeId> initially_absent_;  ///< sorted, unique
 };
 

@@ -6,12 +6,15 @@
 // per-node utilisation, adaptation timelines.  Engines write it only
 // through obs::Emitter (obs/emit.hpp), whose per-kind table derives the
 // matching counter, span instant and flight note from the same record; a
-// new TraceEventKind needs a row there too (a static_assert checks).
+// new TraceEventKind needs a row there too (a static_assert checks).  A
+// record's note views a static-lifetime string, so records are trivially
+// copyable and storing one allocates nothing beyond the vector's growth.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/ids.hpp"
@@ -59,8 +62,11 @@ struct TraceEvent {
   NodeId node;      ///< involved node, if any
   TaskId task;      ///< involved task/item, if any
   double value{0};  ///< kind-specific payload (e.g. observed time, chunk)
-  std::string note;
+  /// Views a static-lifetime string (a literal): the record owns no memory,
+  /// so recording builds no string.  `==` compares content, not pointers.
+  std::string_view note;
 };
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 class TraceRecorder {
  public:

@@ -105,7 +105,8 @@ class Emitter {
         rm_(rm) {}
 
   /// Record one event, stamped now.  `note` must be a static-lifetime
-  /// string (it doubles as the instant's and the flight note's detail).
+  /// string, such as a literal: the trace record keeps a view of it, not a
+  /// copy, and it doubles as the instant's and the flight note's detail.
   void emit(gridsim::TraceEventKind kind, NodeId node = NodeId::invalid(),
             TaskId task = TaskId::invalid(), double value = 0.0,
             const char* note = "") {

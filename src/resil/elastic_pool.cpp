@@ -29,6 +29,7 @@ ElasticPool::ElasticPool(Params params) : params_(params) {
 
 void ElasticPool::reset(std::vector<NodeId> workers) {
   workers_ = std::move(workers);
+  ++revision_;
   probation_.clear();
   strikes_.clear();
 }
@@ -40,7 +41,9 @@ bool ElasticPool::contains(NodeId node) const {
 bool ElasticPool::remove(NodeId node) {
   strikes_.erase(node);
   erase_value(probation_, node);
-  return erase_value(workers_, node);
+  if (!erase_value(workers_, node)) return false;
+  ++revision_;
+  return true;
 }
 
 void ElasticPool::begin_probation(NodeId node) {
@@ -58,6 +61,7 @@ bool ElasticPool::admit(NodeId node, double probe_spm, double baseline_spm) {
   if (contains(node)) return true;  // recalibration admitted it meanwhile
   if (baseline_spm <= 0.0 || probe_spm <= kAdmitRatio * baseline_spm) {
     workers_.push_back(node);
+    ++revision_;
     ++admissions_;
     return true;
   }

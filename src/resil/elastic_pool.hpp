@@ -44,6 +44,9 @@ class ElasticPool {
   void reset(std::vector<NodeId> workers);
 
   [[nodiscard]] const std::vector<NodeId>& workers() const { return workers_; }
+  /// Bumped by every change to workers() (reset, remove, admit, evict), so
+  /// a caller that keeps per-worker positions knows when to rebuild them.
+  [[nodiscard]] std::size_t revision() const { return revision_; }
   [[nodiscard]] bool contains(NodeId node) const;
 
   /// Remove a worker (crash/leave).  Returns true when it was present.
@@ -74,6 +77,7 @@ class ElasticPool {
  private:
   Params params_;
   std::vector<NodeId> workers_;
+  std::size_t revision_ = 0;
   std::vector<NodeId> probation_;
   std::unordered_map<NodeId, std::size_t> strikes_;
   std::size_t admissions_ = 0;

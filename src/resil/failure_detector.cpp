@@ -1,6 +1,8 @@
 #include "resil/failure_detector.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace grasp::resil {
@@ -16,7 +18,9 @@ void FailureDetector::Params::validate() const {
 }
 
 FailureDetector::FailureDetector(Params params)
-    : params_(params), last_(Seconds{kUnwatched}) {
+    : params_(params),
+      last_(Seconds{kUnwatched}),
+      oldest_(Seconds{std::numeric_limits<double>::infinity()}) {
   params_.validate();
 }
 
@@ -24,6 +28,7 @@ void FailureDetector::watch(NodeId node, Seconds now) {
   Seconds& last = last_[node];
   if (last.value == kUnwatched) ++watched_count_;
   last = now;
+  oldest_ = std::min(oldest_, now);
 }
 
 void FailureDetector::unwatch(NodeId node) {
@@ -50,6 +55,7 @@ void FailureDetector::advance(
       static_cast<long long>(std::floor(last_advance_.value / period)) + 1;
   const auto last_tick = static_cast<long long>(std::floor(now.value / period));
   if (first_tick <= last_tick) {
+    oldest_ = Seconds{std::numeric_limits<double>::infinity()};
     const std::size_t slots = last_.values().size();
     for (std::size_t slot = 0; slot < slots; ++slot) {
       if (last_.values()[slot].value == kUnwatched) continue;
@@ -63,14 +69,18 @@ void FailureDetector::advance(
           break;
         }
       }
+      oldest_ = std::min(oldest_, last_.values()[slot]);
     }
   }
   last_advance_ = now;
 }
 
 std::vector<NodeId> FailureDetector::suspects(Seconds now) const {
-  // The dense table is walked in id order, so the output needs no sort.
+  // `now - last` cannot exceed `now - oldest_` (rounding is monotone), so
+  // no watched node is suspect while the bound is within the timeout.
   std::vector<NodeId> out;
+  if (!(now - oldest_ > params_.timeout)) return out;
+  // The dense table is walked in id order, so the output needs no sort.
   for (std::size_t slot = 0; slot < last_.values().size(); ++slot) {
     const Seconds last = last_.values()[slot];
     if (last.value == kUnwatched) continue;

@@ -51,7 +51,9 @@ class FailureDetector {
   void advance(Seconds now,
                const std::function<bool(NodeId, Seconds)>& alive);
 
-  /// Watched nodes whose silence exceeds the timeout, in id order.
+  /// Watched nodes whose silence exceeds the timeout, in id order.  Returns
+  /// at once, with no slot walk, while even the oldest credited heartbeat
+  /// is within the timeout.
   [[nodiscard]] std::vector<NodeId> suspects(Seconds now) const;
 
   /// Every watched node, in id order (the farmer's live view of the pool).
@@ -73,6 +75,11 @@ class FailureDetector {
   /// scan and heartbeat credit walk a flat array in id order — no hashing,
   /// and id-ordered output falls out free.
   NodeMap<Seconds> last_;
+  /// Lower bound on every watched node's last heartbeat (+inf with none
+  /// watched).  advance() sets it exactly in its slot walk and watch() can
+  /// only lower it; heartbeat() and unwatch() raise the true minimum, so
+  /// the bound stays valid without being touched.
+  Seconds oldest_;
   std::size_t watched_count_ = 0;
   Seconds last_advance_{0.0};
 };

@@ -44,6 +44,18 @@ class DynamicBitset {
   /// Lowest set position, or npos.
   [[nodiscard]] std::size_t find_first() const { return find_first_and(*this); }
 
+  /// Lowest set position at or after `from`, or npos.
+  [[nodiscard]] std::size_t find_next(std::size_t from) const {
+    std::size_t w = from / kBits;
+    if (w >= words_.size()) return npos;
+    std::uint64_t x = words_[w] & ~(bit(from) - 1);
+    while (x == 0) {
+      if (++w == words_.size()) return npos;
+      x = words_[w];
+    }
+    return w * kBits + static_cast<std::size_t>(std::countr_zero(x));
+  }
+
   /// Lowest position set in both this and `other`, or npos.
   [[nodiscard]] std::size_t find_first_and(const DynamicBitset& other) const {
     const std::size_t n = std::min(words_.size(), other.words_.size());

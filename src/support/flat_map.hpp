@@ -289,6 +289,11 @@ class FlatMap {
   bool indexed_ = false;
 };
 
+/// One past the largest node id a dense per-node table accepts.  Grid node
+/// ids are dense small integers; the ceiling only guards against an
+/// invalid/sentinel or hostile id blowing up a table.
+inline constexpr std::size_t kMaxDenseNodeId = std::size_t{1} << 22;
+
 template <typename Value>
 class NodeMap {
  public:
@@ -316,7 +321,7 @@ class NodeMap {
   /// Read-only access; untouched nodes — and ids outside the dense range,
   /// including the invalid sentinel — read as the default value.
   [[nodiscard]] const Value& at_or_default(NodeId node) const {
-    if (!node.is_valid() || node.value >= kMaxDirectIndex) return default_;
+    if (!node.is_valid() || node.value >= kMaxDenseNodeId) return default_;
     const auto index = static_cast<std::size_t>(node.value);
     return index < values_.size() ? values_[index] : default_;
   }
@@ -327,12 +332,8 @@ class NodeMap {
   void clear() { values_.clear(); }
 
  private:
-  /// Grid node ids are dense small integers; the ceiling only guards
-  /// against an invalid/sentinel id blowing up the table.
-  static constexpr std::size_t kMaxDirectIndex = 1u << 22;
-
   static std::size_t check(NodeId node) {
-    if (!node.is_valid() || node.value >= kMaxDirectIndex)
+    if (!node.is_valid() || node.value >= kMaxDenseNodeId)
       throw std::out_of_range("NodeMap: node id outside dense range");
     return static_cast<std::size_t>(node.value);
   }

@@ -5,6 +5,7 @@
 // and benches run at Warn by default to keep output clean.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -39,29 +40,32 @@ void log_line(LogLevel level, const std::string& component,
               const std::string& message);
 
 namespace detail {
-/// Builds the message lazily: the stream body only runs when enabled.
+/// Builds the message lazily: a filtered statement builds no stream and
+/// copies nothing, so it allocates nothing; the stream body only runs when
+/// enabled.  `component` must outlive the statement (a literal does).
 class LogStatement {
  public:
-  LogStatement(LogLevel level, std::string component)
-      : level_(level), component_(std::move(component)),
-        enabled_(level >= log_level() ||
-                 (level >= LogLevel::Info && log_sink_attached())) {}
+  LogStatement(LogLevel level, const char* component)
+      : level_(level), component_(component) {
+    if (level >= log_level() ||
+        (level >= LogLevel::Info && log_sink_attached()))
+      stream_.emplace();
+  }
   LogStatement(const LogStatement&) = delete;
   LogStatement& operator=(const LogStatement&) = delete;
   ~LogStatement() {
-    if (enabled_) log_line(level_, component_, stream_.str());
+    if (stream_) log_line(level_, component_, stream_->str());
   }
   template <typename T>
   LogStatement& operator<<(const T& value) {
-    if (enabled_) stream_ << value;
+    if (stream_) *stream_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::string component_;
-  bool enabled_;
-  std::ostringstream stream_;
+  const char* component_;
+  std::optional<std::ostringstream> stream_;
 };
 }  // namespace detail
 

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <vector>
+
+#include "support/rng.hpp"
+
 namespace grasp::core {
 namespace {
 
@@ -176,6 +185,134 @@ TEST(ExecutionMonitor, MinStatisticRobustToSingleNodeNoise) {
     EXPECT_EQ(mon.check(t), MonitorVerdict::None) << "round " << round;
   }
   EXPECT_EQ(mon.triggers(), 0u);
+}
+
+// ---- Round completion: a per-node chosen flag and a count -------------
+//
+// check() used to decide completeness with an all_of over the chosen set
+// on every call.  The cases below pin the count against that definition.
+
+/// The all_of definition of "every chosen node has a number in `slots`".
+bool all_chosen_reported(const std::vector<NodeId>& chosen,
+                         const std::map<std::uint64_t, double>& slots) {
+  return std::all_of(chosen.begin(), chosen.end(), [&](NodeId n) {
+    const auto it = slots.find(n.value);
+    return it != slots.end() && !std::isnan(it->second);
+  });
+}
+
+TEST(ExecutionMonitor, NonChosenReportsDoNotCompleteARound) {
+  ExecutionMonitor mon(task_farm_traits(), relative_min(2.0));
+  mon.arm(1.0, nodes(2), Seconds{0.0});
+  mon.observe(NodeId{5}, 1.0, Seconds{1.0});
+  mon.observe(NodeId{6}, 1.0, Seconds{1.0});
+  mon.observe(NodeId{0}, 1.0, Seconds{1.0});
+  EXPECT_EQ(mon.check(Seconds{1.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 0u);
+  mon.observe(NodeId{1}, 1.0, Seconds{2.0});
+  EXPECT_EQ(mon.check(Seconds{2.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 1u);
+}
+
+TEST(ExecutionMonitor, RepeatedReportsFromOneNodeCountOnce) {
+  ExecutionMonitor mon(task_farm_traits(), relative_min(2.0));
+  mon.arm(1.0, nodes(3), Seconds{0.0});
+  for (int i = 0; i < 3; ++i) mon.observe(NodeId{0}, 1.0, Seconds{1.0});
+  mon.observe(NodeId{1}, 1.0, Seconds{1.0});
+  EXPECT_EQ(mon.check(Seconds{1.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 0u);
+  mon.observe(NodeId{2}, 1.0, Seconds{2.0});
+  EXPECT_EQ(mon.check(Seconds{2.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 1u);
+}
+
+TEST(ExecutionMonitor, RearmWithASmallerOrDifferentChosenSet) {
+  ExecutionMonitor mon(task_farm_traits(), relative_min(2.0));
+  mon.arm(1.0, nodes(3), Seconds{0.0});
+  mon.observe(NodeId{0}, 1.0, Seconds{1.0});
+  mon.observe(NodeId{1}, 1.0, Seconds{1.0});
+  // Smaller set: the re-arm opens a fresh round, so node 1's report from
+  // the old round does not count.
+  mon.arm(1.0, {NodeId{1}}, Seconds{2.0});
+  EXPECT_EQ(mon.check(Seconds{2.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 0u);
+  mon.observe(NodeId{1}, 1.0, Seconds{3.0});
+  EXPECT_EQ(mon.check(Seconds{3.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 1u);
+  // Different set: the old members no longer count.
+  mon.arm(1.0, {NodeId{3}, NodeId{4}}, Seconds{4.0});
+  for (std::uint64_t n = 0; n < 3; ++n)
+    mon.observe(NodeId{n}, 1.0, Seconds{5.0});
+  mon.observe(NodeId{3}, 1.0, Seconds{5.0});
+  EXPECT_EQ(mon.check(Seconds{5.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 1u);
+  mon.observe(NodeId{4}, 1.0, Seconds{6.0});
+  EXPECT_EQ(mon.check(Seconds{6.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 2u);
+  // A repeated member counts once.
+  mon.arm(1.0, {NodeId{2}, NodeId{2}, NodeId{5}}, Seconds{7.0});
+  mon.observe(NodeId{2}, 1.0, Seconds{8.0});
+  EXPECT_EQ(mon.check(Seconds{8.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 2u);
+  mon.observe(NodeId{5}, 1.0, Seconds{8.0});
+  EXPECT_EQ(mon.check(Seconds{8.0}), MonitorVerdict::None);
+  EXPECT_EQ(mon.rounds_completed(), 3u);
+}
+
+/// Seeded random observe / arm / check sequences (repeated, non-chosen and
+/// NaN reports; re-arms with smaller, larger, different and repeating
+/// sets): rounds complete exactly when the all_of definition says so, for
+/// the round rule (RelativeMin) and the since-arm rule (RelativeMax).  The
+/// threshold is out of reach, so every verdict is None.
+TEST(ExecutionMonitor, RoundCompletionMatchesTheAllOfDefinition) {
+  constexpr std::uint64_t kNodes = 8;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto kind : {ThresholdPolicy::Kind::RelativeMin,
+                          ThresholdPolicy::Kind::RelativeMax}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(::testing::Message() << to_string(kind) << " seed " << seed);
+      Rng rng(seed);
+      ThresholdPolicy p;
+      p.kind = kind;
+      p.z = 1e12;
+      ExecutionMonitor mon(task_farm_traits(), p);
+      std::vector<NodeId> chosen;
+      std::map<std::uint64_t, double> round, latest;
+      std::size_t rounds = 0;
+      const auto arm = [&] {
+        chosen.clear();
+        const std::size_t size = 1 + rng.uniform_index(5);
+        for (std::size_t i = 0; i < size; ++i)
+          chosen.push_back(NodeId{rng.uniform_index(kNodes)});
+        mon.arm(1.0, chosen, Seconds{0.0});
+        round.clear();
+        latest.clear();
+      };
+      arm();
+      for (int step = 0; step < 300; ++step) {
+        const std::uint64_t op = rng.uniform_index(10);
+        if (op == 0) {
+          arm();
+        } else if (op < 7) {
+          const NodeId n{rng.uniform_index(kNodes)};
+          const double spm = rng.bernoulli(0.1) ? nan : rng.uniform(0.5, 2.0);
+          mon.observe(n, spm, Seconds{0.0});
+          round[n.value] = spm;
+          latest[n.value] = spm;
+        } else {
+          const bool complete = kind == ThresholdPolicy::Kind::RelativeMax
+                                    ? all_chosen_reported(chosen, latest)
+                                    : all_chosen_reported(chosen, round);
+          ASSERT_EQ(mon.check(Seconds{0.0}), MonitorVerdict::None);
+          if (complete) {
+            ++rounds;
+            round.clear();
+          }
+          ASSERT_EQ(mon.rounds_completed(), rounds) << "step " << step;
+        }
+      }
+    }
+  }
 }
 
 TEST(ExecutionMonitor, VerdictNamesStable) {

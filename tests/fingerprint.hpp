@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "gridsim/trace.hpp"
 
@@ -21,7 +22,7 @@ class Digest {
     return *this;
   }
   Digest& add(double v) { return add(std::bit_cast<std::uint64_t>(v)); }
-  Digest& add(const std::string& s) {
+  Digest& add(std::string_view s) {
     add(static_cast<std::uint64_t>(s.size()));
     for (const char c : s) byte(static_cast<unsigned char>(c));
     return *this;

@@ -3,9 +3,13 @@
 // of the time-sorted event list does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "gridsim/churn.hpp"
+#include "support/flat_map.hpp"
 #include "support/rng.hpp"
 
 namespace grasp::gridsim {
@@ -57,9 +61,15 @@ TEST(ChurnTimelineIndex, QueriesMatchALinearScan) {
     absent.push_back(NodeId{kNodes + 7});  // absent, and never in an event
     const ChurnTimeline tl(events, absent);
 
-    // Every known node, plus ids the timeline never mentions.
+    // Every known node, plus ids the timeline never mentions: the id just
+    // past the largest event id (where the per-node offset tables end)
+    // and ids further out.
+    std::uint64_t past_events = 0;
+    for (const ChurnEvent& e : events)
+      past_events = std::max(past_events, e.node.value + 1);
     std::vector<NodeId> probes;
     for (std::uint64_t n = 0; n < kNodes; ++n) probes.push_back(NodeId{n});
+    probes.push_back(NodeId{past_events});
     probes.push_back(NodeId{kNodes + 7});
     probes.push_back(NodeId{kNodes + 100});
     probes.push_back(NodeId::invalid());
@@ -80,6 +90,32 @@ TEST(ChurnTimelineIndex, QueriesMatchALinearScan) {
       ASSERT_EQ(tl.is_member(node, Seconds{100.0}),
                 scan_is_member(tl, node, Seconds{100.0}));
     }
+  }
+}
+
+TEST(ChurnTimelineIndex, EmptyTimelineAnswersFromTheInitialState) {
+  const ChurnTimeline none;
+  const ChurnTimeline absent_only({}, {NodeId{2}, NodeId{9}});
+  for (const NodeId node :
+       {NodeId{0}, NodeId{2}, NodeId{9}, NodeId{1000}, NodeId::invalid()}) {
+    for (const double t : {-1.0, 0.0, 5.0, 1e9}) {
+      EXPECT_TRUE(none.is_member(node, Seconds{t}));
+      EXPECT_EQ(absent_only.is_member(node, Seconds{t}),
+                node != NodeId{2} && node != NodeId{9});
+      EXPECT_FALSE(none.crashed_during(node, Seconds{-1.0}, Seconds{t}));
+      EXPECT_FALSE(absent_only.crashed_during(node, Seconds{-1.0}, Seconds{t}));
+    }
+  }
+}
+
+TEST(ChurnTimelineIndex, RejectsEventIdsOutsideTheDenseRange) {
+  // The per-node offset tables are dense in node ids up to the largest
+  // event id, so an invalid or huge id is rejected instead of sizing them.
+  for (const NodeId bad : {NodeId::invalid(), NodeId{kMaxDenseNodeId},
+                           NodeId{std::uint64_t{1} << 40}}) {
+    SCOPED_TRACE(bad.value);
+    EXPECT_THROW(ChurnTimeline({{Seconds{1.0}, ChurnEventKind::Crash, bad}}),
+                 std::invalid_argument);
   }
 }
 

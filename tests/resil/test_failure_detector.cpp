@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "resil/heartbeat.hpp"
+#include "support/rng.hpp"
 
 namespace grasp::resil {
 namespace {
@@ -97,6 +101,77 @@ TEST(FailureDetector, ValidationErrors) {
     EXPECT_THROW(FailureDetector{p}, std::invalid_argument);
   }
   EXPECT_NO_THROW(FailureDetector{FailureDetector::Params{}});
+}
+
+/// The suspect scan the detector's oldest-heartbeat bound short-circuits:
+/// every watched node, read through the public accessors.
+std::vector<NodeId> scan_suspects(const FailureDetector& d, Seconds now) {
+  std::vector<NodeId> out;
+  for (const NodeId n : d.watched())
+    if (now - d.last_heartbeat(n) > d.params().timeout) out.push_back(n);
+  return out;
+}
+
+/// Seeded random watch / unwatch / heartbeat / advance sequences, with
+/// advances that jump many ticks at once: after every step, suspects(now)
+/// equals a full scan at the clock, at the timeout's edge and at times
+/// around it.  Times sit on a quarter-second grid, so queries landing
+/// exactly on `last + timeout` are common.
+TEST(FailureDetector, SuspectsMatchAFullScanUnderRandomSequences) {
+  constexpr std::uint64_t kNodes = 10;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const double period = 0.5 * static_cast<double>(1 + rng.uniform_index(3));
+    const double timeout = 0.25 * static_cast<double>(4 + rng.uniform_index(9));
+    FailureDetector d(params(period, timeout));
+    // Each node is down on a seed-dependent set of whole seconds.
+    const auto alive = [seed](NodeId n, Seconds t) {
+      const auto second = static_cast<std::uint64_t>(t.value);
+      return ((n.value * 7919 + second * 104729 + seed) * 2654435761u) % 5 !=
+             0;
+    };
+    double clock = 0.0;
+    const auto grid = [&rng](double lo, double span_quarters) {
+      return Seconds{lo + 0.25 * static_cast<double>(rng.uniform_index(
+                                     static_cast<std::uint64_t>(
+                                         span_quarters)))};
+    };
+    for (int step = 0; step < 400; ++step) {
+      const NodeId node{rng.uniform_index(kNodes)};
+      switch (rng.uniform_index(4)) {
+        case 0:  // a watch may credit a stamp older than the clock
+          d.watch(node, grid(std::max(0.0, clock - 4.0), 20));
+          break;
+        case 1:
+          d.unwatch(node);
+          break;
+        case 2:
+          d.heartbeat(node, grid(std::max(0.0, clock - 2.0), 16));
+          break;
+        case 3: {  // within a tick, or a jump across many
+          const double jump = rng.bernoulli(0.2)
+                                  ? 0.25 * static_cast<double>(
+                                               rng.uniform_index(80))
+                                  : 0.25 * static_cast<double>(
+                                               rng.uniform_index(4));
+          clock += jump;
+          d.advance(Seconds{clock}, alive);
+          break;
+        }
+      }
+      std::vector<Seconds> queries{Seconds{clock}};
+      for (const NodeId n : d.watched()) {
+        const Seconds edge = d.last_heartbeat(n) + Seconds{timeout};
+        queries.push_back(edge);
+        queries.push_back(edge + Seconds{0.25});
+      }
+      for (int q = 0; q < 4; ++q) queries.push_back(grid(clock - 2.0, 60));
+      for (const Seconds now : queries)
+        ASSERT_EQ(d.suspects(now), scan_suspects(d, now))
+            << "step " << step << " now " << now.value;
+    }
+  }
 }
 
 // Real transport: heartbeats travel as messages between ranks of the

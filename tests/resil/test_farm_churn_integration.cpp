@@ -4,9 +4,11 @@
 // joined nodes are admitted into the worker set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/backend_sim.hpp"
 #include "core/baselines.hpp"
@@ -190,6 +192,51 @@ TEST(FarmChurn, GraspDriverSurfacesRecoveryPhases) {
   for (const auto& p : summary.phases)
     if (p.phase == "recovery") has_recovery = true;
   EXPECT_TRUE(has_recovery);
+}
+
+TEST(FarmChurn, DispatchTimeDeathKeepsTheWaveInWorkerOrder) {
+  // Node 1 (10x faster, so ranked first) returns its calibration probe at
+  // ~0.1 s and crashes at 0.5 s, before the pass closes at ~1.0 s.  The
+  // first dispatch wave finds it dead at the connection attempt; every
+  // surviving worker still gets its chunk in that same wave, in worker
+  // order.  (The idle pick steps onto the position the dead worker
+  // vacated, not past it.)
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  b.add_node(s, 100.0);
+  b.add_node(s, 1000.0);
+  for (int i = 0; i < 4; ++i) b.add_node(s, 100.0);
+  gridsim::Grid grid = b.build();
+  grid.node(NodeId{1}).add_downtime({Seconds{0.5}, Seconds{20000.5}});
+  grid.set_churn(gridsim::ChurnTimeline(
+      {{Seconds{0.5}, gridsim::ChurnEventKind::Crash, NodeId{1}}}));
+  FarmParams p = resilient_params();
+  p.chunk_size = 1;
+  workloads::TaskSetParams tp;
+  tp.count = 60;
+  tp.mean_mops = 100.0;
+  tp.cv = 0.0;
+  tp.seed = 1;
+  SimBackend backend(grid);
+  const FarmReport report = TaskFarm(p).run(backend, grid, grid.node_ids(),
+                                            workloads::make_task_set(tp));
+
+  const auto& events = report.trace.events();
+  const auto death =
+      std::find_if(events.begin(), events.end(), [](const auto& e) {
+        return e.kind == gridsim::TraceEventKind::NodeCrashDetected;
+      });
+  ASSERT_NE(death, events.end());
+  EXPECT_EQ(death->node, NodeId{1});
+  EXPECT_EQ(death->note, "dispatch failed");
+  std::vector<NodeId> wave;
+  for (auto it = death; it != events.end() && it->at == death->at; ++it)
+    if (it->kind == gridsim::TraceEventKind::TaskDispatched &&
+        it->note.empty())
+      wave.push_back(it->node);
+  EXPECT_EQ(wave, (std::vector<NodeId>{NodeId{0}, NodeId{2}, NodeId{3},
+                                       NodeId{4}, NodeId{5}}));
+  EXPECT_EQ(report.tasks_completed + report.calibration_tasks, 60u);
 }
 
 TEST(FarmChurn, QuiescentFarmDetectsCrashWithinTimerBound) {

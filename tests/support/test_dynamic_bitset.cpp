@@ -26,6 +26,12 @@ void expect_matches(const DynamicBitset& bits, const std::vector<bool>& ref,
   for (std::size_t i = 0; i < ref.size(); ++i)
     ASSERT_EQ(bits.test(i), ref[i]) << "bit " << i;
   EXPECT_EQ(bits.find_first(), first_of(ref, ref));
+  // find_next from every position, and from one past the end.
+  std::size_t next = DynamicBitset::npos;
+  for (std::size_t from = ref.size() + 1; from-- > 0;) {
+    if (from < ref.size() && ref[from]) next = from;
+    ASSERT_EQ(bits.find_next(from), next) << "from " << from;
+  }
   EXPECT_EQ(bits.find_first_and(other), first_of(ref, other_ref));
   EXPECT_EQ(bits.any(), first_of(ref, ref) != DynamicBitset::npos);
 }
@@ -35,6 +41,7 @@ TEST(DynamicBitset, EmptyHasNoSetBit) {
   EXPECT_EQ(bits.size(), 0u);
   EXPECT_FALSE(bits.any());
   EXPECT_EQ(bits.find_first(), DynamicBitset::npos);
+  EXPECT_EQ(bits.find_next(0), DynamicBitset::npos);
   bits.assign(0, true);
   EXPECT_FALSE(bits.any());
 }

@@ -7,33 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <random>
 #include <utility>
 #include <vector>
 
-namespace {
-
-// Counts global allocations while armed (see AllocationFreeOnceWarm).
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-// Out of line, so the compiler never pairs an inlined free() with a
-// new-expression at a call site.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+#include "tests/support/alloc_counter.hpp"
 
 namespace grasp {
 namespace {
@@ -273,11 +252,9 @@ TEST(FlatMap, AllocationFreeOnceWarm) {
     }
   };
   churn(50000);  // warm-up: storage reaches its working size
-  g_allocations = 0;
-  g_counting = true;
+  test::start_counting_allocations();
   churn(50000);
-  g_counting = false;
-  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(test::stop_counting_allocations(), 0u);
   EXPECT_EQ(map.size(), live.size());
 }
 

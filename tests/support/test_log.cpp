@@ -8,11 +8,13 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/export_jsonl.hpp"
 #include "obs/json.hpp"
+#include "tests/support/alloc_counter.hpp"
 
 namespace grasp {
 namespace {
@@ -162,6 +164,19 @@ TEST(Log, JsonlSinkEmitsParseableLogLines) {
     ++parsed;
   }
   EXPECT_EQ(parsed, 2u);
+}
+
+/// A statement below the threshold with no sink attached allocates
+/// nothing: no stream is built and the component is not copied.  The
+/// component is longer than any small-string buffer, so a copy into a
+/// std::string would have to allocate.
+TEST(Log, FilteredStatementMakesNoHeapAllocation) {
+  LogStateGuard guard;
+  set_log_level(LogLevel::Warn);
+  test::start_counting_allocations();
+  GRASP_LOG_INFO("a-component-name-past-the-sso-buffer")
+      << "filtered " << 42 << ' ' << 1.5 << std::string_view(" out");
+  EXPECT_EQ(test::stop_counting_allocations(), 0u);
 }
 
 }  // namespace
