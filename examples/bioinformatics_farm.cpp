@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   Config cfg;
   cfg.override_with({argv + 1, argv + argc});
-  const auto pairs = static_cast<std::size_t>(cfg.get_int("pairs", 60));
+  const auto pairs = cfg.get_count("pairs", 60);
   const double time_scale = cfg.get_double("time_scale", 5e-4);
 
   // Queries vs database subjects; task costs follow the real m*n DP size.

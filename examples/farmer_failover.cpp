@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
   const bench::ObsOptions obs_opts = bench::parse_obs_options(argc, argv);
   Config cfg;
   cfg.override_with(bench::non_obs_args(argc, argv));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 12));
-  const auto spares = static_cast<std::size_t>(cfg.get_int("spares", 4));
-  const auto task_count = static_cast<std::size_t>(cfg.get_int("tasks", 1500));
+  const auto nodes = cfg.get_count("nodes", 12);
+  const auto spares = cfg.get_count("spares", 4);
+  const auto task_count = cfg.get_count("tasks", 1500);
   const double mtbf = cfg.get_double("mtbf", 120.0);
-  const auto standbys = static_cast<std::size_t>(cfg.get_int("standbys", 1));
+  const auto standbys = cfg.get_count("standbys", 1);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
 
   // The harshest membership environment: nobody is protected, not even the

@@ -3,18 +3,15 @@
 // Watches a dynamic grid for ten simulated minutes, then scores every
 // forecaster (last value, running mean, sliding median, EWMA, AR(1)) on
 // one-step-ahead CPU-load prediction — the information GRASP's statistical
-// calibration consumes.  Finally the per-node verdicts are aggregated with
-// the in-process message-passing runtime (one rank per monitored node),
-// exercising the "parallel environment" layer the skeletons sit on.
+// calibration consumes.  Each forecaster's per-node errors are then
+// averaged over the grid.
 //
 //   ./grid_weather [key=value ...]   e.g. nodes=8 minutes=20 dynamics=bursty
 #include <cmath>
 #include <iostream>
 #include <map>
-#include <mutex>
 
 #include "gridsim/scenarios.hpp"
-#include "mp/communicator.hpp"
 #include "perfmon/forecaster.hpp"
 #include "perfmon/sensor.hpp"
 #include "support/config.hpp"
@@ -25,13 +22,13 @@ int main(int argc, char** argv) {
 
   Config cfg;
   cfg.override_with({argv + 1, argv + argc});
-  const auto nodes = static_cast<int>(cfg.get_int("nodes", 8));
+  const auto nodes = cfg.get_count("nodes", 8);
   const double minutes = cfg.get_double("minutes", 10.0);
   const auto dynamics =
       gridsim::dynamics_from_string(cfg.get_string("dynamics", "mixed"));
 
   gridsim::ScenarioParams sp;
-  sp.node_count = static_cast<std::size_t>(nodes);
+  sp.node_count = nodes;
   sp.dynamics = dynamics;
   sp.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
   const gridsim::Grid grid = gridsim::make_grid(sp);
@@ -39,16 +36,15 @@ int main(int argc, char** argv) {
   const char* forecaster_names[] = {"last_value", "running_mean",
                                     "sliding_median", "ewma", "ar1", "meta"};
 
-  // One message-passing rank per node: each samples its node's load series,
-  // scores all forecasters locally, then the errors are reduced to rank 0.
-  mp::World world(nodes);
-  std::mutex io_mutex;
+  // Score every forecaster on every node's load series, then average each
+  // forecaster's RMSE over the nodes (summed in node order, so the mean is
+  // a pure function of the grid).
+  perfmon::CpuLoadSensor sensor(grid, perfmon::NoiseModel::none());
   std::map<std::string, double> mean_rmse;
-  world.run([&](mp::Comm& comm) {
-    const NodeId node{static_cast<std::uint64_t>(comm.rank())};
-    perfmon::CpuLoadSensor sensor(grid, perfmon::NoiseModel::none());
-
-    for (const char* name : forecaster_names) {
+  for (const char* name : forecaster_names) {
+    double total = 0.0;
+    for (std::size_t n = 0; n < nodes; ++n) {
+      const NodeId node{n};
       const auto f = perfmon::make_forecaster(name);
       double sq_err = 0.0;
       std::size_t predictions = 0;
@@ -64,15 +60,10 @@ int main(int argc, char** argv) {
       const double rmse =
           predictions > 0 ? std::sqrt(sq_err / static_cast<double>(predictions))
                           : 0.0;
-      // Aggregate this forecaster's error across all ranks.
-      const double total = comm.allreduce(
-          rmse, [](double a, double b) { return a + b; });
-      if (comm.rank() == 0) {
-        const std::lock_guard<std::mutex> lock(io_mutex);
-        mean_rmse[name] = total / static_cast<double>(comm.size());
-      }
+      total += rmse;
     }
-  });
+    mean_rmse[name] = total / static_cast<double>(nodes);
+  }
 
   std::cout << "grid weather report — " << nodes << " nodes, "
             << gridsim::to_string(dynamics) << " dynamics, "

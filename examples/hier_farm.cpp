@@ -32,11 +32,9 @@ int main(int argc, char** argv) {
   const bench::ObsOptions obs_opts = bench::parse_obs_options(argc, argv);
   Config cfg;
   cfg.override_with(bench::non_obs_args(argc, argv));
-  const auto workers = static_cast<std::size_t>(cfg.get_int("workers", 32));
-  const auto per_shard =
-      static_cast<std::size_t>(cfg.get_int("per_shard", 8));
-  const auto task_count =
-      static_cast<std::size_t>(cfg.get_int("tasks", 8 * 32));
+  const auto workers = cfg.get_count("workers", 32);
+  const auto per_shard = cfg.get_count("per_shard", 8);
+  const auto task_count = cfg.get_count("tasks", 8 * 32);
   const double crash_at = cfg.get_double("crash_at", 30.0);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
 

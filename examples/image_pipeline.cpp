@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.override_with({argv + 1, argv + argc});
   if (cfg.get_bool("verbose", false)) set_log_level(LogLevel::Info);
-  const auto frames = static_cast<std::size_t>(cfg.get_int("frames", 400));
+  const auto frames = cfg.get_count("frames", 400);
   const double degrade_at = cfg.get_double("degrade_at", 120.0);
   const double extra_load = cfg.get_double("extra_load", 4.0);
 

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const bench::ObsOptions obs_opts = bench::parse_obs_options(argc, argv);
   Config cfg;
   cfg.override_with(bench::non_obs_args(argc, argv));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 16));
+  const auto nodes = cfg.get_count("nodes", 16);
   const double horizon = cfg.get_double("horizon", 480.0);
   const double rate_per_min = cfg.get_double("rate_per_min", 12.0);
   const double max_share = cfg.get_double("max_share", 0.45);

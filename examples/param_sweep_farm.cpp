@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
 
   Config cfg;
   cfg.override_with({argv + 1, argv + argc});
-  const auto tiles = static_cast<std::size_t>(cfg.get_int("tiles", 20));
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
+  const auto tiles = cfg.get_count("tiles", 20);
+  const auto nodes = cfg.get_count("nodes", 20);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
 
   workloads::MandelbrotSweepParams mp;

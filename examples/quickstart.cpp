@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
 
   Config cfg;
   cfg.override_with({argv + 1, argv + argc});
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 16));
-  const auto task_count = static_cast<std::size_t>(cfg.get_int("tasks", 2000));
+  const auto nodes = cfg.get_count("nodes", 16);
+  const auto task_count = cfg.get_count("tasks", 2000);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
 
   // A non-dedicated heterogeneous grid: 2 sites, mixed background dynamics.

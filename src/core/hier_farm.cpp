@@ -20,7 +20,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "mp/tree_reduce.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/emit.hpp"
 #include "obs/flight_recorder.hpp"
@@ -676,7 +675,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       backend.submit_transfer(token, from, root, Bytes{kReduceHopBytes});
       red_dest.emplace(token, kRedRoot);
     } else {
-      const std::size_t parent = mp::tree_parent(pos, kReduceArity);
+      const std::size_t parent = tree_parent(pos, kReduceArity);
       const OpToken token = make_token(OpKind::ReduceHop, 0, seq++);
       backend.submit_transfer(token, from, shards[red.positions[parent]].sub,
                               Bytes{kReduceHopBytes});
@@ -694,9 +693,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     red.active = true;
     red.pending.assign(red.positions.size(), 0);
     for (std::size_t p = 0; p < red.positions.size(); ++p)
-      red.pending[p] =
-          mp::tree_children(p, red.positions.size(), kReduceArity)
-              .size();
+      red.pending[p] = tree_child_count(p, red.positions.size(), kReduceArity);
     for (std::size_t p = 0; p < red.positions.size(); ++p)
       if (red.pending[p] == 0) send_hop(p);
   };

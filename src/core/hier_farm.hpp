@@ -9,8 +9,8 @@
 // ledger), while the root farms *chunks of chunks*: super-grants of tasks
 // flow root -> sub-farmer on demand, results flow back in batches, and
 // monitor rounds aggregate along an arity-k tree over the sub-farmers
-// (mp/tree_reduce.hpp topology), so the root absorbs O(shards / arity)
-// messages per round instead of O(workers).
+// (tree_parent / tree_child_count below), so the root absorbs
+// O(shards / arity) messages per round instead of O(workers).
 //
 // Failure model:
 //   * workers — per-shard failure detector + chunk ledger: lost chunks
@@ -32,6 +32,7 @@
 // GRASP rows are measured against.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -154,6 +155,25 @@ struct HierFarmReport {
 [[nodiscard]] std::vector<std::vector<NodeId>> plan_shards(
     const std::vector<NodeId>& workers, const std::vector<double>& speeds,
     std::size_t shard_count);
+
+// Monitor-round reduction tree: an implicit arity-k heap over tree
+// positions.  Position 0 reports to the root; every other position sends
+// its folded subtotal to its parent once all its children have reported.
+
+/// Parent position of `pos` (> 0) in the implicit arity-k heap tree.
+[[nodiscard]] constexpr std::size_t tree_parent(std::size_t pos,
+                                                std::size_t arity) {
+  return (pos - 1) / arity;
+}
+
+/// Number of children of `pos` among `size` tree positions: the positions
+/// pos * arity + 1 ... pos * arity + arity that exist.
+[[nodiscard]] constexpr std::size_t tree_child_count(std::size_t pos,
+                                                     std::size_t size,
+                                                     std::size_t arity) {
+  const std::size_t first = pos * arity + 1;
+  return first >= size ? 0 : std::min(arity, size - first);
+}
 
 class HierFarm {
  public:

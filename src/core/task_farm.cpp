@@ -849,8 +849,7 @@ class FarmRun final : public FarmEngine {
       if (done > prev && ledger_.tracks(token)) {
         // The newly checkpointed tasks' partial results ship to the farmer;
         // their volume is what checkpoint shipping costs.  (The virtual-time
-        // farm accounts the bytes; the mp transport charges them through the
-        // world's send hook.)
+        // farm accounts the bytes without charging the simulated clock.)
         double state_bytes = 0.0;
         for (std::size_t i = prev; i < done && i < a.chunk.size(); ++i)
           state_bytes += a.chunk[i].output.value;

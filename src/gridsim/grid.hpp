@@ -1,9 +1,9 @@
 // Grid façade: nodes + topology + membership, the complete simulated
 // metacomputer.
 //
-// The skeletons and the message-passing runtime query the grid for compute
-// and transfer costs; scenario scripts mutate node load models to inject the
-// dynamism the adaptation experiments need.  A grid may additionally carry a
+// The skeletons and the backends query the grid for compute and transfer
+// costs; scenario scripts mutate node load models to inject the dynamism
+// the adaptation experiments need.  A grid may additionally carry a
 // ChurnTimeline: the membership dimension of dynamism (crash / leave / join
 // / rejoin).  Engines learn of membership changes either by polling
 // `is_available` / the timeline queries, or incrementally through

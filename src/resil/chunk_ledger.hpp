@@ -9,8 +9,8 @@
 // removes the entry so a later `fail_node` cannot re-dispatch the same
 // work a second time.
 //
-// Checkpointing: workers periodically ship (chunk, tasks_done) progress
-// messages (mp/progress.hpp); `checkpoint` records the per-chunk high-water
+// Checkpointing: workers periodically report (chunk, tasks_done) progress
+// on the liveness tick; `checkpoint` records the per-chunk high-water
 // mark — monotone, regressions are ignored.  A surrendered entry then
 // splits three ways: tasks a winning twin already finished are nobody's
 // loss, tasks inside the checkpointed prefix are *recovered* (their partial

@@ -4,9 +4,8 @@
 // silence.  Each watched node is expected to heartbeat every
 // `heartbeat_period`; a node whose last heartbeat is older than `timeout`
 // becomes a suspect, so detection latency is `timeout` plus at most one
-// period.  The detector is transport-agnostic: heartbeats arrive either
-// from a real channel (resil/heartbeat.hpp feeds it from mp::Communicator
-// messages) or from `advance`, which synthesises the beats an available
+// period.  The detector is transport-agnostic: a caller records a received
+// beat with `heartbeat`, and `advance` synthesises the beats an available
 // node would have sent in simulation.
 #pragma once
 

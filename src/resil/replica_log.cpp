@@ -15,25 +15,6 @@ const char* to_string(ReplicaRecordKind kind) {
   return "unknown";
 }
 
-void send_replica_record(mp::Comm& comm, int standby_rank,
-                         const ReplicaRecordWire& record, double state_bytes) {
-  comm.send(standby_rank, kReplicaLogTag, mp::Message::pack(record));
-  // The envelope carries only the record; the replicated state it describes
-  // (results, checkpoint payloads) ships alongside as real transfer traffic.
-  if (state_bytes > 0.0)
-    comm.charge(standby_rank, static_cast<std::size_t>(state_bytes));
-}
-
-std::size_t drain_replica_records(
-    mp::Comm& comm, const std::function<void(const ReplicaRecordWire&)>& sink) {
-  std::size_t drained = 0;
-  while (auto msg = comm.try_recv(mp::kAnySource, kReplicaLogTag)) {
-    sink(msg->unpack<ReplicaRecordWire>());
-    ++drained;
-  }
-  return drained;
-}
-
 std::uint64_t ReplicaLog::append(Record record) {
   records_.push_back(std::move(record));
   return end_seq() - 1;
@@ -78,8 +59,7 @@ ReplicaLog::FlushStats ReplicaLog::flush(
          ++seq) {
       const Record& r = records_[static_cast<std::size_t>(seq - base_)];
       ++stats.records;
-      stats.bytes += static_cast<double>(sizeof(ReplicaRecordWire)) +
-                     r.state_bytes;
+      stats.bytes += kReplicaRecordBytes + r.state_bytes;
     }
     item.value = end_seq();
   }

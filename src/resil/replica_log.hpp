@@ -4,21 +4,17 @@
 // checkpoint high-water marks, membership and calibration verdicts — is
 // shadowed by one or more hot standbys.  Every mutation appends a record
 // here; on each heartbeat tick the unflushed suffix ships to every live
-// standby, piggybacked on the heartbeat/progress traffic that already flows
-// (wire records are 32 bytes, Payload-inline, so steady state allocates
-// nothing on the mp transport).  Each standby owns a watermark — the log
-// prefix it has durably applied.  When the farmer dies, the promoted
-// standby's watermark divides history: everything below it survived the
-// crash, everything above it died with the farmer and must be rolled back
-// (completed results retracted and re-queued, checkpoint marks lowered)
-// before the new farmer resumes.  A freshly recruited standby receives a
-// state snapshot instead of history, so the log only retains records some
-// registered standby still lacks.
+// standby.  Each standby owns a watermark — the log prefix it has durably
+// applied.  When the farmer dies, the promoted standby's watermark divides
+// history: everything below it survived the crash, everything above it
+// died with the farmer and must be rolled back (completed results retracted
+// and re-queued, checkpoint marks lowered) before the new farmer resumes.
+// A freshly recruited standby receives a state snapshot instead of history,
+// so the log only retains records some registered standby still lacks.
 //
-// Two layers live in this header, mirroring resil/heartbeat.hpp:
-//   * the wire format + send/drain helpers over mp::Communicator (the role
-//     MPI played in the published prototype), and
-//   * the in-process ReplicaLog the virtual-time farm drives directly.
+// The log is in-process: the virtual-time farm appends and flushes it
+// directly and accounts the shipped volume without charging the simulated
+// clock, exactly like checkpoint shipping.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +22,11 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "mp/communicator.hpp"
 #include "support/flat_map.hpp"
 #include "support/ids.hpp"
 #include "workloads/task.hpp"
 
 namespace grasp::resil {
-
-/// Reserved replication tag (user tags stay below 1 << 27; heartbeats and
-/// progress sit at +17/+18; collectives at and above 1 << 28).
-inline constexpr int kReplicaLogTag = (1 << 27) + 19;
 
 enum class ReplicaRecordKind : std::uint32_t {
   Assign,      ///< chunk registered in the ledger (token, node)
@@ -47,35 +38,14 @@ enum class ReplicaRecordKind : std::uint32_t {
 
 [[nodiscard]] const char* to_string(ReplicaRecordKind kind);
 
-/// Wire form of one log record: exactly 32 bytes so it stays inside
-/// mp::Payload's inline buffer.  Grid node ids are dense small integers, so
-/// 32 bits suffice on the wire; `arg` is kind-specific (tasks done for
-/// Checkpoint, event code for Membership, marked-task count for Complete).
-struct ReplicaRecordWire {
-  std::uint64_t seq = 0;
-  std::uint64_t token = 0;
-  std::uint32_t kind = 0;
-  std::uint32_t node = 0;
-  std::uint64_t arg = 0;
-};
-static_assert(sizeof(ReplicaRecordWire) == 32,
-              "wire records must stay Payload-inline");
+/// Bytes charged per shipped record copy: the fixed-size record a standby
+/// needs to replay it — seq and token (8 bytes each), kind and node (4 bytes
+/// each; grid node ids are dense small integers) and an 8-byte kind-specific
+/// arg (tasks done for Checkpoint, event code for Membership, marked-task
+/// count for Complete).  Replicated state rides on top (Record::state_bytes).
+inline constexpr double kReplicaRecordBytes = 32.0;
 
-/// Ship one record to a standby rank.  `state_bytes` is the replicated
-/// payload travelling with it (completion results, checkpoint state); like
-/// progress shipping it is charged through the world's send hook.
-void send_replica_record(mp::Comm& comm, int standby_rank,
-                         const ReplicaRecordWire& record,
-                         double state_bytes = 0.0);
-
-/// Drain every pending record into `sink`, in arrival order.  Non-blocking;
-/// returns the number of records consumed.
-std::size_t drain_replica_records(
-    mp::Comm& comm, const std::function<void(const ReplicaRecordWire&)>& sink);
-
-/// The farmer-side log with per-standby watermarks (in-process form; the
-/// virtual-time farm appends/flushes it directly and accounts the traffic
-/// without charging the simulated clock, exactly like checkpoint shipping).
+/// The farmer-side log with per-standby watermarks.
 class ReplicaLog {
  public:
   struct Record {
@@ -94,7 +64,7 @@ class ReplicaLog {
 
   struct FlushStats {
     std::size_t records = 0;  ///< record copies shipped (records x standbys)
-    double bytes = 0.0;       ///< wire + state volume shipped
+    double bytes = 0.0;       ///< record + state volume shipped
   };
 
   /// Append a record; returns its sequence number.

@@ -30,9 +30,8 @@ struct ResilienceReport {
   std::size_t tasks_recovered = 0;   ///< lost-chunk tasks salvaged from ckpts
   double recovered_mops = 0.0;       ///< work salvaged from checkpoints
   /// Partial-state bytes shipped to the farmer by accepted checkpoints.
-  /// On the mp transport this traffic is charged through the world's send
-  /// hook (real transfer cost); the virtual-time farm accounts the volume
-  /// here without charging it to the simulated clock.
+  /// The virtual-time farm accounts the volume here without charging it to
+  /// the simulated clock.
   double checkpoint_state_bytes = 0.0;
   // ---- Farmer failover (replicated-farmer runs; zeros otherwise).  These
   // counters separate coordinator loss from worker loss: a worker crash

@@ -93,6 +93,17 @@ std::int64_t Config::get_int(const std::string& key,
   }
 }
 
+std::size_t Config::get_count(const std::string& key,
+                              std::size_t fallback) const {
+  const auto v = get(key);
+  if (!v) return fallback;
+  const std::int64_t parsed = get_int(key, 0);
+  if (parsed < 0)
+    throw std::runtime_error("Config: key '" + key + "' value '" + *v +
+                             "' is not a count (negative)");
+  return static_cast<std::size_t>(parsed);
+}
+
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;

@@ -5,6 +5,7 @@
 // workload parameters, so experiment variants need no recompilation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -37,6 +38,11 @@ class Config {
   /// Throws std::runtime_error when the value does not parse.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// A non-negative integer (a node, task or item count).  Throws
+  /// std::runtime_error when the value does not parse or is negative, so a
+  /// "-1" never wraps to a huge unsigned count.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;

@@ -58,15 +58,6 @@ using StageId = StrongId<StageTag>;
 /// Identifies one item flowing through a pipeline.
 using ItemId = StrongId<ItemTag>;
 
-/// MPI-style process rank inside a communicator (small, signed by tradition).
-struct Rank {
-  int value{-1};
-  constexpr Rank() = default;
-  constexpr explicit Rank(int v) : value(v) {}
-  [[nodiscard]] constexpr bool is_valid() const { return value >= 0; }
-  friend constexpr auto operator<=>(Rank, Rank) = default;
-};
-
 // ---------------------------------------------------------------------------
 // Units.  All times are double seconds of *whichever clock drives the run*
 // (virtual in simulation, steady_clock in the threaded backend).  Work is
@@ -175,12 +166,5 @@ template <typename Tag, typename Rep>
 struct std::hash<grasp::StrongId<Tag, Rep>> {
   std::size_t operator()(grasp::StrongId<Tag, Rep> id) const noexcept {
     return std::hash<Rep>{}(id.value);
-  }
-};
-
-template <>
-struct std::hash<grasp::Rank> {
-  std::size_t operator()(grasp::Rank r) const noexcept {
-    return std::hash<int>{}(r.value);
   }
 };

@@ -88,6 +88,31 @@ TEST(HierFarm, PlanShardsBalancesCapacityDeterministically) {
   EXPECT_EQ(plan_shards(workers, speeds, 2), plan);
 }
 
+TEST(HierFarm, TopologyHelpersDescribeAnArityKHeap) {
+  // Binary tree over 7 positions: 0 -> {1,2}, 1 -> {3,4}, 2 -> {5,6}.
+  EXPECT_EQ(tree_parent(1, 2), 0u);
+  EXPECT_EQ(tree_parent(2, 2), 0u);
+  EXPECT_EQ(tree_parent(6, 2), 2u);
+  EXPECT_EQ(tree_child_count(0, 7, 2), 2u);
+  EXPECT_EQ(tree_child_count(1, 7, 2), 2u);
+  EXPECT_EQ(tree_child_count(3, 7, 2), 0u);
+  // Partial last level.
+  EXPECT_EQ(tree_child_count(2, 6, 2), 1u);
+  // Arity 4 flattens the tree.
+  EXPECT_EQ(tree_child_count(0, 5, 4), 4u);
+  EXPECT_EQ(tree_child_count(0, 1, 4), 0u);
+  // Every position but 0 is counted exactly once, by its own parent.
+  for (std::size_t arity = 1; arity <= 5; ++arity)
+    for (std::size_t size = 1; size <= 40; ++size) {
+      std::vector<std::size_t> reported(size, 0);
+      for (std::size_t pos = 1; pos < size; ++pos)
+        ++reported[tree_parent(pos, arity)];
+      for (std::size_t pos = 0; pos < size; ++pos)
+        ASSERT_EQ(tree_child_count(pos, size, arity), reported[pos])
+            << "pos " << pos << " size " << size << " arity " << arity;
+    }
+}
+
 TEST(HierFarm, ConservesTasksAcrossShards) {
   const gridsim::Grid grid = hetero_grid(16);
   SimBackend backend(grid);

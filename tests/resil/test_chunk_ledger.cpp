@@ -111,6 +111,17 @@ TEST(ChunkLedger, CheckpointAdvancesMonotonically) {
   EXPECT_EQ(ledger.checkpointed(7), 0u);
 }
 
+TEST(ChunkLedger, OnlyAdvancingCheckpointsCountShippedStateBytes) {
+  // Stale re-sends must not inflate the shipped-volume accounting.
+  ChunkLedger ledger;
+  ledger.record(31, entry(NodeId{4}, {1, 2, 3, 4}));
+  EXPECT_TRUE(ledger.checkpoint(31, 2, 100.0));
+  EXPECT_FALSE(ledger.checkpoint(31, 2, 100.0));  // stale
+  EXPECT_TRUE(ledger.checkpoint(31, 3, 50.0));
+  EXPECT_EQ(ledger.checkpointed(31), 3u);
+  EXPECT_DOUBLE_EQ(ledger.checkpoint_state_bytes(), 150.0);
+}
+
 TEST(ChunkLedger, CheckpointSurvivesRekey) {
   ChunkLedger ledger;
   ledger.record(1, entry(NodeId{0}, {1, 2, 3}));

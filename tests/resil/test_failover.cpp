@@ -43,11 +43,15 @@ TEST(ReplicaLog, FlushAdvancesLiveWatermarksOnly) {
   log.add_replica(NodeId{1});
   log.add_replica(NodeId{2});
   log.append(complete_record(NodeId{7}, {}));
-  log.append(complete_record(NodeId{7}, {}));
+  ReplicaLog::Record with_state = complete_record(NodeId{7}, {});
+  with_state.state_bytes = 100.0;
+  log.append(std::move(with_state));
 
   const auto stats =
       log.flush([](NodeId n) { return n == NodeId{1}; });  // node 2 is down
   EXPECT_EQ(stats.records, 2u);  // two records, one live standby
+  // Each record copy costs its fixed 32 bytes plus the state riding it.
+  EXPECT_DOUBLE_EQ(stats.bytes, 2 * 32.0 + 100.0);
   EXPECT_EQ(log.watermark(NodeId{1}), 2u);
   EXPECT_EQ(log.watermark(NodeId{2}), 0u);
   // Node 2 still pins history: nothing was compacted.
@@ -56,6 +60,7 @@ TEST(ReplicaLog, FlushAdvancesLiveWatermarksOnly) {
 
   const auto both = log.flush([](NodeId) { return true; });
   EXPECT_EQ(both.records, 2u);  // only node 2 still lacked them
+  EXPECT_DOUBLE_EQ(both.bytes, 2 * 32.0 + 100.0);
   EXPECT_EQ(log.watermark(NodeId{2}), 2u);
   // Everyone holds everything: the log compacts to empty.
   EXPECT_EQ(log.base_seq(), 2u);

@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "resil/heartbeat.hpp"
 #include "support/rng.hpp"
 
 namespace grasp::resil {
@@ -172,36 +170,6 @@ TEST(FailureDetector, SuspectsMatchAFullScanUnderRandomSequences) {
             << "step " << step << " now " << now.value;
     }
   }
-}
-
-// Real transport: heartbeats travel as messages between ranks of the
-// in-process world; the detector lives on rank 0.
-TEST(HeartbeatTransport, DetectsSilentRankOverCommunicator) {
-  mp::World world(4);
-  FailureDetector detector(params(1.0, 3.0));
-  for (int r = 1; r < 4; ++r)
-    detector.watch(NodeId{static_cast<std::uint64_t>(r)}, Seconds{0.0});
-
-  std::atomic<int> round{0};
-  std::vector<NodeId> suspects;
-  world.run([&](mp::Comm& comm) {
-    // Four synchronised rounds; worker 3 goes silent from round 2.
-    for (int step = 1; step <= 4; ++step) {
-      if (comm.rank() != 0) {
-        const bool silent = comm.rank() == 3 && step >= 2;
-        if (!silent)
-          send_heartbeat(comm, 0, NodeId{static_cast<std::uint64_t>(comm.rank())});
-      }
-      comm.barrier();
-      if (comm.rank() == 0)
-        drain_heartbeats(comm, detector, Seconds{static_cast<double>(step)});
-      comm.barrier();
-    }
-    if (comm.rank() == 0) suspects = detector.suspects(Seconds{4.5});
-  });
-  // Ranks 1 and 2 heartbeated at t=4; rank 3 last at t=1 -> 4.5 - 1 > 3.
-  ASSERT_EQ(suspects.size(), 1u);
-  EXPECT_EQ(suspects[0], NodeId{3});
 }
 
 }  // namespace

@@ -54,6 +54,17 @@ TEST(Config, TypeErrorsThrow) {
   EXPECT_THROW((void)cfg.get_bool("b", false), std::runtime_error);
 }
 
+TEST(Config, CountsRejectNegativesAndKeepZeroAndLargeValues) {
+  const Config cfg = Config::parse(
+      "neg = -1\nzero = 0\nbig = 9223372036854775807\ntoo_big = "
+      "9223372036854775808\n");
+  EXPECT_THROW((void)cfg.get_count("neg", 5), std::runtime_error);
+  EXPECT_EQ(cfg.get_count("zero", 5), 0u);
+  EXPECT_EQ(cfg.get_count("big", 5), std::size_t{9223372036854775807u});
+  EXPECT_THROW((void)cfg.get_count("too_big", 5), std::runtime_error);
+  EXPECT_EQ(cfg.get_count("absent", 5), 5u);
+}
+
 TEST(Config, MalformedLinesThrow) {
   EXPECT_THROW(Config::parse("no equals sign\n"), std::runtime_error);
   EXPECT_THROW(Config::parse("= value\n"), std::runtime_error);

@@ -36,12 +36,6 @@ TEST(StrongId, Hashable) {
   EXPECT_EQ(set.size(), 2u);
 }
 
-TEST(Rank, Validity) {
-  EXPECT_FALSE(Rank{}.is_valid());
-  EXPECT_TRUE(Rank{0}.is_valid());
-  EXPECT_LT(Rank{0}, Rank{3});
-}
-
 TEST(Seconds, Arithmetic) {
   const Seconds a{2.0}, b{0.5};
   EXPECT_DOUBLE_EQ((a + b).value, 2.5);
