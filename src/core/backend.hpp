@@ -26,7 +26,11 @@
 
 namespace grasp::core {
 
-/// Token identifying one asynchronous operation; engines allocate them.
+/// Token identifying one asynchronous operation; engines allocate them.  A
+/// token names at most one undelivered operation at a time, and an engine
+/// may reuse it for a new operation once the previous one has been
+/// delivered: the farms submit a chunk's input transfer, compute and
+/// output transfer one after another under the chunk's single key.
 using OpToken = std::uint64_t;
 
 /// One finished asynchronous operation (or a fired timer).

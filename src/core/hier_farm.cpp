@@ -16,7 +16,6 @@
 #include <deque>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -28,6 +27,7 @@
 #include "resil/replica_log.hpp"
 #include "support/dynamic_bitset.hpp"
 #include "support/flat_map.hpp"
+#include "support/task_id_set.hpp"
 
 namespace grasp::core {
 namespace {
@@ -37,9 +37,7 @@ namespace {
 enum class OpKind : std::uint64_t {
   GrantXfer = 1,   // root -> sub-farmer task shipment
   ResultXfer,      // sub-farmer -> root completion batch
-  ChunkIn,         // sub-farmer -> worker inputs
-  ChunkCompute,    // worker compute phase
-  ChunkOut,        // worker -> sub-farmer outputs
+  Chunk,           // a chunk's input, compute or output, under one token
   ReduceHop,       // one edge of the monitor aggregation tree
   MonitorTimer,
   LivenessTimer,
@@ -139,25 +137,30 @@ std::vector<std::vector<NodeId>> plan_shards(
   return shards;
 }
 
-HierFarm::HierFarm(HierFarmParams params) : params_(std::move(params)) {
-  if (params_.workers_per_shard == 0)
+void HierFarmParams::validate() const {
+  if (workers_per_shard == 0)
     throw std::invalid_argument(
         "HierFarm: workers_per_shard must be positive");
-  if (params_.chunk_size == 0)
+  if (chunk_size == 0)
     throw std::invalid_argument("HierFarm: chunk_size must be positive");
-  params_.detector.validate();
+  detector.validate();
+  // Written to fail on NaN as well: NaN compares false both ways.
   const auto non_negative = [](double v) {
     return std::isfinite(v) && v >= 0.0;
   };
-  if (!non_negative(params_.target_chunk_seconds))
+  if (!non_negative(target_chunk_seconds))
     throw std::invalid_argument(
         "HierFarm: target_chunk_seconds must be finite and non-negative");
-  if (!non_negative(params_.monitor_period.value))
+  if (!non_negative(monitor_period.value))
     throw std::invalid_argument(
         "HierFarm: monitor_period must be finite and non-negative");
-  if (!non_negative(params_.promotion_handshake.value))
+  if (!non_negative(promotion_handshake.value))
     throw std::invalid_argument(
         "HierFarm: promotion_handshake must be finite and non-negative");
+}
+
+HierFarm::HierFarm(HierFarmParams params) : params_(std::move(params)) {
+  params_.validate();
 }
 
 HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
@@ -206,30 +209,31 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
                  static_cast<double>(tasks.tasks.size()));
 
   const std::size_t total = tasks.tasks.size();
-  std::unordered_map<TaskId, std::size_t> index;
-  index.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) index.emplace(tasks.tasks[i].id, i);
-  std::vector<char> done(total, 0);
-  std::size_t global_done = 0;
-  const auto is_done = [&](TaskId id) {
-    const auto it = index.find(id);
-    return it != index.end() && done[it->second] != 0;
-  };
+  TaskIdSet done;  // tasks whose results reached the root
+  const auto is_done = [&](TaskId id) { return done.contains(id); };
 
   std::deque<workloads::TaskSpec> root_queue(tasks.tasks.begin(),
                                              tasks.tasks.end());
   const std::size_t grant_nominal = (total + kGrantRounds - 1) / kGrantRounds;
 
+  // One chunk in flight.  Its input transfer, compute and output transfer
+  // run one after another under the one token it was dispatched with.
+  enum class Phase { Input, Compute, Output };
   struct Asg {
     std::size_t shard = 0;
     NodeId node;
     std::vector<workloads::TaskSpec> chunk;
     Seconds dispatched;
     Seconds compute_started;
+    Phase phase = Phase::Input;
+    /// Order of the last phase change, dispatch included: the order
+    /// abandon_inflight surrenders a shard's chunks in.
+    std::uint64_t stamp = 0;
     bool is_probe = false;
     obs::SpanId span = 0;
   };
   FlatMap<OpToken, Asg> asg;
+  std::uint64_t next_stamp = 0;
   std::unordered_set<OpToken> swallow;  // surrendered tokens still in flight
   FlatMap<OpToken, std::vector<workloads::TaskSpec>> shipments;
   std::uint64_t seq = 1;
@@ -323,9 +327,12 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     sh.idle.assign(sh.members.size(), true);
     sh.unprobed.assign(sh.members.size(), true);
     sh.sub = sh.members.front();
-    for (NodeId m : sh.members)
-      if (m != sh.sub) sh.detector.watch(m, t0);
-    root_det.watch(sh.sub, t0);
+    // Without churn nothing ever reads the detectors or the ledgers.
+    if (resil_on) {
+      for (NodeId m : sh.members)
+        if (m != sh.sub) sh.detector.watch(m, t0);
+      root_det.watch(sh.sub, t0);
+    }
     recruit_standby(k);
     if (grasp)
       shard_ev[k].emit(Kind::CalibrationStarted, sh.sub, TaskId::invalid(),
@@ -422,16 +429,18 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         chunk.push_back(sh.queue.front());
         sh.queue.pop_front();
       }
-      const OpToken token = make_token(OpKind::ChunkIn, k, seq++);
+      const OpToken token = make_token(OpKind::Chunk, k, seq++);
       const Seconds now = now_s();
       wave.push_back(
           OpRequest::transfer(token, sh.sub, picked, chunk_input(chunk)));
-      sh.ledger.record(token, {picked, chunk, now, chunk_work(chunk), 0});
-      // Only the liveness tick flushes the log and only a promotion reads
-      // it, so without resilience there is nothing to replicate.
-      if (resil_on)
+      // Only crash handling reads the ledger, only the liveness tick
+      // flushes the log and only a promotion reads it: without resilience
+      // there is nothing to record or replicate.
+      if (resil_on) {
+        sh.ledger.record(token, {picked, chunk, now, chunk_work(chunk)});
         sh.log.append({resil::ReplicaRecordKind::Assign, token, picked, 0, 0,
                        0.0, {}});
+      }
       sh.inflight_tasks += chunk.size();
       shard_ev[k].emit(Kind::TaskDispatched, picked, chunk.front().id,
                        static_cast<double>(chunk.size()));
@@ -439,6 +448,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
       a.shard = k;
       a.node = picked;
       a.dispatched = now;
+      a.stamp = next_stamp++;
       a.is_probe = probe;
       a.span = sh.spans.begin(probe ? "probe" : "chunk", 0, picked,
                               chunk.front().id, chunk_work(chunk).value);
@@ -532,14 +542,15 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   };
 
   // Abandon every chunk shard k has in flight (its coordinator is gone, so
-  // the results have nowhere to land): requeue the unfinished tasks locally
-  // and swallow the tokens.
+  // the results have nowhere to land): requeue the unfinished tasks locally,
+  // in order of last phase change, and swallow the tokens.
   const auto abandon_inflight = [&](std::size_t k) {
     Shard& sh = shards[k];
-    std::vector<OpToken> mine;
+    std::vector<std::pair<std::uint64_t, OpToken>> mine;
     for (const auto& [tok, a] : asg)
-      if (a.shard == k) mine.push_back(tok);
-    for (OpToken token : mine) {
+      if (a.shard == k) mine.emplace_back(a.stamp, tok);
+    std::sort(mine.begin(), mine.end());
+    for (const auto& [stamp, token] : mine) {
       if (auto entry = sh.ledger.invalidate(token, is_done); entry)
         requeue_lost(k, *entry, entry->node);
       if (auto [found, a] = asg.take(token); found)
@@ -756,7 +767,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
     bool any_live = false;
     for (const Shard& sh : shards)
       if (!sh.dead) any_live = true;
-    if (!any_live && global_done < total)
+    if (!any_live && done.size() < total)
       throw std::runtime_error(
           "HierFarm: every shard was lost with tasks remaining");
   };
@@ -767,7 +778,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   for (std::size_t k = 0; k < shards.size(); ++k) maybe_grant(k);
 
   // --------------------------------------------------------- event loop
-  while (global_done < total) {
+  while (done.size() < total) {
     const auto c = backend.wait_next();
     if (!c)
       throw std::runtime_error(
@@ -824,13 +835,9 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         const std::size_t k = token_shard(token);
         auto [found, ship] = shipments.take(token);
         if (found) {
-          for (const auto& t : ship) {
-            const auto it = index.find(t.id);
-            if (it == index.end() || done[it->second] != 0) continue;
-            done[it->second] = 1;
-            ++global_done;
-            shard_ev[k].emit(Kind::TaskCompleted, shards[k].sub, t.id);
-          }
+          for (const auto& t : ship)
+            if (done.insert(t.id))
+              shard_ev[k].emit(Kind::TaskCompleted, shards[k].sub, t.id);
         }
         Shard& sh = shards[k];
         sh.result_in_flight = false;
@@ -856,9 +863,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         }
         break;
       }
-      case OpKind::ChunkIn:
-      case OpKind::ChunkCompute:
-      case OpKind::ChunkOut: {
+      case OpKind::Chunk: {
         const std::size_t k = token_shard(token);
         Shard& sh = shards[k];
         ++sh.events;
@@ -881,16 +886,15 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
           dispatch_shard(k);
           break;
         }
-        if (kind == OpKind::ChunkIn) {
-          const OpToken next = make_token(OpKind::ChunkCompute, k, seq++);
-          // The replica log is not re-keyed: rollback reads only the task
-          // lists of Complete records, never their tokens.
-          sh.ledger.rekey(token, next);
-          auto [found, moved] = asg.take(token);
-          moved.compute_started = now;
-          backend.submit_compute(next, moved.node, chunk_work(moved.chunk));
-          asg.emplace(next, std::move(moved));
-        } else if (kind == OpKind::ChunkCompute) {
+        // The next phase runs under the same token; the chunk's records
+        // change in place.
+        if (a->phase == Phase::Input) {
+          a->phase = Phase::Compute;
+          a->stamp = next_stamp++;
+          a->compute_started = now;
+          if (resil_on) sh.ledger.advance(token);
+          backend.submit_compute(token, a->node, chunk_work(a->chunk));
+        } else if (a->phase == Phase::Compute) {
           const double work = chunk_work(a->chunk).value;
           const double sample =
               work > 0.0 ? (now - a->compute_started).value / work : 0.0;
@@ -913,19 +917,19 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
               sh.obs_spm = sample;
             }
           }
-          const OpToken next = make_token(OpKind::ChunkOut, k, seq++);
-          sh.ledger.rekey(token, next);
-          auto [found, moved] = asg.take(token);
-          backend.submit_transfer(next, moved.node, sh.sub,
-                                  chunk_output(moved.chunk));
-          asg.emplace(next, std::move(moved));
-        } else {  // ChunkOut: the chunk is home
+          a->phase = Phase::Output;
+          a->stamp = next_stamp++;
+          if (resil_on) sh.ledger.advance(token);
+          backend.submit_transfer(token, a->node, sh.sub,
+                                  chunk_output(a->chunk));
+        } else {  // Output: the chunk is home
           auto [found, fin] = asg.take(token);
-          (void)sh.ledger.complete(token);
-          if (resil_on)
+          if (resil_on) {
+            (void)sh.ledger.complete(token);
             sh.log.append({resil::ReplicaRecordKind::Complete, token,
                            fin.node, 0, 0, chunk_output(fin.chunk).value,
                            fin.chunk});
+          }
           sh.inflight_tasks -=
               std::min(sh.inflight_tasks, fin.chunk.size());
           mark_idle(sh, fin.node);
@@ -959,8 +963,8 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
   // -------------------------------------------------------------- report
   report.makespan = finish_time - t0;
-  report.tasks_completed = global_done - std::min(global_done,
-                                                  calibration_tasks);
+  report.tasks_completed =
+      done.size() - std::min(done.size(), calibration_tasks);
   report.calibration_tasks = calibration_tasks;
   report.root_events = root_events;
   report.shard_events = shard_events;

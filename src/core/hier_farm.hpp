@@ -96,6 +96,12 @@ struct HierFarmParams {
   /// land under "shard.<k>." prefixes and each shard's chunk spans are
   /// grafted as a subtree when detail is enabled.
   obs::Telemetry* telemetry = nullptr;
+
+  /// Throws std::invalid_argument on a zero workers_per_shard or
+  /// chunk_size, a negative or non-finite target_chunk_seconds,
+  /// monitor_period or promotion_handshake, or a detector whose
+  /// heartbeat_period or timeout is not finite and positive.
+  void validate() const;
 };
 
 /// Per-shard accounting, in shard-index order.
@@ -177,10 +183,7 @@ struct HierFarmReport {
 
 class HierFarm {
  public:
-  /// Throws std::invalid_argument on a zero workers_per_shard or
-  /// chunk_size, a negative or non-finite target_chunk_seconds,
-  /// monitor_period or promotion_handshake, or a detector whose
-  /// heartbeat_period or timeout is not finite and positive.
+  /// Throws std::invalid_argument when params.validate() does.
   explicit HierFarm(HierFarmParams params);
 
   /// Execute `tasks` over `pool` (root = params.root or pool.front(),

@@ -28,7 +28,8 @@ constexpr std::size_t kProbeTasks = 1;
 /// a rejoining dead one, or the farmer itself) before the run is lost.
 constexpr Seconds kFailoverPatience{1e4};
 
-/// One chunk travelling the input -> compute -> output chain.
+/// One chunk travelling the input -> compute -> output chain, under one
+/// token (its key in in_flight_ and the ledger) for all three operations.
 struct Assignment {
   std::vector<workloads::TaskSpec> chunk;
   NodeId node;
@@ -41,6 +42,9 @@ struct Assignment {
   bool is_probe = false;   ///< newcomer fast-path calibration chunk
   bool duplicated = false;  ///< a reissue twin of this chunk exists
   obs::SpanId span = 0;    ///< dispatch→complete span (0 when disabled)
+  /// Order of the last phase change, dispatch included: the order the
+  /// checkpoint pass walks chunks in and the reissue scan's tie-break.
+  std::uint64_t stamp = 0;
   Mops work() const {
     Mops total = Mops::zero();
     for (const auto& t : chunk) total += t.work;
@@ -556,6 +560,7 @@ class FarmRun final : public FarmEngine {
     a.dispatched = backend_.now();
     a.is_reissue = is_reissue;
     a.is_probe = is_probe;
+    a.stamp = next_stamp_++;
     a.span = tel_.spans.begin("chunk", 0, node,
                               a.chunk.empty() ? TaskId::invalid()
                                               : a.chunk.front().id,
@@ -825,8 +830,18 @@ class FarmRun final : public FarmEngine {
     // The pass stages every accepted progress report and applies them to
     // the ledger in one checkpoint_batch call at the end.
     std::vector<resil::ChunkLedger::CheckpointUpdate> updates;
-    for (auto& [token, a] : in_flight_) {
-      if (a.phase != Assignment::Phase::Compute) continue;
+    // Chunks in compute, in order of their last phase change.
+    std::vector<const FlatMap<OpToken, Assignment>::Item*> computing;
+    for (const auto& item : in_flight_)
+      if (item.value.phase == Assignment::Phase::Compute)
+        computing.push_back(&item);
+    std::sort(computing.begin(), computing.end(),
+              [](const auto* x, const auto* y) {
+                return x->value.stamp < y->value.stamp;
+              });
+    for (const auto* item : computing) {
+      const OpToken token = item->key;
+      const Assignment& a = item->value;
       // A worker that crashed since this chunk was dispatched ships nothing
       // more for it: the crash destroyed the chunk's in-memory state, so
       // even after a rejoin there is no fresher partial result to report —
@@ -1177,6 +1192,7 @@ class FarmRun final : public FarmEngine {
       OpToken token;
       double expected_finish;  ///< dispatched + expected, on its holder
       bool straggler;
+      std::uint64_t stamp;
     };
     const double now_s = backend_.now().value;
     std::vector<Candidate> candidates;
@@ -1187,13 +1203,14 @@ class FarmRun final : public FarmEngine {
           spm_estimate(a.node) * a.work().value + 1.0;  // +1 s transfer
       const double age = now_s - a.dispatched.value;
       candidates.push_back({token, a.dispatched.value + expected,
-                            age > params_.straggler_factor * expected});
+                            age > params_.straggler_factor * expected,
+                            a.stamp});
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& x, const Candidate& y) {
                 if (x.expected_finish != y.expected_finish)
                   return x.expected_finish > y.expected_finish;
-                return x.token < y.token;
+                return x.stamp < y.stamp;
               });
     // Pair chunks with idle nodes.  Two triggers, both first-completion-wins:
     //  * straggler — the chunk is far past its expected time (the node
@@ -1242,13 +1259,15 @@ class FarmRun final : public FarmEngine {
   void process_completion(const Completion& c) {
     using Kind = gridsim::TraceEventKind;
     if (swallow_dead_token(c.token)) return;
-    auto [found, a] = in_flight_.take(c.token);
-    if (!found) throw std::logic_error("TaskFarm: unknown completion token");
+    Assignment* live = in_flight_.find(c.token);
+    if (live == nullptr)
+      throw std::logic_error("TaskFarm: unknown completion token");
 
     if (churn_ != nullptr &&
-        churn_->crashed_during(a.node, a.dispatched, backend_.now())) {
+        churn_->crashed_during(live->node, live->dispatched, backend_.now())) {
       // Zombie chunk observed before the detector fired: the work is lost;
       // re-queue it here, exactly once (the ledger entry dies with it).
+      Assignment a = in_flight_.take(c.token).second;
       met_.inc(rm_.zombie_completions);
       tel_.spans.end(a.span, 0.0, "zombie");
       if (flight_ != nullptr)
@@ -1278,30 +1297,29 @@ class FarmRun final : public FarmEngine {
       return;
     }
 
-    switch (a.phase) {
+    // The next phase runs under the same token; the chunk's records change
+    // in place.
+    switch (live->phase) {
       case Assignment::Phase::Input: {
-        a.phase = Assignment::Phase::Compute;
-        a.compute_started = backend_.now();
-        const OpToken token = tokens_.alloc();
-        backend_.submit_compute(token, a.node, a.work(),
-                                make_chunk_body(a.chunk));
-        if (resil_on_) ledger_.rekey(c.token, token);
-        if (failover_on_) failover_->log().retarget(c.token, token);
-        in_flight_.emplace(token, std::move(a));
+        live->phase = Assignment::Phase::Compute;
+        live->compute_started = backend_.now();
+        live->stamp = next_stamp_++;
+        backend_.submit_compute(c.token, live->node, live->work(),
+                                make_chunk_body(live->chunk));
+        if (resil_on_) ledger_.advance(c.token);
         break;
       }
       case Assignment::Phase::Compute: {
-        a.phase = Assignment::Phase::Output;
+        live->phase = Assignment::Phase::Output;
+        live->stamp = next_stamp_++;
         Bytes output = Bytes::zero();
-        for (const auto& t : a.chunk) output += t.output;
-        const OpToken token = tokens_.alloc();
-        backend_.submit_transfer(token, a.node, farmer_, output);
-        if (resil_on_) ledger_.rekey(c.token, token);
-        if (failover_on_) failover_->log().retarget(c.token, token);
-        in_flight_.emplace(token, std::move(a));
+        for (const auto& t : live->chunk) output += t.output;
+        backend_.submit_transfer(c.token, live->node, farmer_, output);
+        if (resil_on_) ledger_.advance(c.token);
         break;
       }
       case Assignment::Phase::Output: {
+        const Assignment a = in_flight_.take(c.token).second;
         if (resil_on_) ledger_.complete(c.token);
         const double elapsed = (backend_.now() - a.dispatched).value;
         met_.observe(h_service_, elapsed);
@@ -1500,11 +1518,12 @@ class FarmRun final : public FarmEngine {
   bool promotion_waited_ = false;  ///< successor not available at detection
   std::vector<Completion> parked_;
 
-  // Chunks currently travelling the input -> compute -> output chain.  At
-  // most one per worker (plus reissue twins).  A FlatMap: O(1)
-  // per-completion find/erase, and the reissue/steal scans walk it in order
-  // of last insertion, so their choices are deterministic.
+  // Chunks currently travelling the input -> compute -> output chain, each
+  // under its one token.  At most one per worker (plus reissue twins).  A
+  // FlatMap: O(1) per-completion find/erase.  Scans whose order shows
+  // (checkpoint pass, reissue tie-break) order by Assignment::stamp.
   FlatMap<OpToken, Assignment> in_flight_;
+  std::uint64_t next_stamp_ = 0;
   // Tokens of chunks surrendered to crash recovery; their completions (the
   // zombies) are swallowed when the backend eventually delivers them.
   std::unordered_set<OpToken> dead_tokens_;

@@ -21,31 +21,4 @@ void TaskSource::push_front(const workloads::TaskSpec& task) {
   queue_.push_front(task);
 }
 
-bool TaskSource::mark_completed(TaskId id) {
-  if (id.value < kDenseLimit) {
-    const std::size_t index = static_cast<std::size_t>(id.value);
-    if (index >= dense_.size()) dense_.resize(index + 1, 0);
-    if (dense_[index] != 0) return false;
-    dense_[index] = 1;
-    ++completed_count_;
-    return true;
-  }
-  if (!sparse_.insert(id).second) return false;
-  ++completed_count_;
-  return true;
-}
-
-bool TaskSource::unmark_completed(TaskId id) {
-  if (id.value < kDenseLimit) {
-    const std::size_t index = static_cast<std::size_t>(id.value);
-    if (index >= dense_.size() || dense_[index] == 0) return false;
-    dense_[index] = 0;
-    --completed_count_;
-    return true;
-  }
-  if (sparse_.erase(id) == 0) return false;
-  --completed_count_;
-  return true;
-}
-
 }  // namespace grasp::core

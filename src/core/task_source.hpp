@@ -6,11 +6,9 @@
 // reissue (first completion wins; late twins are discarded).
 #pragma once
 
-#include <cstdint>
 #include <deque>
-#include <unordered_set>
-#include <vector>
 
+#include "support/task_id_set.hpp"
 #include "workloads/task.hpp"
 
 namespace grasp::core {
@@ -22,8 +20,8 @@ class TaskSource {
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t remaining() const { return queue_.size(); }
   [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t completed() const { return completed_count_; }
-  [[nodiscard]] bool all_done() const { return completed_count_ == total_; }
+  [[nodiscard]] std::size_t completed() const { return completed_.size(); }
+  [[nodiscard]] bool all_done() const { return completed_.size() == total_; }
 
   /// Pop the next task.  Precondition: !empty().
   [[nodiscard]] workloads::TaskSpec pop();
@@ -34,32 +32,20 @@ class TaskSource {
 
   /// Record a completion.  Returns true when this is the first completion
   /// of the task (duplicates from straggler reissue return false).
-  bool mark_completed(TaskId id);
+  bool mark_completed(TaskId id) { return completed_.insert(id); }
 
   /// Retract a completion (farmer failover: the result died un-replicated
   /// with the coordinator, so the task must run again).  Returns true when
   /// the task was marked; the caller re-queues it via push_front.
-  bool unmark_completed(TaskId id);
+  bool unmark_completed(TaskId id) { return completed_.erase(id); }
 
   [[nodiscard]] bool is_completed(TaskId id) const {
-    if (id.value < kDenseLimit) {
-      const std::size_t index = static_cast<std::size_t>(id.value);
-      return index < dense_.size() && dense_[index] != 0;
-    }
-    return sparse_.count(id) != 0;
+    return completed_.contains(id);
   }
 
  private:
-  /// Task ids are assigned contiguously from zero by the generators, so
-  /// completion tracking is a flat bitmap probed on every completion and
-  /// requeue scan; ids outside the dense range (or the invalid sentinel)
-  /// fall back to a hash set so exotic callers keep exact semantics.
-  static constexpr std::uint64_t kDenseLimit = 1u << 22;
-
   std::deque<workloads::TaskSpec> queue_;
-  std::vector<char> dense_;             ///< 1 = completed, index = id
-  std::unordered_set<TaskId> sparse_;   ///< ids outside the dense range
-  std::size_t completed_count_ = 0;
+  TaskIdSet completed_;
   std::size_t total_;
 };
 

@@ -8,7 +8,12 @@ namespace grasp::resil {
 void ChunkLedger::record(core::OpToken token, Entry entry) {
   if (entries_.contains(token))
     throw std::logic_error("ChunkLedger: token already registered");
+  entry.stamp = next_stamp_++;
   entries_.emplace(token, std::move(entry));
+}
+
+void ChunkLedger::advance(core::OpToken token) {
+  if (Entry* entry = entries_.find(token)) entry->stamp = next_stamp_++;
 }
 
 bool ChunkLedger::checkpoint(core::OpToken token, std::size_t tasks_done,
@@ -45,12 +50,6 @@ double ChunkLedger::snapshot_bytes() const {
   return bytes;
 }
 
-void ChunkLedger::rekey(core::OpToken old_token, core::OpToken new_token) {
-  auto [found, entry] = entries_.take(old_token);
-  if (!found) return;
-  record(new_token, std::move(entry));
-}
-
 std::optional<ChunkLedger::Entry> ChunkLedger::complete(core::OpToken token) {
   auto [found, entry] = entries_.take(token);
   if (!found) return std::nullopt;
@@ -76,12 +75,12 @@ ChunkLedger::fail_node(NodeId node, const CompletedFn& completed) {
       ++it;
     }
   }
-  // Oldest dispatch first.  The table iterates in insertion (dispatch)
-  // order already, so the stable sort only reorders entries whose
-  // timestamps genuinely differ — equal-timestamp dispatches keep their
-  // dispatch order deterministically.
-  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second.dispatched < b.second.dispatched;
+  // Oldest dispatch first; equal dispatch times in order of last phase
+  // change (stamps are unique, so the order is total).
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.second.dispatched != b.second.dispatched)
+      return a.second.dispatched < b.second.dispatched;
+    return a.second.stamp < b.second.stamp;
   });
   return out;
 }

@@ -1,13 +1,13 @@
 // ChunkLedger: the exactly-once accounting behind crash recovery.
 //
-// Every dispatched chunk is registered under its current operation token;
-// phase transitions (input -> compute -> output) re-key the entry.  When a
-// node is declared dead, `fail_node` surrenders its entries exactly once —
-// callers return the contained tasks to the work queue and nothing else
-// ever will, because the entries are gone.  Zombie completions (a chunk
-// whose node crashed mid-flight) are settled through `invalidate`, which
-// removes the entry so a later `fail_node` cannot re-dispatch the same
-// work a second time.
+// Every dispatched chunk is registered under one key for its whole life:
+// the input -> compute -> output phase transitions keep the key and only
+// restamp the entry (`advance`).  When a node is declared dead,
+// `fail_node` surrenders its entries exactly once — callers return the
+// contained tasks to the work queue and nothing else ever will, because the
+// entries are gone.  Zombie completions (a chunk whose node crashed
+// mid-flight) are settled through `invalidate`, which removes the entry so
+// a later `fail_node` cannot re-dispatch the same work a second time.
 //
 // Checkpointing: workers periodically report (chunk, tasks_done) progress
 // on the liveness tick; `checkpoint` records the per-chunk high-water
@@ -19,14 +19,16 @@
 // wasted work and re-dispatched.
 //
 // Storage is a FlatMap (support/flat_map.hpp): O(1) find and erase, with
-// lazy compaction, and iteration in order of last insertion.  That order
-// makes fail_node's surrender order — and therefore re-dispatch order —
-// deterministic; a rekey re-inserts, so a re-keyed entry moves to the end.
-// The per-tick checkpoint pass applies all of a tick's progress reports
-// through `checkpoint_batch` in one call.
+// lazy compaction.  Each entry carries a stamp, renewed by `record` and
+// `advance`; fail_node surrenders oldest dispatch first and, among equal
+// dispatch times, in order of last phase change, so its surrender order —
+// and therefore re-dispatch order — is deterministic.  The per-tick
+// checkpoint pass applies all of a tick's progress reports through
+// `checkpoint_batch` in one call.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
@@ -47,9 +49,11 @@ class ChunkLedger {
     Seconds dispatched;
     Mops work;
     /// Checkpoint high-water mark: the first `checkpointed` tasks have had
-    /// their partial results shipped to the farmer.  Monotone; survives
-    /// rekey because the entry moves wholesale.
+    /// their partial results shipped to the farmer.  Monotone; phase
+    /// changes keep it, since they keep the entry.
     std::size_t checkpointed = 0;
+    /// Order of the entry's last record/advance; set by the ledger.
+    std::uint64_t stamp = 0;
   };
 
   /// One progress report of a checkpoint pass (see checkpoint_batch).
@@ -61,8 +65,14 @@ class ChunkLedger {
     double state_bytes = 0.0;
   };
 
-  /// Register a freshly dispatched chunk.  The token must be unused.
+  /// Register a freshly dispatched chunk under its key for life.  The key
+  /// must be unused.
   void record(core::OpToken token, Entry entry);
+
+  /// The chunk moved to its next phase (input -> compute -> output): it
+  /// now sorts after every entry recorded or advanced before.  No-op for
+  /// unknown keys (the chunk may have been surrendered meanwhile).
+  void advance(core::OpToken token);
 
   /// Record a progress message: the first `tasks_done` tasks of the chunk
   /// are checkpointed at the farmer.  Returns true when the high-water mark
@@ -85,10 +95,6 @@ class ChunkLedger {
   /// Returns true when a tracked entry's mark actually moved down.
   bool revert_checkpoint(core::OpToken token, std::size_t mark);
 
-  /// Move an entry to the next phase's token.  No-op for unknown tokens
-  /// (the chunk may have been surrendered to fail_node meanwhile).
-  void rekey(core::OpToken old_token, core::OpToken new_token);
-
   /// Chunk finished normally: remove and return its entry.
   std::optional<Entry> complete(core::OpToken token);
 
@@ -103,10 +109,10 @@ class ChunkLedger {
   std::optional<Entry> invalidate(core::OpToken token,
                                   const CompletedFn& completed = {});
 
-  /// Surrender every in-flight entry on `node` with its token (oldest
-  /// dispatch first), counting pending work lost.  A second call for the
-  /// same node returns nothing — the exactly-once guarantee for crash
-  /// re-dispatch.
+  /// Surrender every in-flight entry on `node` with its key (oldest
+  /// dispatch first, ties in order of last phase change), counting pending
+  /// work lost.  A second call for the same node returns nothing — the
+  /// exactly-once guarantee for crash re-dispatch.
   std::vector<std::pair<core::OpToken, Entry>> fail_node(
       NodeId node, const CompletedFn& completed = {});
 
@@ -120,14 +126,10 @@ class ChunkLedger {
   }
   [[nodiscard]] std::size_t in_flight() const { return entries_.size(); }
 
-  /// Snapshot view of the live table, insertion (dispatch) order — what a
-  /// freshly recruited standby receives wholesale before the incremental
-  /// replication log takes over.
-  [[nodiscard]] const FlatMap<core::OpToken, Entry>& entries() const {
-    return entries_;
-  }
-  /// Estimated serialized size of that snapshot (fixed header per entry
-  /// plus its task records); drives the recruit-traffic accounting.
+  /// Estimated serialized size of the live table — what a freshly
+  /// recruited standby receives wholesale before the incremental
+  /// replication log takes over (fixed header per entry plus its task
+  /// records); drives the recruit-traffic accounting.
   [[nodiscard]] double snapshot_bytes() const;
 
   // Loss accounting (drives the wasted-work experiment columns).  Recovered
@@ -148,6 +150,7 @@ class ChunkLedger {
   void count_loss(const Entry& entry, const CompletedFn& completed);
 
   FlatMap<core::OpToken, Entry> entries_;
+  std::uint64_t next_stamp_ = 0;
   std::size_t chunks_lost_ = 0;
   std::size_t tasks_lost_ = 0;
   double wasted_mops_ = 0.0;

@@ -79,11 +79,6 @@ void ReplicaLog::rollback_to(std::uint64_t seq,
   for (auto& item : marks_) item.value = std::min(item.value, seq);
 }
 
-void ReplicaLog::retarget(core::OpToken old_token, core::OpToken new_token) {
-  for (Record& r : records_)
-    if (r.token == old_token) r.token = new_token;
-}
-
 void ReplicaLog::compact() {
   if (marks_.empty()) {
     // Nobody needs history: a future recruit starts from a snapshot.

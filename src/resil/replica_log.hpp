@@ -11,6 +11,10 @@
 // and re-queued, checkpoint marks lowered) before the new farmer resumes.
 // A freshly recruited standby receives a state snapshot instead of history,
 // so the log only retains records some registered standby still lacks.
+// Records name a chunk by its ledger key, which the chunk keeps from
+// dispatch to completion (resil/chunk_ledger.hpp): a rollback finds the
+// entry whose checkpoint mark it must revert under the key it was logged
+// with, whatever phase the chunk has reached since.
 //
 // The log is in-process: the virtual-time farm appends and flushes it
 // directly and accounts the shipped volume without charging the simulated
@@ -50,7 +54,7 @@ class ReplicaLog {
  public:
   struct Record {
     ReplicaRecordKind kind = ReplicaRecordKind::Assign;
-    core::OpToken token = 0;
+    core::OpToken token = 0;  ///< the chunk's ledger key (0: no chunk)
     NodeId node;
     std::size_t prev_mark = 0;  ///< Checkpoint: mark to roll back to
     std::size_t new_mark = 0;   ///< Checkpoint: mark this record installed
@@ -105,15 +109,6 @@ class ReplicaLog {
   /// has retracted).  `seq` below base_seq() is clamped to base_seq().
   void rollback_to(std::uint64_t seq,
                    const std::function<void(const Record&)>& undo);
-
-  /// A phase transition re-keyed a ledger entry (input -> compute ->
-  /// output): retained records naming the old token follow it, so a
-  /// post-crash rollback still finds the entry whose checkpoint mark it
-  /// must revert.  Records already compacted away need no retarget — every
-  /// standby holds them, so they can never roll back.  Costs O(retained
-  /// records): a caller must flush every tick so the retained suffix stays
-  /// short.
-  void retarget(core::OpToken old_token, core::OpToken new_token);
 
  private:
   void compact();

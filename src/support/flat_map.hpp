@@ -14,9 +14,10 @@
 //     positions, and erase marks a slot dead instead of shifting its
 //     successors; `emplace` compacts lazily once dead slots reach half the
 //     vector.  Storage (slots and index) is reused, so bookkeeping
-//     allocates nothing once warm.  The order contract is what the
-//     resilience layer relies on for reproducible re-dispatch order: a
-//     re-keyed entry (take + emplace) moves to the end.
+//     allocates nothing once warm.  The farms keep each chunk under one
+//     key for its whole life and update it in place; where a walk's order
+//     shows (crash surrender, checkpoint pass) they sort by a stamp of
+//     their own rather than lean on the iteration order.
 //   * NodeMap<V>     — direct-indexed vector keyed by NodeId, auto-growing,
 //     with a default value for untouched nodes.  O(1) access, no hashing;
 //     relies on grid node ids being small and dense (they are: the grid

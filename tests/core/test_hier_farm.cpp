@@ -287,5 +287,52 @@ TEST(HierFarm, RejectsBadParamsAtConstruction) {
   EXPECT_NO_THROW(HierFarm{off});
 }
 
+TEST(HierFarm, ValidateChecksEveryParamDirectly) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NO_THROW(HierFarmParams{}.validate());
+  const auto verdict = [](auto mutate) {
+    HierFarmParams p;
+    mutate(p);
+    try {
+      p.validate();
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+    return true;
+  };
+  // Counts: zero is the only invalid value.
+  EXPECT_FALSE(verdict([](HierFarmParams& p) { p.workers_per_shard = 0; }));
+  EXPECT_FALSE(verdict([](HierFarmParams& p) { p.chunk_size = 0; }));
+  EXPECT_TRUE(verdict([](HierFarmParams& p) { p.workers_per_shard = 1; }));
+  EXPECT_TRUE(verdict([](HierFarmParams& p) { p.chunk_size = 1; }));
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    SCOPED_TRACE(bad);
+    // Finite and non-negative: zero is accepted (monitor off, no
+    // handshake pause, one task per Grasp chunk).
+    EXPECT_FALSE(
+        verdict([&](HierFarmParams& p) { p.target_chunk_seconds = bad; }));
+    EXPECT_FALSE(
+        verdict([&](HierFarmParams& p) { p.monitor_period = Seconds{bad}; }));
+    EXPECT_FALSE(verdict(
+        [&](HierFarmParams& p) { p.promotion_handshake = Seconds{bad}; }));
+  }
+  EXPECT_TRUE(
+      verdict([](HierFarmParams& p) { p.target_chunk_seconds = 0.0; }));
+  EXPECT_TRUE(
+      verdict([](HierFarmParams& p) { p.monitor_period = Seconds{0.0}; }));
+  EXPECT_TRUE(verdict(
+      [](HierFarmParams& p) { p.promotion_handshake = Seconds{0.0}; }));
+  // Finite and positive: zero is rejected too.
+  for (const double bad : {nan, inf, -inf, 0.0, -1.0}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(verdict([&](HierFarmParams& p) {
+      p.detector.heartbeat_period = Seconds{bad};
+    }));
+    EXPECT_FALSE(
+        verdict([&](HierFarmParams& p) { p.detector.timeout = Seconds{bad}; }));
+  }
+}
+
 }  // namespace
 }  // namespace grasp::core

@@ -363,6 +363,50 @@ TEST(EmitFingerprint, HierFarmPlantedSubFarmerCrash) {
        "d016821a68924772"});
 }
 
+// The hier_farm example's scenario: 32 workers over an 8x speed spread in
+// four shards, shard 0's sub-farmer dying for good at t=30.  Its in-flight
+// chunks sit in different phases when the crash is detected, so the order
+// the promotion abandons them in (last phase change first to last) shows
+// in the re-dispatch order.
+TEST(EmitFingerprint, HierFarmHeterogeneousSubFarmerCrash) {
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  b.add_node(s, 100.0);  // root
+  const double speeds[] = {50.0, 100.0, 200.0, 400.0};
+  std::vector<NodeId> workers;
+  std::vector<double> worker_speeds;
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    b.add_node(s, speeds[i % 4]);
+    workers.push_back(NodeId{i + 1});
+    worker_speeds.push_back(speeds[i % 4]);
+  }
+  gridsim::Grid grid = b.build();
+  const NodeId victim = core::plan_shards(workers, worker_speeds, 4)[0].front();
+  grid.node(victim).add_downtime({Seconds{30.0}, Seconds{1e9}});
+  grid.set_churn(gridsim::ChurnTimeline(
+      {{Seconds{30.0}, gridsim::ChurnEventKind::Crash, victim}}));
+
+  core::HierFarmParams params;
+  params.workers_per_shard = 8;
+  params.detector.heartbeat_period = Seconds{1.0};
+  params.detector.timeout = Seconds{4.0};
+  params.promotion_handshake = Seconds{2.0};
+  Telemetry tel;
+  params.telemetry = &tel;
+
+  core::SimBackend backend(grid);
+  const core::HierFarmReport r = core::HierFarm(params).run(
+      backend, grid, grid.node_ids(), task_set(256, 2000.0, 0.6, 43));
+  ASSERT_EQ(r.promotions, 1u);
+  ASSERT_GT(r.redispatched, 0u);
+
+  expect_fingerprint(
+      {trace_digest(r.trace), count_digest(r.trace), report_digest(r),
+       blame_digest(tel, r.makespan.value)},
+      {"2739cd72f94354d4", "86fe9e6c53fc81e7", "24e2da252d43451c",
+       "75f11db5cdbb9612"});
+}
+
 // HierFarm over two shards of 75 members each, so per-member state spans
 // more than 64 positions: a load step on shard 1 drifts it into a
 // recalibration, one worker crashes and rejoins inside the detector

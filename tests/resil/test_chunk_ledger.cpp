@@ -34,19 +34,20 @@ TEST(ChunkLedger, CompleteRemovesEntry) {
   EXPECT_EQ(ledger.chunks_lost(), 0u);
 }
 
-TEST(ChunkLedger, RekeyFollowsPhaseTransitions) {
+TEST(ChunkLedger, PhaseChangesKeepTheChunksKey) {
   ChunkLedger ledger;
   ledger.record(1, entry(NodeId{3}, {7}));
-  ledger.rekey(1, 2);   // input -> compute
-  ledger.rekey(2, 3);   // compute -> output
-  EXPECT_FALSE(ledger.tracks(1));
-  EXPECT_FALSE(ledger.tracks(2));
-  ASSERT_TRUE(ledger.tracks(3));
-  ledger.rekey(99, 100);  // unknown old token: no-op
-  EXPECT_FALSE(ledger.tracks(100));
-  const auto e = ledger.complete(3);
+  ledger.advance(1);  // input -> compute
+  ledger.advance(1);  // compute -> output
+  ASSERT_TRUE(ledger.tracks(1));
+  EXPECT_EQ(ledger.in_flight(), 1u);
+  ledger.advance(99);  // unknown key: no-op
+  EXPECT_FALSE(ledger.tracks(99));
+  const auto e = ledger.complete(1);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->node, NodeId{3});
+  ledger.advance(1);  // completed meanwhile: no-op
+  EXPECT_FALSE(ledger.tracks(1));
 }
 
 TEST(ChunkLedger, FailNodeSurrendersEntriesExactlyOnce) {
@@ -122,15 +123,43 @@ TEST(ChunkLedger, OnlyAdvancingCheckpointsCountShippedStateBytes) {
   EXPECT_DOUBLE_EQ(ledger.checkpoint_state_bytes(), 150.0);
 }
 
-TEST(ChunkLedger, CheckpointSurvivesRekey) {
+TEST(ChunkLedger, CheckpointFromComputeIsFoundAndRevertedAfterOutput) {
   ChunkLedger ledger;
   ledger.record(1, entry(NodeId{0}, {1, 2, 3}));
+  ledger.advance(1);  // input -> compute
   EXPECT_TRUE(ledger.checkpoint(1, 2));
-  ledger.rekey(1, 2);  // compute -> output
-  EXPECT_EQ(ledger.checkpointed(2), 2u);
-  const auto e = ledger.complete(2);
+  ledger.advance(1);  // compute -> output
+  EXPECT_EQ(ledger.checkpointed(1), 2u);
+  // A farmer failover rolls the mark back under the same key.
+  EXPECT_TRUE(ledger.revert_checkpoint(1, 1));
+  EXPECT_EQ(ledger.checkpointed(1), 1u);
+  const auto e = ledger.complete(1);
   ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->checkpointed, 2u);
+  EXPECT_EQ(e->checkpointed, 1u);
+}
+
+TEST(ChunkLedger, FailNodeSurrendersTiesInLastPhaseChangeOrder) {
+  // Two chunks on one node dispatched at the same instant, their phase
+  // changes interleaved: the one that changed phase last goes last.
+  ChunkLedger ledger;
+  ledger.record(1, entry(NodeId{0}, {1}, 4.0));
+  ledger.record(2, entry(NodeId{0}, {2}, 4.0));
+  ledger.record(3, entry(NodeId{1}, {3}, 4.0));
+  ledger.advance(1);  // 1: input -> compute
+  ledger.advance(2);  // 2: input -> compute
+  ledger.advance(1);  // 1: compute -> output
+  const auto lost = ledger.fail_node(NodeId{0});
+  ASSERT_EQ(lost.size(), 2u);
+  EXPECT_EQ(lost[0].first, 2u);
+  EXPECT_EQ(lost[1].first, 1u);
+  // An earlier dispatch still goes first, whatever its phase changes.
+  ledger.record(4, entry(NodeId{2}, {4}, 6.0));
+  ledger.record(5, entry(NodeId{2}, {5}, 5.0));
+  ledger.advance(5);
+  const auto second = ledger.fail_node(NodeId{2});
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].first, 5u);
+  EXPECT_EQ(second[1].first, 4u);
 }
 
 TEST(ChunkLedger, FailNodeSplitsRecoveredAndWasted) {

@@ -185,12 +185,11 @@ TEST(ChunkLedgerProperty, ConservationUnderRandomOperations) {
         EXPECT_LE(after, l.tasks.size());  // clamped to the chunk
         l.high_water = after;
       } else if (roll < 60) {
-        // Phase transition.
-        Live& l = live[rng.next() % live.size()];
-        const core::OpToken fresh = next_token++;
-        ledger.rekey(l.token, fresh);
-        EXPECT_EQ(ledger.checkpointed(fresh), l.high_water);  // mark survives
-        l.token = fresh;
+        // Phase transition: the chunk keeps its key.
+        const Live& l = live[rng.next() % live.size()];
+        ledger.advance(l.token);
+        EXPECT_TRUE(ledger.tracks(l.token));
+        EXPECT_EQ(ledger.checkpointed(l.token), l.high_water);  // mark survives
       } else if (roll < 75) {
         // Normal completion.
         const std::size_t idx = rng.next() % live.size();

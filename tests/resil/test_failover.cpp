@@ -106,24 +106,34 @@ TEST(ReplicaLog, ReRecruitSupersedesHistoryWithSnapshot) {
   EXPECT_EQ(log.base_seq(), 1u);
 }
 
-TEST(ReplicaLog, RetargetFollowsRekeyedTokensForRollback) {
-  // A checkpoint recorded under the compute token must still roll back
-  // after the chunk re-keyed to its output token before the crash.
+TEST(ReplicaLog, RollbackRevertsACheckpointUnderTheChunksLifelongKey) {
+  // A checkpoint logged while the chunk computed must still roll back
+  // after the chunk moved on to its output phase before the crash: the
+  // record names the ledger key, which the phase change kept.
+  ChunkLedger ledger;
+  ChunkLedger::Entry e;
+  e.node = NodeId{3};
+  e.tasks.resize(3);
+  ledger.record(10, std::move(e));
+  ledger.advance(10);  // input -> compute
   ReplicaLog log;
   log.add_replica(NodeId{1});
+  ASSERT_TRUE(ledger.checkpoint(10, 2));
   ReplicaLog::Record ckpt;
   ckpt.kind = ReplicaRecordKind::Checkpoint;
   ckpt.token = 10;
   ckpt.prev_mark = 0;
   ckpt.new_mark = 2;
   log.append(ckpt);
-  log.retarget(10, 11);  // compute -> output phase transition
+  ledger.advance(10);  // compute -> output
   std::vector<core::OpToken> undone;
   log.rollback_to(0, [&](const ReplicaLog::Record& r) {
     undone.push_back(r.token);
+    ledger.revert_checkpoint(r.token, r.prev_mark);
   });
   ASSERT_EQ(undone.size(), 1u);
-  EXPECT_EQ(undone[0], 11u);  // the live ledger key, not the stale one
+  EXPECT_EQ(undone[0], 10u);
+  EXPECT_EQ(ledger.checkpointed(10), 0u);
 }
 
 TEST(FailoverCoordinator, PruneDropsOutageSurvivingCorpsesOnceFarmerIsBack) {
