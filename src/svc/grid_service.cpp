@@ -34,6 +34,7 @@ GridService::GridService(core::Backend& backend, const gridsim::Grid& grid,
       pool_(std::move(pool)),
       params_(params),
       cache_(CalibrationCache::Params{kCalibrationMaxAge}),
+      samples_(grid, perfmon::MonitorDaemon::Params{}),
       telemetry_(params.telemetry) {
   if (telemetry_ != nullptr) {
     auto& m = telemetry_->metrics;
@@ -427,16 +428,20 @@ void GridService::finalize(const StatePtr& job) {
 
 void GridService::prepare_params(detail::JobState& job) {
   core::CalibrationParams* cal = nullptr;
+  perfmon::MonitorDaemon::Params* mon = nullptr;
   obs::Telemetry** tel = nullptr;
   if (auto* farm = std::get_if<FarmJob>(&job.spec)) {
     cal = &farm->params.calibration;
+    mon = &farm->params.monitor;
     tel = &farm->params.telemetry;
   } else {
     auto& pipe = std::get<PipelineJob>(job.spec);
     cal = &pipe.params.calibration;
+    mon = &pipe.params.monitor;
     tel = &pipe.params.telemetry;
   }
   if (params_.use_calibration_cache) cal->spm_cache = &cache_;
+  if (mon->sample_table == nullptr) mon->sample_table = &samples_;
   if (telemetry_ != nullptr && *tel == nullptr) {
     job.own_telemetry =
         std::make_unique<obs::Telemetry>(telemetry_->detail_enabled());

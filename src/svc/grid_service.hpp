@@ -10,7 +10,10 @@
 // allocation from the free part of the pool.  A pool-wide calibration
 // cache (calibration_cache.hpp) is threaded through every job's
 // CalibrationParams, so one tenant's Algorithm-1 measurements warm the
-// next tenant's start.
+// next tenant's start.  A pool-wide monitor sample table
+// (perfmon/monitor.hpp) is threaded through every job's monitor params
+// the same way: a tenant admitted at T copies its monitor's back-fill
+// over (0, T] from it instead of re-sampling the grid from t = 0.
 //
 // Execution model — one loop, no threads.  The caller's thread becomes
 // the scheduler whenever it is inside wait()/wait_all(): it pumps the real
@@ -43,6 +46,7 @@
 #include "core/backend.hpp"
 #include "gridsim/grid.hpp"
 #include "obs/telemetry.hpp"
+#include "perfmon/monitor.hpp"
 #include "svc/calibration_cache.hpp"
 #include "svc/job.hpp"
 
@@ -102,6 +106,9 @@ class GridService {
     return cache_;
   }
   [[nodiscard]] CalibrationCache& calibration_cache() { return cache_; }
+  [[nodiscard]] const perfmon::SampleTable& sample_table() const {
+    return samples_;
+  }
   [[nodiscard]] const std::vector<NodeId>& pool() const { return pool_; }
 
   [[nodiscard]] std::size_t jobs_submitted() const { return all_jobs_.size(); }
@@ -129,8 +136,8 @@ class GridService {
   JobHandle submit_impl(std::variant<FarmJob, PipelineJob> spec,
                         JobOptions options, std::optional<Seconds> when);
 
-  /// Inject the calibration cache and a per-job telemetry sink into the
-  /// job's engine params (in place, pre-run).
+  /// Inject the calibration cache, the monitor sample table and a per-job
+  /// telemetry sink into the job's engine params (in place, pre-run).
   void prepare_params(detail::JobState& job);
 
   // Scheduler core.
@@ -167,6 +174,9 @@ class GridService {
   std::vector<NodeId> pool_;
   Params params_;
   CalibrationCache cache_;
+  /// Shared monitor back-fill, for tenants with the default monitor
+  /// period, forecaster and history and noise-free sensors.
+  perfmon::SampleTable samples_;
   obs::Telemetry* telemetry_ = nullptr;
 
   struct SvcMetrics {

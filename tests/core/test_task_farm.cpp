@@ -269,6 +269,54 @@ TEST(EconFarm, BudgetNeverBlocksRescueOfStuckChunk) {
   EXPECT_LT(r.makespan.value, 1e6);
 }
 
+TEST(EconFarm, ReissueTiesGoToTheOldestPhaseChange) {
+  // Two equal slow nodes take equal chunks (tasks 4 and 5) at the instant
+  // calibration ends, so when the fast node idles with the queue dry their
+  // expected finishes tie exactly, and only the first in the sort is
+  // relieved at once.  The tie goes to the chunk whose last phase change is
+  // older: task 5's, when task 4's bigger input lands after it, although
+  // task 4 was dispatched first.
+  gridsim::GridBuilder b;
+  const SiteId s = b.add_site("a");
+  b.add_node(s, 100.0);
+  b.add_node(s, 20.0);
+  b.add_node(s, 20.0);
+  const gridsim::Grid grid = b.build();
+  FarmParams p = make_demand_farm_params();
+  p.reissue_stragglers = true;
+  const auto first_reissued = [&](double task4_input) {
+    workloads::TaskSet ts;
+    for (const double input : {1e3, 1e3, 1e3, 1e3, task4_input, 1e3})
+      ts.tasks.push_back({TaskId{ts.tasks.size()}, Mops{100.0}, Bytes{input},
+                          Bytes{1e3}});
+    SimBackend backend(grid);
+    const FarmReport r = TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
+    EXPECT_EQ(r.tasks_completed + r.calibration_tasks, 6u);
+    std::vector<gridsim::TraceEvent> dispatched;
+    TaskId reissued = TaskId::invalid();
+    for (const auto& e : r.trace.events()) {
+      if (e.kind == gridsim::TraceEventKind::TaskDispatched)
+        dispatched.push_back(e);
+      if (e.kind == gridsim::TraceEventKind::TaskReissued &&
+          !reissued.is_valid())
+        reissued = e.task;
+    }
+    // The premise: tasks 4 and 5 left together, 4 first, to the slow pair.
+    EXPECT_EQ(dispatched.size(), 6u);
+    if (dispatched.size() == 6u) {
+      EXPECT_EQ(dispatched[4].task, TaskId{4});
+      EXPECT_EQ(dispatched[4].node, NodeId{1});
+      EXPECT_EQ(dispatched[5].task, TaskId{5});
+      EXPECT_EQ(dispatched[5].node, NodeId{2});
+      EXPECT_EQ(dispatched[4].at, dispatched[5].at);
+    }
+    return reissued;
+  };
+  EXPECT_EQ(first_reissued(4e6), TaskId{5});
+  // Equal inputs land in dispatch order, so task 4 changed phase first.
+  EXPECT_EQ(first_reissued(1e3), TaskId{4});
+}
+
 TEST(EconFarm, ValidationErrors) {
   // Break-even and non-finite margins are in TaskFarm.ValidationErrors;
   // here, a margin below break-even is rejected and one just above is not.

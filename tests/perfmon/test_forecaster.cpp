@@ -73,8 +73,8 @@ TEST(Ar1, FallsBackToLastValueWhenShort) {
 }
 
 TEST(Factory, BuildsEveryKnownName) {
-  for (const char* name :
-       {"last_value", "running_mean", "sliding_median", "ewma", "ar1"}) {
+  for (const char* name : {"last_value", "running_mean", "sliding_median",
+                           "ewma", "ar1", "meta"}) {
     const auto f = make_forecaster(name);
     ASSERT_NE(f, nullptr);
     EXPECT_EQ(f->name(), name);
@@ -97,9 +97,17 @@ TEST_P(ForecasterSweep, CloneForecastsIdentically) {
   Rng rng(7);
   for (int k = 0; k < 25; ++k) f->observe(at(k, rng.uniform(0.0, 5.0)));
   const auto clone = f->clone();
-  EXPECT_DOUBLE_EQ(f->forecast(), clone->forecast());
+  EXPECT_EQ(f->forecast(), clone->forecast());
+  // The clone carries the whole state: fed the same 80 further samples,
+  // past every window and the meta error ring, both stay bit-identical.
+  for (int k = 25; k < 105; ++k) {
+    const Sample s = at(k, rng.uniform(0.0, 5.0));
+    f->observe(s);
+    clone->observe(s);
+    EXPECT_EQ(f->forecast(), clone->forecast()) << "after sample " << k;
+  }
   // Diverge after cloning: the clone is independent state.
-  f->observe(at(99, 1000.0));
+  f->observe(at(199, 1000.0));
   EXPECT_NE(f->forecast(), clone->forecast());
 }
 
@@ -119,7 +127,8 @@ TEST_P(ForecasterSweep, ForecastWithinObservedRangeForPositiveSeries) {
 
 INSTANTIATE_TEST_SUITE_P(AllForecasters, ForecasterSweep,
                          ::testing::Values("last_value", "running_mean",
-                                           "sliding_median", "ewma", "ar1"));
+                                           "sliding_median", "ewma", "ar1",
+                                           "meta"));
 
 }  // namespace
 }  // namespace grasp::perfmon

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
@@ -315,6 +316,74 @@ TEST(GridService, PipelineJobsAreTenantsToo) {
   EXPECT_EQ(pipe.pipeline_report().items_completed, 40u);
   EXPECT_TRUE(pipe.pipeline_report().output_in_order);
   EXPECT_EQ(service.max_concurrent_observed(), 2u);
+}
+
+TEST(GridService, LateTenantsCopyTheirMonitorBackFill) {
+  // Tenants admitted late copy their monitors' back-fill from the service's
+  // sample table; the same stream with every tenant replaying its own (a
+  // caller-set table over another grid never matches) reads alike.  Each
+  // tenant gets the whole pool, so Algorithm 1 ranks all eight nodes by
+  // their monitors' load forecasts.
+  gridsim::ScenarioParams sp;
+  sp.node_count = 8;
+  sp.dynamics = gridsim::Dynamics::Mixed;
+  sp.seed = 5;
+  const gridsim::Grid grid = gridsim::make_grid(sp);
+  const gridsim::Grid elsewhere = gridsim::make_grid(sp);
+  perfmon::SampleTable decoy(elsewhere, perfmon::MonitorDaemon::Params{});
+  const workloads::PipelineSpec spec =
+      workloads::make_uniform_pipeline(3, 50.0, 1e4);
+  struct Run {
+    std::vector<JobHandle> farms;
+    JobHandle pipe;
+    std::size_t folded = 0;
+  };
+  const auto run = [&](perfmon::SampleTable* table) {
+    core::SimBackend backend(grid);
+    GridService service(backend, grid, grid.node_ids());
+    core::FarmParams fp = core::make_adaptive_farm_params();
+    fp.monitor.sample_table = table;
+    core::PipelineParams pp;
+    pp.monitor.sample_table = table;
+    Run r;
+    for (const double at : {0.0, 40.0, 95.5})
+      r.farms.push_back(service.submit_at(
+          Seconds{at},
+          FarmJob{fp, tasks(80, static_cast<std::uint64_t>(at))}));
+    r.pipe = service.submit_at(Seconds{60.0}, PipelineJob{pp, spec, 30});
+    service.wait_all();
+    r.folded = service.sample_table().samples_folded();
+    return r;
+  };
+  const Run shared = run(nullptr);
+  const Run own = run(&decoy);
+  EXPECT_GT(shared.folded, 0u);
+  EXPECT_EQ(own.folded, 0u);
+  EXPECT_EQ(decoy.samples_folded(), 0u);
+  for (std::size_t j = 0; j < shared.farms.size(); ++j) {
+    SCOPED_TRACE(::testing::Message() << "farm " << j);
+    ASSERT_EQ(shared.farms[j].status(), JobStatus::Completed);
+    ASSERT_EQ(own.farms[j].status(), JobStatus::Completed);
+    const core::FarmReport& a = shared.farms[j].farm_report();
+    const core::FarmReport& b = own.farms[j].farm_report();
+    expect_reports_equal(a, b);
+    EXPECT_EQ(a.monitor_samples, b.monitor_samples);
+    // Algorithm 1 ranks by the monitor's load forecasts.
+    EXPECT_EQ(a.final_baseline_spm, b.final_baseline_spm);
+    // Every tenant's monitor counts its ticks from virtual time 0.
+    EXPECT_GE(static_cast<double>(a.monitor_samples),
+              std::floor(shared.farms[j].started_at().value));
+  }
+  ASSERT_EQ(shared.pipe.status(), JobStatus::Completed);
+  ASSERT_EQ(own.pipe.status(), JobStatus::Completed);
+  EXPECT_EQ(shared.pipe.pipeline_report().makespan,
+            own.pipe.pipeline_report().makespan);
+  EXPECT_EQ(shared.pipe.pipeline_report().final_mapping,
+            own.pipe.pipeline_report().final_mapping);
+  EXPECT_EQ(shared.pipe.pipeline_report().remaps,
+            own.pipe.pipeline_report().remaps);
+  EXPECT_EQ(shared.pipe.pipeline_report().mean_latency_s,
+            own.pipe.pipeline_report().mean_latency_s);
 }
 
 TEST(GridService, EngineExceptionsSurfaceThroughWait) {
