@@ -2,7 +2,7 @@
 //
 // These time the *implementation* (host wall clock), unlike bench_e1..e10
 // which report virtual-time results.  They guard against regressions in
-//   M1  event queue schedule+drain throughput,
+//   M1  event queue push+drain throughput,
 //   M2  the OLS fit used by statistical calibration,
 //   M3  forecaster observe+forecast updates,
 //   M4  the end-to-end simulated farm step rate,
@@ -33,15 +33,21 @@ namespace {
 
 using namespace grasp;
 
-// M1: event queue schedule + drain throughput.
+// M1: event queue push + drain throughput (payloads the size of the one
+// SimBackend stores, so slot traffic matches the simulator's).
 void BM_EventQueueScheduleDrain(benchmark::State& state) {
+  struct Payload {
+    std::uint64_t words[7];
+  };
   const auto events = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   for (auto _ : state) {
-    gridsim::EventQueue q;
+    gridsim::EventQueue<Payload> q;
     for (std::size_t i = 0; i < events; ++i)
-      q.schedule_at(Seconds{rng.uniform(0.0, 1e6)}, [] {});
-    benchmark::DoNotOptimize(q.run_all());
+      q.push(Seconds{rng.uniform(0.0, 1e6)}, Payload{{i}});
+    std::size_t drained = 0;
+    while (q.pop()) ++drained;
+    benchmark::DoNotOptimize(drained);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events) *
                           state.iterations());

@@ -1,6 +1,8 @@
 #include "core/backend_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace grasp::core {
 
@@ -8,14 +10,38 @@ SimBackend::SimBackend(const gridsim::Grid& grid) : grid_(&grid) {}
 
 Seconds SimBackend::now() const { return events_.now(); }
 
-void SimBackend::push_ready(const Completion& c) {
-  // Recycle the vector once fully drained so steady-state delivery never
-  // reallocates: capacity reached during the run's widest wave is kept.
-  if (ready_head_ == ready_.size()) {
-    ready_.clear();
-    ready_head_ = 0;
+SimBackend::Scheduled SimBackend::resolve(const OpRequest& r) const {
+  const Seconds start = now();
+  Pending op{Completion{r.token, NodeId::invalid(), start, start}, r.work,
+             r.kind};
+  Seconds duration;
+  switch (r.kind) {
+    case OpRequest::Kind::Compute:
+      if (std::isnan(r.work.value))
+        throw std::invalid_argument("SimBackend: NaN compute work");
+      op.done.node = r.node;
+      duration = grid_->node(r.node).compute_time(r.work, start);
+      break;
+    case OpRequest::Kind::Transfer:
+      if (std::isnan(r.payload.value))
+        throw std::invalid_argument("SimBackend: NaN transfer size");
+      op.done.node = r.to;
+      duration = grid_->transfer_time(r.from, r.to, r.payload, start);
+      break;
+    case OpRequest::Kind::Timer:
+      if (!(r.delay.value >= 0.0))
+        throw std::invalid_argument("SimBackend: negative or NaN timer delay");
+      op.done.is_timer = true;
+      duration = r.delay;
+      break;
   }
-  ready_.push_back(c);
+  return {start + duration, op};
+}
+
+void SimBackend::enqueue(const Scheduled& s) {
+  const Events::EventId id = events_.push(s.when, s.op);
+  if (s.op.kind != OpRequest::Kind::Timer) ++in_flight_;
+  if (s.op.kind != OpRequest::Kind::Transfer) ops_.emplace(s.op.done.token, id);
 }
 
 void SimBackend::submit_compute(OpToken token, NodeId node, Mops work,
@@ -23,133 +49,58 @@ void SimBackend::submit_compute(OpToken token, NodeId node, Mops work,
   // Real payloads are the threaded backend's job; in simulation the model
   // is authoritative and any attached body is deliberately not run.
   (void)body;
-  const Seconds start = events_.now();
-  const Seconds duration = grid_->node(node).compute_time(work, start);
-  ++in_flight_;
-  computes_.emplace(token, ComputeWindow{node, work, start});
-  events_.schedule_after(duration, [this, token, node, start] {
-    push_ready(Completion{token, node, start, events_.now()});
-  });
-}
-
-double SimBackend::compute_progress(OpToken token) const {
-  const ComputeWindow* w = computes_.find(token);
-  if (w == nullptr) return 0.0;
-  if (w->work.value <= 0.0) return 1.0;
-  const Mops done = grid_->node(w->node).work_done(w->start, events_.now());
-  return std::clamp(done.value / w->work.value, 0.0, 1.0);
+  enqueue(resolve(OpRequest::compute(token, node, work)));
 }
 
 void SimBackend::submit_transfer(OpToken token, NodeId from, NodeId to,
                                  Bytes payload) {
-  const Seconds start = events_.now();
-  const Seconds duration = grid_->transfer_time(from, to, payload, start);
-  ++in_flight_;
-  events_.schedule_after(duration, [this, token, to, start] {
-    push_ready(Completion{token, to, start, events_.now()});
-  });
+  enqueue(resolve(OpRequest::transfer(token, from, to, payload)));
 }
 
 void SimBackend::submit_timer(OpToken token, Seconds delay) {
-  const Seconds start = events_.now();
-  const auto id = events_.schedule_after(delay, [this, token, start] {
-    timers_.erase(token);
-    push_ready(
-        Completion{token, NodeId::invalid(), start, events_.now(), true});
-  });
-  timers_.emplace(token, id);
+  enqueue(resolve(OpRequest::timer(token, delay)));
 }
 
 void SimBackend::submit_batch(std::vector<OpRequest> requests) {
-  // Resolve every operation's duration first, then hand the whole wave to
-  // the event queue in one bulk insert.  Durations depend only on the
-  // current (unchanged) virtual time, and schedule_batch assigns insertion
-  // sequences in order, so this is bit-for-bit the same schedule as
-  // submitting one at a time.  All throwing work (model lookups, duration
-  // resolution, validation) happens before any backend state changes, so a
-  // bad request rejects the whole wave with no effect — in_flight_ and the
-  // flat tables never drift from what the event queue holds.
-  const Seconds start = events_.now();
-  std::vector<gridsim::EventQueue::BatchItem> items;
-  items.reserve(requests.size());
-  for (OpRequest& r : requests) {
-    switch (r.kind) {
-      case OpRequest::Kind::Compute: {
-        const Seconds duration = grid_->node(r.node).compute_time(r.work, start);
-        items.push_back({start + duration,
-                         [this, token = r.token, node = r.node, start] {
-                           push_ready(Completion{token, node, start,
-                                                 events_.now()});
-                         }});
-        break;
-      }
-      case OpRequest::Kind::Transfer: {
-        const Seconds duration =
-            grid_->transfer_time(r.from, r.to, r.payload, start);
-        items.push_back({start + duration,
-                         [this, token = r.token, to = r.to, start] {
-                           push_ready(Completion{token, to, start,
-                                                 events_.now()});
-                         }});
-        break;
-      }
-      case OpRequest::Kind::Timer: {
-        if (r.delay.value < 0.0)
-          throw std::invalid_argument("SimBackend: negative timer delay");
-        items.push_back({start + r.delay,
-                         [this, token = r.token, start] {
-                           timers_.erase(token);
-                           push_ready(Completion{token, NodeId::invalid(),
-                                                 start, events_.now(), true});
-                         }});
-        break;
-      }
-    }
-  }
-  std::vector<gridsim::EventQueue::EventId> ids(items.size());
-  events_.schedule_batch(items, ids.data());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const OpRequest& r = requests[i];
-    switch (r.kind) {
-      case OpRequest::Kind::Compute:
-        ++in_flight_;
-        computes_.emplace(r.token, ComputeWindow{r.node, r.work, start});
-        break;
-      case OpRequest::Kind::Transfer:
-        ++in_flight_;
-        break;
-      case OpRequest::Kind::Timer:
-        timers_.emplace(r.token, ids[i]);
-        break;
-    }
-  }
+  // Resolve the whole wave first, then enqueue it in order.  Times depend
+  // only on the current (unchanged) virtual time and the queue assigns
+  // insertion sequences in push order, so this is bit-for-bit the schedule
+  // of one-at-a-time submission.  Because every throwing check runs before
+  // the first push, a bad request rejects the whole wave with no effect.
+  std::vector<Scheduled> wave;
+  wave.reserve(requests.size());
+  for (const OpRequest& r : requests) wave.push_back(resolve(r));
+  for (const Scheduled& s : wave) enqueue(s);
+}
+
+const SimBackend::Pending* SimBackend::pending(OpToken token) const {
+  const Events::EventId* id = ops_.find(token);
+  return id == nullptr ? nullptr : events_.find(*id);
+}
+
+double SimBackend::compute_progress(OpToken token) const {
+  const Pending* op = pending(token);
+  if (op == nullptr || op->kind != OpRequest::Kind::Compute) return 0.0;
+  if (op->work.value <= 0.0) return 1.0;
+  const Mops done =
+      grid_->node(op->done.node).work_done(op->done.started, now());
+  return std::clamp(done.value / op->work.value, 0.0, 1.0);
 }
 
 bool SimBackend::cancel_timer(OpToken token) {
-  const auto [found, event] = timers_.take(token);
-  if (found) {
-    events_.cancel(event);
-    return true;
-  }
-  // Fired but undelivered: scrub it from the ready queue.
-  for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
-    if (ready_[i].is_timer && ready_[i].token == token) {
-      ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(i));
-      return true;
-    }
-  }
-  return false;
+  const Pending* op = pending(token);
+  if (op == nullptr || op->kind != OpRequest::Kind::Timer) return false;
+  events_.cancel(ops_.take(token).second);
+  return true;
 }
 
 std::optional<Completion> SimBackend::wait_next() {
-  while (ready_head_ == ready_.size()) {
-    if (!events_.step()) return std::nullopt;
-  }
-  const Completion c = ready_[ready_head_++];
-  if (!c.is_timer) {
-    --in_flight_;
-    computes_.erase(c.token);
-  }
+  const std::optional<Pending> op = events_.pop();
+  if (!op) return std::nullopt;
+  Completion c = op->done;
+  c.finished = now();
+  if (op->kind != OpRequest::Kind::Transfer) ops_.erase(c.token);
+  if (op->kind != OpRequest::Kind::Timer) --in_flight_;
   return c;
 }
 

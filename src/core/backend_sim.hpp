@@ -4,17 +4,16 @@
 // NodeModel::compute_time (which integrates dynamic background load), a
 // transfer after LinkModel::transfer_duration.  Operations on one node/link
 // do not contend with each other — the engines serialise per node by
-// construction (demand-driven farm, FIFO stages), which is noted in
-// DESIGN.md as the simulator's one simplification.
+// construction (demand-driven farm, FIFO stages); ARCHITECTURE.md lists
+// this among the simulator's known simplifications.
 //
-// Bookkeeping is allocation-free on the steady state: delivered completions
-// drain through a reusable ring over a flat vector (storage is recycled,
-// never reallocated once warm), and the in-flight compute/timer tables are
-// FlatMaps (O(1) find and erase, lazy compaction, iteration in order of
-// last insertion) whose slot vectors and indexes are reused once warm.
+// Each submitted operation or timer is one event-queue entry whose payload
+// is the Completion it will deliver, so `wait_next` is one pop.  Computes
+// and timers are also indexed by token, so `compute_progress` and
+// `cancel_timer` can read their pending entries.  Bookkeeping is
+// allocation-free on the steady state: the queue's slot table and the
+// token index (a FlatMap) reuse their storage once warm.
 #pragma once
-
-#include <vector>
 
 #include "core/backend.hpp"
 #include "gridsim/event_queue.hpp"
@@ -42,28 +41,32 @@ class SimBackend final : public Backend {
   [[nodiscard]] const gridsim::Grid& grid() const { return *grid_; }
 
  private:
-  struct ComputeWindow {
-    NodeId node;
+  /// One pending event.  `done.finished` is stamped from the clock when the
+  /// event pops; `work` is a compute's cost, read by compute_progress.
+  struct Pending {
+    Completion done;
     Mops work;
-    Seconds start;
+    OpRequest::Kind kind;
   };
+  /// A resolved submission: when it completes and what it delivers.
+  struct Scheduled {
+    Seconds when;
+    Pending op;
+  };
+  using Events = gridsim::EventQueue<Pending>;
 
-  void push_ready(const Completion& c);
+  // Resolve a submission from the models at now().  Every check that can
+  // throw happens here, before enqueue changes any state.
+  [[nodiscard]] Scheduled resolve(const OpRequest& r) const;
+  void enqueue(const Scheduled& s);
+  /// The pending compute or timer under `token`, or null.
+  [[nodiscard]] const Pending* pending(OpToken token) const;
 
   const gridsim::Grid* grid_;
-  gridsim::EventQueue events_;
-  // Delivered-but-unconsumed completions: a FIFO over a flat vector whose
-  // storage is reused across drain cycles (head catches up, both reset).
-  std::vector<Completion> ready_;
-  std::size_t ready_head_ = 0;
+  Events events_;
   std::size_t in_flight_ = 0;
-  // Armed timers: token -> scheduled event, so cancel_timer can remove the
-  // event itself (a cancelled event neither runs nor advances the clock).
-  FlatMap<OpToken, gridsim::EventQueue::EventId> timers_;
-  // Undelivered compute ops, so compute_progress can report the fraction of
-  // work the node's model has actually processed mid-op (stall-aware: spans
-  // inside downtime windows contribute nothing).
-  FlatMap<OpToken, ComputeWindow> computes_;
+  // Undelivered computes and armed timers: token -> their event.
+  FlatMap<OpToken, Events::EventId> ops_;
 };
 
 }  // namespace grasp::core

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -11,281 +12,227 @@
 namespace grasp::gridsim {
 namespace {
 
+using Queue = EventQueue<int>;
+
+// Pop every pending payload, in delivery order.
+std::vector<int> drain(Queue& q) {
+  std::vector<int> out;
+  while (const auto p = q.pop()) out.push_back(*p);
+  return out;
+}
+
 TEST(EventQueue, ExecutesInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(Seconds{3.0}, [&] { order.push_back(3); });
-  q.schedule_at(Seconds{1.0}, [&] { order.push_back(1); });
-  q.schedule_at(Seconds{2.0}, [&] { order.push_back(2); });
-  EXPECT_EQ(q.run_all(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  Queue q;
+  q.push(Seconds{3.0}, 3);
+  q.push(Seconds{1.0}, 1);
+  q.push(Seconds{2.0}, 2);
+  EXPECT_EQ(q.pop(), 1);
+  EXPECT_DOUBLE_EQ(q.now().value, 1.0);
+  EXPECT_EQ(drain(q), (std::vector<int>{2, 3}));
   EXPECT_DOUBLE_EQ(q.now().value, 3.0);
 }
 
 TEST(EventQueue, TiesAreFifo) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    q.schedule_at(Seconds{1.0}, [&order, i] { order.push_back(i); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, ScheduleAfterUsesCurrentTime) {
-  EventQueue q;
-  double fired_at = -1.0;
-  q.schedule_at(Seconds{2.0}, [&] {
-    q.schedule_after(Seconds{0.5}, [&] { fired_at = q.now().value; });
-  });
-  q.run_all();
-  EXPECT_DOUBLE_EQ(fired_at, 2.5);
+  Queue q;
+  for (int i = 0; i < 5; ++i) q.push(Seconds{1.0}, i);
+  EXPECT_EQ(drain(q), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, RejectsPastAndNegative) {
-  EventQueue q;
-  q.schedule_at(Seconds{5.0}, [] {});
-  q.run_all();
-  EXPECT_THROW(q.schedule_at(Seconds{4.0}, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_after(Seconds{-1.0}, [] {}), std::invalid_argument);
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundaryInclusive) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule_at(Seconds{1.0}, [&] { fired.push_back(1); });
-  q.schedule_at(Seconds{2.0}, [&] { fired.push_back(2); });
-  q.schedule_at(Seconds{3.0}, [&] { fired.push_back(3); });
-  EXPECT_EQ(q.run_until(Seconds{2.0}), 2u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_DOUBLE_EQ(q.now().value, 2.0);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
-  EventQueue q;
-  EXPECT_EQ(q.run_until(Seconds{10.0}), 0u);
-  EXPECT_DOUBLE_EQ(q.now().value, 10.0);
-}
-
-TEST(EventQueue, StepReturnsFalseWhenEmpty) {
-  EventQueue q;
-  EXPECT_FALSE(q.step());
+  Queue q;
+  EXPECT_THROW(q.push(Seconds{-1.0}, 0), std::invalid_argument);
+  q.push(Seconds{5.0}, 0);
+  (void)q.pop();
+  EXPECT_THROW(q.push(Seconds{4.0}, 0), std::invalid_argument);
   EXPECT_TRUE(q.empty());
+  EXPECT_DOUBLE_EQ(q.now().value, 5.0);
+}
+
+TEST(EventQueue, RejectsNaNButAcceptsInfinity) {
+  // NaN compares false both ways, so it would otherwise slip past a
+  // `when < now` test and sort by its bit pattern.  +inf is legitimate:
+  // an operation stranded on a dead node completes "never".
+  Queue q;
+  EXPECT_THROW(q.push(Seconds{std::nan("")}, 0), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  q.push(Seconds{std::numeric_limits<double>::infinity()}, 2);
+  q.push(Seconds{1.0}, 1);
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 2}));
+  EXPECT_TRUE(std::isinf(q.now().value));
+}
+
+TEST(EventQueue, PopOnEmptyReturnsNullopt) {
+  Queue q;
+  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_TRUE(q.empty());
+  EXPECT_DOUBLE_EQ(q.now().value, 0.0);
+}
+
+TEST(EventQueue, ScheduleAfterUsesCurrentTime) {
+  // The consumer schedules relative to the clock its pop left behind.
+  Queue q;
+  q.push(Seconds{2.0}, 1);
+  EXPECT_EQ(q.pop(), 1);
+  q.push(q.now() + Seconds{0.5}, 2);
+  EXPECT_EQ(q.pop(), 2);
+  EXPECT_DOUBLE_EQ(q.now().value, 2.5);
 }
 
 TEST(EventQueue, EventsMayScheduleMoreEvents) {
-  EventQueue q;
-  int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 10) q.schedule_after(Seconds{1.0}, recurse);
-  };
-  q.schedule_at(Seconds{0.0}, recurse);
-  EXPECT_EQ(q.run_all(), 10u);
-  EXPECT_EQ(depth, 10);
+  // Handling each popped event pushes the next one, a second later.
+  Queue q;
+  q.push(Seconds{0.0}, 0);
+  int popped = 0;
+  while (const auto p = q.pop()) {
+    EXPECT_EQ(*p, popped);
+    if (++popped < 10) q.push(q.now() + Seconds{1.0}, popped);
+  }
+  EXPECT_EQ(popped, 10);
   EXPECT_DOUBLE_EQ(q.now().value, 9.0);
 }
 
 TEST(EventQueue, CancelledEventNeitherRunsNorAdvancesTheClock) {
-  EventQueue q;
-  bool ran = false;
-  const auto id = q.schedule_after(Seconds{5.0}, [&] { ran = true; });
+  Queue q;
+  const auto id = q.push(Seconds{5.0}, 7);
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));  // already cancelled
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.pending(), 0u);
-  EXPECT_FALSE(q.step());
-  EXPECT_FALSE(ran);
+  EXPECT_FALSE(q.pop().has_value());
   EXPECT_DOUBLE_EQ(q.now().value, 0.0);
 }
 
 TEST(EventQueue, CancelledEntryBelowTopIsSkippedLazily) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(Seconds{1.0}, [&] { order.push_back(1); });
-  const auto id = q.schedule_at(Seconds{2.0}, [&] { order.push_back(2); });
-  q.schedule_at(Seconds{3.0}, [&] { order.push_back(3); });
+  Queue q;
+  q.push(Seconds{1.0}, 1);
+  const auto id = q.push(Seconds{2.0}, 2);
+  q.push(Seconds{3.0}, 3);
   EXPECT_TRUE(q.cancel(id));
   EXPECT_EQ(q.pending(), 2u);
-  EXPECT_EQ(q.run_all(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(drain(q), (std::vector<int>{1, 3}));
   EXPECT_DOUBLE_EQ(q.now().value, 3.0);
 }
 
-TEST(EventQueue, RunUntilDoesNotOverrunPastACancelledTop) {
-  EventQueue q;
-  std::vector<int> order;
-  const auto id = q.schedule_at(Seconds{1.0}, [&] { order.push_back(1); });
-  q.schedule_at(Seconds{5.0}, [&] { order.push_back(5); });
-  EXPECT_TRUE(q.cancel(id));
-  // The only event <= 2 is cancelled; the one at 5 must not run.
-  EXPECT_EQ(q.run_until(Seconds{2.0}), 0u);
-  EXPECT_TRUE(order.empty());
-  EXPECT_DOUBLE_EQ(q.now().value, 2.0);
-  EXPECT_EQ(q.run_all(), 1u);
-  EXPECT_EQ(order, (std::vector<int>{5}));
-}
-
 TEST(EventQueue, CancelAfterEventFiredReturnsFalse) {
-  EventQueue q;
-  bool ran = false;
-  const auto id = q.schedule_at(Seconds{1.0}, [&] { ran = true; });
-  EXPECT_TRUE(q.step());
-  EXPECT_TRUE(ran);
-  // The event already executed: cancel must decline and change nothing.
+  Queue q;
+  const auto id = q.push(Seconds{1.0}, 1);
+  EXPECT_EQ(q.pop(), 1);
+  // The event already popped: cancel must decline and change nothing.
   EXPECT_FALSE(q.cancel(id));
   EXPECT_DOUBLE_EQ(q.now().value, 1.0);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, DoubleCancelSecondCallIsHarmless) {
-  EventQueue q;
-  int fired = 0;
-  const auto id = q.schedule_at(Seconds{1.0}, [&] { ++fired; });
-  q.schedule_at(Seconds{2.0}, [&] { ++fired; });
+  Queue q;
+  const auto id = q.push(Seconds{1.0}, 1);
+  q.push(Seconds{2.0}, 2);
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));  // idempotent, no tombstone corruption
-  EXPECT_EQ(q.run_all(), 1u);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(drain(q), (std::vector<int>{2}));
   EXPECT_DOUBLE_EQ(q.now().value, 2.0);
 }
 
 TEST(EventQueue, CancelFromWithinAHandler) {
-  // A handler cancels a later pending event: it must neither run nor
-  // advance the clock, and the queue must keep stepping past it cleanly.
-  EventQueue q;
-  std::vector<int> order;
-  EventQueue::EventId victim = 0;
-  q.schedule_at(Seconds{1.0}, [&] {
-    order.push_back(1);
-    EXPECT_TRUE(q.cancel(victim));
-    EXPECT_FALSE(q.cancel(victim));  // double-cancel inside the handler
-  });
-  victim = q.schedule_at(Seconds{2.0}, [&] { order.push_back(2); });
-  q.schedule_at(Seconds{3.0}, [&] { order.push_back(3); });
-  EXPECT_EQ(q.run_all(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  // Handling a popped event cancels a later pending one: it must neither
+  // pop nor advance the clock, and the queue keeps popping past it cleanly.
+  Queue q;
+  q.push(Seconds{1.0}, 1);
+  const auto victim = q.push(Seconds{2.0}, 2);
+  q.push(Seconds{3.0}, 3);
+  EXPECT_EQ(q.pop(), 1);
+  EXPECT_TRUE(q.cancel(victim));
+  EXPECT_FALSE(q.cancel(victim));  // double cancel while handling
+  EXPECT_EQ(drain(q), (std::vector<int>{3}));
   EXPECT_DOUBLE_EQ(q.now().value, 3.0);
 }
 
 TEST(EventQueue, HandlerCancellingItselfReturnsFalse) {
-  // By the time a handler runs, its own event has left the pending set: a
-  // self-cancel is a no-op that reports false, and rescheduling still works.
-  EventQueue q;
-  int fired = 0;
-  EventQueue::EventId self = 0;
-  self = q.schedule_at(Seconds{1.0}, [&] {
-    ++fired;
-    EXPECT_FALSE(q.cancel(self));
-    q.schedule_after(Seconds{1.0}, [&] { ++fired; });
-  });
-  EXPECT_EQ(q.run_all(), 2u);
-  EXPECT_EQ(fired, 2);
+  // Once popped, an event has left the pending set: cancelling it while
+  // handling it is a no-op that reports false, and rescheduling still works.
+  Queue q;
+  const auto self = q.push(Seconds{1.0}, 1);
+  EXPECT_EQ(q.pop(), 1);
+  EXPECT_FALSE(q.cancel(self));
+  q.push(q.now() + Seconds{1.0}, 2);
+  EXPECT_EQ(drain(q), (std::vector<int>{2}));
   EXPECT_DOUBLE_EQ(q.now().value, 2.0);
 }
 
 TEST(EventQueue, CancelTieBreaksOnlyTheNamedEvent) {
   // Three events share one timestamp; cancelling the middle one must not
   // disturb FIFO order of the survivors (tombstone pruning is by id).
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(Seconds{1.0}, [&] { order.push_back(0); });
-  const auto id = q.schedule_at(Seconds{1.0}, [&] { order.push_back(1); });
-  q.schedule_at(Seconds{1.0}, [&] { order.push_back(2); });
+  Queue q;
+  q.push(Seconds{1.0}, 0);
+  const auto id = q.push(Seconds{1.0}, 1);
+  q.push(Seconds{1.0}, 2);
   EXPECT_TRUE(q.cancel(id));
-  EXPECT_EQ(q.run_all(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-}
-
-TEST(EventQueue, ScheduleBatchMatchesSequentialScheduling) {
-  // schedule_batch is documented as bit-for-bit equivalent to element-wise
-  // schedule_at: same FIFO tie-break, same execution order.
-  Rng rng(11);
-  std::vector<double> whens;
-  for (int i = 0; i < 64; ++i)
-    whens.push_back(std::floor(rng.uniform(0.0, 8.0) * 2.0) / 2.0);
-
-  EventQueue sequential;
-  std::vector<int> seq_order;
-  for (int i = 0; i < 64; ++i)
-    sequential.schedule_at(Seconds{whens[static_cast<std::size_t>(i)]},
-                           [&seq_order, i] { seq_order.push_back(i); });
-
-  EventQueue batched;
-  std::vector<int> batch_order;
-  std::vector<EventQueue::BatchItem> items;
-  for (int i = 0; i < 64; ++i)
-    items.push_back({Seconds{whens[static_cast<std::size_t>(i)]},
-                     [&batch_order, i] { batch_order.push_back(i); }});
-  batched.schedule_batch(items);
-
-  EXPECT_EQ(sequential.run_all(), 64u);
-  EXPECT_EQ(batched.run_all(), 64u);
-  EXPECT_EQ(batch_order, seq_order);
-  EXPECT_DOUBLE_EQ(batched.now().value, sequential.now().value);
+  EXPECT_EQ(drain(q), (std::vector<int>{0, 2}));
 }
 
 TEST(EventQueue, BatchInterleavedWithCancelKeepsFifoOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventQueue::BatchItem> first;
-  std::vector<EventQueue::EventId> ids(6);
-  for (int i = 0; i < 6; ++i)
-    first.push_back({Seconds{1.0}, [&order, i] { order.push_back(i); }});
-  q.schedule_batch(first, ids.data());
+  // SimBackend pushes a dispatch wave as consecutive pushes at one instant;
+  // cancels inside a wave must not disturb the survivors' order, and a
+  // second wave at the same timestamp lands behind the first.
+  Queue q;
+  std::vector<Queue::EventId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(q.push(Seconds{1.0}, i));
   EXPECT_EQ(q.pending(), 6u);
   EXPECT_TRUE(q.cancel(ids[1]));
   EXPECT_TRUE(q.cancel(ids[4]));
-  // A second batch at the same timestamp lands behind the first (FIFO even
-  // across batches), and its members are individually cancellable too.
-  std::vector<EventQueue::BatchItem> second;
-  std::vector<EventQueue::EventId> ids2(3);
-  for (int i = 6; i < 9; ++i)
-    second.push_back({Seconds{1.0}, [&order, i] { order.push_back(i); }});
-  q.schedule_batch(second, ids2.data());
-  EXPECT_TRUE(q.cancel(ids2[0]));
-  EXPECT_EQ(q.run_all(), 6u);
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5, 7, 8}));
+  std::vector<Queue::EventId> second;
+  for (int i = 6; i < 9; ++i) second.push_back(q.push(Seconds{1.0}, i));
+  EXPECT_TRUE(q.cancel(second[0]));
+  EXPECT_EQ(drain(q), (std::vector<int>{0, 2, 3, 5, 7, 8}));
 }
 
-TEST(EventQueue, BatchRejectsPastTimestamps) {
-  EventQueue q;
-  q.schedule_at(Seconds{5.0}, [] {});
-  q.run_all();
-  std::vector<EventQueue::BatchItem> items;
-  items.push_back({Seconds{4.0}, [] {}});
-  EXPECT_THROW(q.schedule_batch(items), std::invalid_argument);
+TEST(EventQueue, FindSeesOnlyPendingEvents) {
+  Queue q;
+  const auto popped = q.push(Seconds{1.0}, 10);
+  const auto cancelled = q.push(Seconds{2.0}, 20);
+  const auto kept = q.push(Seconds{3.0}, 30);
+  ASSERT_NE(q.find(cancelled), nullptr);
+  EXPECT_EQ(*q.find(cancelled), 20);
+  EXPECT_TRUE(q.cancel(cancelled));
+  EXPECT_EQ(q.find(cancelled), nullptr);
+  EXPECT_EQ(q.pop(), 10);
+  EXPECT_EQ(q.find(popped), nullptr);
+  ASSERT_NE(q.find(kept), nullptr);
+  EXPECT_EQ(*q.find(kept), 30);
+  EXPECT_EQ(q.find(Queue::EventId{0}), nullptr);  // never issued
 }
 
 TEST(EventQueue, RecycledSlotsInvalidateStaleIds) {
   // Generation stamping: once a cancelled event's slot is reclaimed and
-  // handed to a new event, the old handle must not cancel the new tenant.
-  EventQueue q;
-  std::vector<EventQueue::EventId> stale;
-  for (int i = 0; i < 8; ++i) stale.push_back(q.schedule_at(Seconds{1.0}, [] {}));
+  // handed to a new event, the old handle must neither cancel nor find the
+  // new tenant.
+  Queue q;
+  std::vector<Queue::EventId> stale;
+  for (int i = 0; i < 8; ++i) stale.push_back(q.push(Seconds{1.0}, i));
   for (const auto id : stale) EXPECT_TRUE(q.cancel(id));
-  EXPECT_EQ(q.run_all(), 0u);
+  EXPECT_FALSE(q.pop().has_value());
 
-  int fired = 0;
-  for (int i = 0; i < 8; ++i)
-    (void)q.schedule_at(Seconds{2.0}, [&fired] { ++fired; });
-  for (const auto id : stale) EXPECT_FALSE(q.cancel(id));  // stale generation
-  EXPECT_EQ(q.run_all(), 8u);
-  EXPECT_EQ(fired, 8);
+  for (int i = 0; i < 8; ++i) (void)q.push(Seconds{2.0}, 100 + i);
+  for (const auto id : stale) {
+    EXPECT_EQ(q.find(id), nullptr);  // stale generation
+    EXPECT_FALSE(q.cancel(id));
+  }
+  EXPECT_EQ(drain(q).size(), 8u);
 }
 
 TEST(EventQueue, SeededCancelHeavyStressMatchesReferenceModel) {
-  // Random interleaving of schedules (with deliberate timestamp ties),
-  // cancels and steps, checked against a brute-force reference: survivors
-  // must fire exactly once, in (timestamp, insertion) order.
+  // Random interleaving of pushes (with deliberate timestamp ties), cancels
+  // and pops, checked against a brute-force reference: survivors must pop
+  // exactly once, in (timestamp, insertion) order.
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
-    EventQueue q;
+    Queue q;
     struct Ref {
       double when;
       int label;
-      EventQueue::EventId id;
+      Queue::EventId id;
       bool cancelled = false;
     };
     std::vector<Ref> refs;
@@ -299,9 +246,7 @@ TEST(EventQueue, SeededCancelHeavyStressMatchesReferenceModel) {
             std::floor((q.now().value + rng.uniform(0.0, 6.0)) * 2.0) / 2.0;
         if (when < q.now().value) when = q.now().value;
         const int label = next_label++;
-        const auto id = q.schedule_at(
-            Seconds{when}, [&fired, label] { fired.push_back(label); });
-        refs.push_back({when, label, id, false});
+        refs.push_back({when, label, q.push(Seconds{when}, label), false});
       }
       const auto cancels = rng.uniform_index(4);
       for (std::uint64_t c = 0; c < cancels; ++c) {
@@ -310,10 +255,11 @@ TEST(EventQueue, SeededCancelHeavyStressMatchesReferenceModel) {
         // event is still pending, and says so.
         if (q.cancel(victim.id)) victim.cancelled = true;
       }
-      const auto steps = rng.uniform_index(4);
-      for (std::uint64_t s = 0; s < steps; ++s) (void)q.step();
+      const auto pops = rng.uniform_index(4);
+      for (std::uint64_t s = 0; s < pops; ++s)
+        if (const auto p = q.pop()) fired.push_back(*p);
     }
-    q.run_all();
+    for (const int label : drain(q)) fired.push_back(label);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.pending(), 0u);
 
@@ -327,16 +273,12 @@ TEST(EventQueue, SeededCancelHeavyStressMatchesReferenceModel) {
     for (const Ref& r : expected) expected_labels.push_back(r.label);
     EXPECT_EQ(fired, expected_labels) << "seed " << seed;
 
-    // Every handle — executed or cancelled — is now stale.
-    for (const Ref& r : refs) EXPECT_FALSE(q.cancel(r.id));
+    // Every handle — popped or cancelled — is now stale.
+    for (const Ref& r : refs) {
+      EXPECT_FALSE(q.cancel(r.id));
+      EXPECT_EQ(q.find(r.id), nullptr);
+    }
   }
-}
-
-TEST(SimClock, NeverMovesBackwards) {
-  SimClock c;
-  c.advance_to(Seconds{5.0});
-  c.advance_to(Seconds{3.0});
-  EXPECT_DOUBLE_EQ(c.now().value, 5.0);
 }
 
 }  // namespace

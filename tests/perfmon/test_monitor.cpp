@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <tuple>
 
 #include "gridsim/load_model.hpp"
 #include "gridsim/scenarios.hpp"
@@ -316,7 +318,7 @@ struct DaemonPair {
 };
 
 class SampleTableExactness
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(SampleTableExactness, ServedDaemonsMatchPrivateReplays) {
   const auto [forecaster, period] = GetParam();
@@ -378,9 +380,14 @@ TEST_P(SampleTableExactness, ServedDaemonsMatchPrivateReplays) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllForecasters, SampleTableExactness,
-    ::testing::Combine(::testing::Values("last_value", "running_mean",
-                                         "sliding_median", "ewma", "ar1",
-                                         "meta"),
+    // std::string, not const char*: a pointer inside a tuple prints its
+    // address, which would put a per-run value in every test name.
+    ::testing::Combine(::testing::Values(std::string{"last_value"},
+                                         std::string{"running_mean"},
+                                         std::string{"sliding_median"},
+                                         std::string{"ewma"},
+                                         std::string{"ar1"},
+                                         std::string{"meta"}),
                        ::testing::Values(1.0, 0.1)));
 
 TEST(SampleTable, FoldsEachSourceTickOnce) {
