@@ -28,12 +28,15 @@
 // shadowing it (the replicated-farmer subsystem).  `--smoke` runs a reduced
 // farmer sweep and exits non-zero if any row loses conservation or the
 // metrics-registry snapshot disagrees with the resilience report — the CI
-// guard on the failover re-dispatch paths.  In smoke mode, --trace-out /
-// --metrics-out export the equivalence run's telemetry.
+// guard on the failover re-dispatch paths.  In smoke mode, the telemetry
+// export flags (--trace-out, --metrics-out, --blame-out, --flight-out)
+// export the equivalence run's telemetry and run the farmer-sweep rows at
+// the detail tier, which must print the same rows.
 //
 // Writes BENCH_e13.json next to the working directory for trend tracking.
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "bench/common.hpp"
@@ -239,8 +242,9 @@ bool run_trace_replay(const workloads::TaskSet& tasks, Table& table,
 }
 
 /// Farmer-MTBF sweep rows; returns false when any row loses conservation.
+/// `detail` runs each farm with its own detail-tier telemetry.
 bool run_farmer_sweep(const workloads::TaskSet& tasks, Table& table,
-                      std::ostream* json) {
+                      std::ostream* json, bool detail = false) {
   // The farm finishes in ~200 virtual seconds, so the interesting farmer
   // MTBFs sit below that: 300 rarely fails inside a run, 75 usually fails
   // once or twice.  0 is the farmer-reliable control row.
@@ -255,8 +259,11 @@ bool run_farmer_sweep(const workloads::TaskSet& tasks, Table& table,
     for (int v = 0; v < 2; ++v) {
       gridsim::Grid grid = make_farmer_scenario(farmer_mtbf);
       core::SimBackend backend(grid);
-      core::FarmReport r = core::TaskFarm(variants[v])
-                               .run(backend, grid, grid.node_ids(), tasks);
+      std::optional<obs::Telemetry> telemetry;
+      core::FarmParams params = variants[v];
+      if (detail) params.telemetry = &telemetry.emplace();
+      core::FarmReport r =
+          core::TaskFarm(params).run(backend, grid, grid.node_ids(), tasks);
       makespan[v] = r.makespan.value;
       if (!conserves(r, tasks.size())) {
         conserved = false;
@@ -302,9 +309,12 @@ int main(int argc, char** argv) {
     // gate exercises nothing — 1400 tasks run ~140 virtual seconds.
     const workloads::TaskSet smoke_tasks =
         bench::irregular_tasks(1400, 120.0, 29);
+    // Any export flag also runs these rows at the detail tier, which must
+    // not move them.
+    const bench::ObsOptions obs_opts = bench::parse_obs_options(argc, argv);
     Table t({"farmer_mtbf_s", "grasp_s", "static_s", "failovers",
              "failover_lat_s", "rolled_back", "recruits", "repl_kb"});
-    const bool ok = run_farmer_sweep(smoke_tasks, t, nullptr);
+    const bool ok = run_farmer_sweep(smoke_tasks, t, nullptr, obs_opts.any());
     std::cout << t.to_string();
     if (!ok) {
       std::cerr << "bench_e13 --smoke: conservation FAILED\n";
@@ -366,9 +376,7 @@ int main(int argc, char** argv) {
     }
     // The equivalence run records full detail, so it doubles as the
     // bench's timeline source: --trace-out / --metrics-out export it.
-    if (!bench::export_telemetry(telemetry,
-                                 bench::parse_obs_options(argc, argv)))
-      return 1;
+    if (!bench::export_telemetry(telemetry, obs_opts)) return 1;
     std::cout << "bench_e13 --smoke: conservation holds on every "
                  "farmer-churn row; registry snapshot matches the report\n";
     return 0;

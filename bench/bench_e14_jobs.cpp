@@ -23,11 +23,16 @@
 // tasks (completed + calibration == its own set size), and (c) the
 // makespan p99 is finite — the CI gate on the service scheduler.
 //
+// The telemetry export flags (bench/common.hpp) attach a detail-tier
+// telemetry to the cache-on stream's service and export it at exit; the
+// printed rows do not move.
+//
 // Writes BENCH_e14.json next to the working directory for trend tracking.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "bench/common.hpp"
 #include "svc/grid_service.hpp"
@@ -90,13 +95,15 @@ struct StreamResult {
 };
 
 /// Replay `arrivals` through one fresh service instance and fold the
-/// per-job reports into per-kind percentile fodder.
+/// per-job reports into per-kind percentile fodder.  `telemetry` (may be
+/// null) is the service's sink; its tenants inherit its detail tier.
 StreamResult run_stream(const std::vector<workloads::JobArrival>& arrivals,
-                        bool use_cache) {
+                        bool use_cache, obs::Telemetry* telemetry = nullptr) {
   gridsim::Grid grid = make_pool_grid();
   core::SimBackend backend(grid);
   svc::GridService::Params sp;
   sp.use_calibration_cache = use_cache;
+  sp.telemetry = telemetry;
   svc::GridService service(backend, grid, grid.node_ids(), sp);
 
   std::vector<svc::JobHandle> handles;
@@ -189,6 +196,11 @@ void emit_json_rows(std::ostream& json, const char* variant,
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bench::ObsOptions obs_opts = bench::parse_obs_options(argc, argv);
+  std::optional<obs::Telemetry> telemetry;
+  if (obs_opts.any()) telemetry.emplace(/*detail_enabled=*/true);
+  obs::Telemetry* const warm_telemetry =
+      telemetry.has_value() ? &*telemetry : nullptr;
   if (smoke) {
     // CI gate: a compressed stream, both cache variants, hard failures on
     // lost multi-tenancy, lost conservation, or unbounded tails.  No JSON
@@ -200,7 +212,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const StreamResult cold = run_stream(arrivals, false);
-    const StreamResult warm = run_stream(arrivals, true);
+    const StreamResult warm = run_stream(arrivals, true, warm_telemetry);
     Table t({"variant", "kind", "jobs", "p50_s", "p95_s", "p99_s",
              "qwait_p50_s", "calib_tasks"});
     add_rows(t, "cache-off", cold);
@@ -237,6 +249,8 @@ int main(int argc, char** argv) {
                 << "calibration " << warm.per_kind.back().calibration_tasks
                 << " <= cold " << cold.per_kind.back().calibration_tasks
                 << "\n";
+    if (telemetry.has_value() && !bench::export_telemetry(*telemetry, obs_opts))
+      ok = false;
     return ok ? 0 : 1;
   }
 
@@ -251,7 +265,7 @@ int main(int argc, char** argv) {
   const double base_rate = 1.0 / 4.0;
   const auto arrivals = make_stream(horizon, base_rate);
   const StreamResult cold = run_stream(arrivals, false);
-  const StreamResult warm = run_stream(arrivals, true);
+  const StreamResult warm = run_stream(arrivals, true, warm_telemetry);
 
   Table table({"variant", "kind", "jobs", "p50_s", "p95_s", "p99_s",
                "qwait_p50_s", "calib_tasks"});
@@ -286,7 +300,9 @@ int main(int argc, char** argv) {
             << ", cache-on " << warm.peak_concurrent
             << "; cache hits " << warm.cache_hits
             << "\nbaseline written to BENCH_e14.json\n";
-  return (cold.conserved && warm.conserved && cold.failed == 0 &&
+  const bool exported =
+      !telemetry.has_value() || bench::export_telemetry(*telemetry, obs_opts);
+  return (exported && cold.conserved && warm.conserved && cold.failed == 0 &&
           warm.failed == 0)
              ? 0
              : 1;

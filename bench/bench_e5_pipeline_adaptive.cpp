@@ -61,6 +61,9 @@ int main(int argc, char** argv) {
     core::PipelineParams params;
     params.adaptation_enabled = adaptive;
     params.threshold.z = 1.8;
+    // Detail tier: the throughput series reads the per-item trace records.
+    obs::Telemetry telemetry(/*detail=*/true);
+    params.telemetry = &telemetry;
     return core::Pipeline(params).run(backend, grid, grid.node_ids(), spec,
                                       items);
   };

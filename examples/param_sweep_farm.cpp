@@ -15,6 +15,7 @@
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "support/config.hpp"
 #include "support/table.hpp"
 #include "workloads/applications.hpp"
@@ -66,8 +67,13 @@ int main(int argc, char** argv) {
   {
     gridsim::Grid grid = gridsim::make_grid(sp);
     core::SimBackend backend(grid);
-    adaptive_report = core::TaskFarm(core::make_adaptive_farm_params())
-                          .run(backend, grid, grid.node_ids(), sweep);
+    // Detail telemetry keeps the per-task trace records the work-share
+    // table below counts.
+    obs::Telemetry telemetry(/*detail=*/true);
+    core::FarmParams params = core::make_adaptive_farm_params();
+    params.telemetry = &telemetry;
+    adaptive_report =
+        core::TaskFarm(params).run(backend, grid, grid.node_ids(), sweep);
     results.add_row({"GRASP adaptive",
                      Table::num(adaptive_report.makespan.value, 1),
                      Table::num(adaptive_report.throughput(), 2)});

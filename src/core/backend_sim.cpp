@@ -1,7 +1,6 @@
 #include "core/backend_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace grasp::core {
@@ -17,14 +16,17 @@ SimBackend::Scheduled SimBackend::resolve(const OpRequest& r) const {
   Seconds duration;
   switch (r.kind) {
     case OpRequest::Kind::Compute:
-      if (std::isnan(r.work.value))
-        throw std::invalid_argument("SimBackend: NaN compute work");
+      // Written to fail on NaN as well: NaN compares false both ways.
+      if (!(r.work.value >= 0.0))
+        throw std::invalid_argument(
+            "SimBackend: negative or NaN compute work");
       op.done.node = r.node;
       duration = grid_->node(r.node).compute_time(r.work, start);
       break;
     case OpRequest::Kind::Transfer:
-      if (std::isnan(r.payload.value))
-        throw std::invalid_argument("SimBackend: NaN transfer size");
+      if (!(r.payload.value >= 0.0))
+        throw std::invalid_argument(
+            "SimBackend: negative or NaN transfer size");
       op.done.node = r.to;
       duration = grid_->transfer_time(r.from, r.to, r.payload, start);
       break;

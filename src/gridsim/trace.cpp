@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace grasp::gridsim {
@@ -41,8 +43,19 @@ void TraceRecorder::record(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
+void TraceRecorder::require_stored(std::initializer_list<TraceEventKind> kinds,
+                                   const char* what) const {
+  for (const TraceEventKind k : kinds)
+    if (!all_stored(k))
+      throw std::logic_error(
+          std::string("TraceRecorder::") + what + ": " + to_string(k) +
+          " records were counted but not stored (run with detail telemetry)");
+}
+
 std::vector<double> TraceRecorder::throughput_series(Seconds bucket,
                                                      Seconds horizon) const {
+  require_stored({TraceEventKind::TaskCompleted, TraceEventKind::ItemCompleted},
+                 "throughput_series");
   const auto buckets = static_cast<std::size_t>(
       std::max(1.0, std::ceil(horizon.value / bucket.value)));
   std::vector<double> series(buckets, 0.0);
@@ -59,6 +72,8 @@ std::vector<double> TraceRecorder::throughput_series(Seconds bucket,
 
 std::vector<double> TraceRecorder::node_busy_fraction(std::size_t node_count,
                                                       Seconds horizon) const {
+  require_stored({TraceEventKind::TaskDispatched, TraceEventKind::TaskCompleted},
+                 "node_busy_fraction");
   std::vector<double> busy(node_count, 0.0);
   std::unordered_map<std::uint64_t, Seconds> open;  // task id -> dispatch time
   for (const auto& e : events_) {

@@ -5,11 +5,16 @@
 // turns a single `emit(kind, node, task, value, note)` into every sink
 // write that kind implies, read off the constexpr per-kind table below:
 //
-//   * the TraceRecorder record, always;
+//   * the TraceRecorder count, always, and its stored record, except for a
+//     per-task kind (dispatch, completion, pipeline item) while detail
+//     telemetry is off: those runs count the event and store nothing;
 //   * a resilience counter bump, or none;
 //   * a span instant (detail tier, like every span), or none;
 //   * a flight-recorder note (when a recorder is attached), or none.
 //
+// The detail tier is read off the span recorder the emitter writes to,
+// which each engine enables from its Telemetry (HierFarm's shard recorders
+// copy it), so one switch gates spans, histograms and per-task records.
 // The instant and the flight note carry the event's node and value and
 // take `note` as their detail, so the four views of one event agree by
 // construction.  Engines write no sink directly for an event that has a
@@ -38,6 +43,9 @@ struct EmitRow {
   /// Flight-recorder category and name (null category: none).
   const char* flight_kind = nullptr;
   const char* flight_name = nullptr;
+  /// One event per task or item: its record is stored only at the detail
+  /// tier, and the row writes no other sink (a static_assert checks).
+  bool per_task = false;
 };
 
 namespace detail {
@@ -46,8 +54,8 @@ using RM = resil::ResilienceMetrics;
 }  // namespace detail
 
 inline constexpr EmitRow kEmitTable[] = {
-    {detail::K::TaskDispatched},
-    {detail::K::TaskCompleted},
+    {.kind = detail::K::TaskDispatched, .per_task = true},
+    {.kind = detail::K::TaskCompleted, .per_task = true},
     {detail::K::TaskReissued},
     {detail::K::CalibrationStarted, nullptr, nullptr, "calibration", "begin"},
     {detail::K::CalibrationFinished, nullptr, nullptr, "calibration", "end"},
@@ -56,7 +64,7 @@ inline constexpr EmitRow kEmitTable[] = {
     {detail::K::StageRemapped},
     {detail::K::StageReplicated},
     {detail::K::ChunkResized},
-    {detail::K::ItemCompleted},
+    {.kind = detail::K::ItemCompleted, .per_task = true},
     {detail::K::NodeCrashDetected, &detail::RM::crashes_detected,
      "crash_detected", "crash", "node_down"},
     {detail::K::NodeLeftPool, &detail::RM::leaves, "node_left_pool"},
@@ -87,6 +95,18 @@ constexpr bool rows_in_kind_order() {
 static_assert(detail::rows_in_kind_order(),
               "kEmitTable rows must follow TraceEventKind order");
 
+namespace detail {
+constexpr bool per_task_rows_are_trace_only() {
+  for (const EmitRow& row : kEmitTable)
+    if (row.per_task && (row.counter != nullptr || row.instant != nullptr ||
+                         row.flight_kind != nullptr))
+      return false;
+  return true;
+}
+}  // namespace detail
+static_assert(detail::per_task_rows_are_trace_only(),
+              "a per-task row writes the trace and nothing else");
+
 /// The per-run choke point.  Non-owning: every sink must outlive it.
 class Emitter {
  public:
@@ -107,10 +127,15 @@ class Emitter {
   /// Record one event, stamped now.  `note` must be a static-lifetime
   /// string, such as a literal: the trace record keeps a view of it, not a
   /// copy, and it doubles as the instant's and the flight note's detail.
+  /// A per-task kind is only counted while the spans' detail tier is off.
   void emit(gridsim::TraceEventKind kind, NodeId node = NodeId::invalid(),
             TaskId task = TaskId::invalid(), double value = 0.0,
             const char* note = "") {
     const EmitRow& row = kEmitTable[static_cast<std::size_t>(kind)];
+    if (row.per_task && !spans_->enabled()) {
+      trace_->count_only(kind);
+      return;
+    }
     const Seconds at{clock_->now_s()};
     trace_->record({at, kind, node, task, value, note});
     if (row.counter != nullptr && rm_ != nullptr)

@@ -2,11 +2,14 @@
 //
 // One MetricsRegistry (counters always live; histograms gated) plus one
 // SpanRecorder (gated with the histograms) plus an optional flight
-// recorder.  Engines accept a `Telemetry*` in their params; when none is
-// supplied they record into a private detail-disabled instance so reports
-// can still be read out of the registry — the "no telemetry" configuration
-// is just "nobody else is looking".  Engine events reach all three through
-// one obs::Emitter per run (obs/emit.hpp), never sink by sink.
+// recorder.  The same detail switch decides whether an engine's trace
+// stores per-task records (obs/emit.hpp); it is the one control for them.
+// Engines accept a `Telemetry*` in their params; when none is supplied they
+// record into a private detail-disabled instance so reports can still be
+// read out of the registry and the trace's counts — the "no telemetry"
+// configuration is "nobody else is looking", so nothing per task is kept.
+// Engine events reach all three through one obs::Emitter per run
+// (obs/emit.hpp), never sink by sink.
 //
 // Pass a fresh Telemetry per run when you want per-run numbers; a reused
 // one keeps accumulating counters, which the engines tolerate by
@@ -28,7 +31,9 @@ struct Telemetry {
   /// names here when set; null costs one pointer compare per such event.
   FlightRecorder* flight = nullptr;
 
-  /// `detail` gates histograms + spans; counters are always live.
+  /// `detail` gates histograms, spans and the trace's per-task records
+  /// (dispatches, completions, pipeline items); counters, per-kind trace
+  /// counts and coordination records are always live.
   explicit Telemetry(bool detail = true) { set_detail_enabled(detail); }
 
   void set_detail_enabled(bool on) {

@@ -1,6 +1,19 @@
 #include "svc/calibration_cache.hpp"
 
+#include <stdexcept>
+
 namespace grasp::svc {
+
+void CalibrationCache::Params::validate() const {
+  // Written to fail on NaN as well: NaN compares false both ways.
+  if (!(max_age.value >= 0.0))
+    throw std::invalid_argument(
+        "CalibrationCache: max_age must be non-negative (not NaN)");
+}
+
+CalibrationCache::CalibrationCache(Params params) : params_(params) {
+  params_.validate();
+}
 
 std::optional<double> CalibrationCache::lookup(NodeId node,
                                                Seconds now) const {

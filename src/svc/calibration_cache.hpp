@@ -28,11 +28,18 @@ class CalibrationCache final : public core::SpmCache {
  public:
   struct Params {
     /// Entries older than this (backend seconds) are treated as absent.
+    /// +inf never expires an entry.
     Seconds max_age = Seconds{600.0};
+
+    /// Throws std::invalid_argument on a NaN or negative max_age: NaN would
+    /// never expire an entry, and a negative age would miss at the very
+    /// instant of the store.
+    void validate() const;
   };
 
   CalibrationCache() : CalibrationCache(Params{}) {}
-  explicit CalibrationCache(Params params) : params_(params) {}
+  /// Throws std::invalid_argument when params.validate() does.
+  explicit CalibrationCache(Params params);
 
   [[nodiscard]] std::optional<double> lookup(NodeId node,
                                              Seconds now) const override;

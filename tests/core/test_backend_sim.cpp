@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -294,6 +295,38 @@ TEST(SimBackend, NaNInputsAreRejectedBeforeAnyStateChanges) {
   EXPECT_DOUBLE_EQ(backend.now().value, 0.0);
 }
 
+TEST(SimBackend, NegativeCostsAreRejectedBeforeAnyStateChanges) {
+  // Negative work would finish before it started, and a negative size
+  // would shorten the link's latency.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(2, 100.0);
+  SimBackend backend(grid);
+  EXPECT_THROW(backend.submit_compute(2, NodeId{0}, Mops{-1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(backend.submit_transfer(3, NodeId{0}, NodeId{1}, Bytes{-1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(backend.submit_transfer(4, NodeId{0}, NodeId{0}, Bytes{-1.0}),
+               std::invalid_argument);
+  EXPECT_EQ(backend.in_flight(), 0u);
+  EXPECT_DOUBLE_EQ(backend.compute_progress(2), 0.0);
+  EXPECT_FALSE(backend.wait_next().has_value());
+  EXPECT_DOUBLE_EQ(backend.now().value, 0.0);
+}
+
+TEST(SimBackend, ZeroCostsStayLegal) {
+  const gridsim::Grid grid = gridsim::make_uniform_grid(2, 100.0);
+  SimBackend backend(grid);
+  backend.submit_compute(1, NodeId{0}, Mops{0.0});
+  backend.submit_transfer(2, NodeId{0}, NodeId{1}, Bytes{0.0});
+  EXPECT_EQ(backend.in_flight(), 2u);
+  std::vector<OpToken> seen;
+  while (const auto c = backend.wait_next()) {
+    EXPECT_GE(c->finished.value, c->started.value);
+    seen.push_back(c->token);
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<OpToken>{1, 2}));
+}
+
 // ---- Batch submission -------------------------------------------------------
 
 // Two nodes on one site whose link moves 5e5 bytes in exactly 1 s (0.5 s
@@ -377,7 +410,9 @@ TEST(SimBackend, OneBadRequestRejectsTheWholeBatch) {
        {OpRequest::timer(20, Seconds{-1.0}),
         OpRequest::timer(20, Seconds{std::nan("")}),
         OpRequest::compute(20, NodeId{0}, Mops{std::nan("")}),
-        OpRequest::transfer(20, NodeId{0}, NodeId{1}, Bytes{std::nan("")})}) {
+        OpRequest::compute(20, NodeId{0}, Mops{-1.0}),
+        OpRequest::transfer(20, NodeId{0}, NodeId{1}, Bytes{std::nan("")}),
+        OpRequest::transfer(20, NodeId{0}, NodeId{1}, Bytes{-1.0})}) {
     SimBackend backend(grid);
     backend.submit_timer(1, Seconds{0.25});
     std::vector<OpRequest> wave = mixed_wave();

@@ -4,6 +4,7 @@
 
 #include "core/baselines.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "workloads/applications.hpp"
 #include "workloads/generators.hpp"
 
@@ -78,16 +79,23 @@ TEST(Grasp, PoolRestriction) {
   const gridsim::Grid grid = gridsim::make_uniform_grid(8, 100.0);
   GraspProgram program("subset");
   FarmParams params = make_demand_farm_params();
+  obs::Telemetry tel;  // detail tier: the check reads per-task records
+  params.telemetry = &tel;
   program.use_task_farm(params)
       .with_tasks(tasks(50))
       .on_nodes({NodeId{0}, NodeId{1}});
   const RunSummary summary = program.compile(grid).execute();
   ASSERT_TRUE(summary.farm.has_value());
+  std::size_t completions = 0;
   for (const auto& e : summary.farm->trace.events()) {
     if (e.kind == gridsim::TraceEventKind::TaskCompleted) {
       EXPECT_LT(e.node.value, 2u);
+      ++completions;
     }
   }
+  EXPECT_EQ(completions,
+            summary.farm->trace.count(gridsim::TraceEventKind::TaskCompleted));
+  EXPECT_GT(completions, 0u);
 }
 
 TEST(Grasp, ProgrammingPhaseErrors) {

@@ -13,6 +13,7 @@
 
 #include "core/backend_sim.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::core {
@@ -118,6 +119,8 @@ TEST(HierFarm, ConservesTasksAcrossShards) {
   SimBackend backend(grid);
   HierFarmParams p;
   p.workers_per_shard = 4;  // 4 shards of 4
+  obs::Telemetry tel;  // detail tier: expect_exactly_once reads records
+  p.telemetry = &tel;
   const workloads::TaskSet ts = gen_tasks(96, 1000.0, 7);
   HierFarm farm(p);
   const HierFarmReport r = farm.run(backend, grid, grid.node_ids(), ts);
@@ -141,6 +144,8 @@ TEST(HierFarm, StaticModeRunsWithoutProbesOrRounds) {
   HierFarmParams p;
   p.mode = HierMode::Static;
   p.workers_per_shard = 4;
+  obs::Telemetry tel;  // detail tier: expect_exactly_once reads records
+  p.telemetry = &tel;
   const workloads::TaskSet ts = gen_tasks(96, 1000.0, 7);
   const HierFarmReport r = HierFarm(p).run(backend, grid, grid.node_ids(), ts);
   EXPECT_EQ(r.tasks_completed, 96u);

@@ -10,6 +10,7 @@
 #include "core/baselines.hpp"
 #include "gridsim/churn.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::core {
@@ -73,6 +74,8 @@ TEST(TaskFarm, FasterNodesDoMoreWork) {
   const gridsim::Grid grid = b.build();
   SimBackend backend(grid);
   FarmParams params = make_demand_farm_params();
+  obs::Telemetry tel;  // detail tier: the split reads per-task records
+  params.telemetry = &tel;
   TaskFarm farm(params);
   const FarmReport report =
       farm.run(backend, grid, grid.node_ids(), tasks(200));
@@ -290,7 +293,11 @@ TEST(EconFarm, ReissueTiesGoToTheOldestPhaseChange) {
       ts.tasks.push_back({TaskId{ts.tasks.size()}, Mops{100.0}, Bytes{input},
                           Bytes{1e3}});
     SimBackend backend(grid);
-    const FarmReport r = TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
+    obs::Telemetry tel;  // detail tier: the premise reads the dispatches
+    FarmParams detail = p;
+    detail.telemetry = &tel;
+    const FarmReport r =
+        TaskFarm(detail).run(backend, grid, grid.node_ids(), ts);
     EXPECT_EQ(r.tasks_completed + r.calibration_tasks, 6u);
     std::vector<gridsim::TraceEvent> dispatched;
     TaskId reissued = TaskId::invalid();

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 namespace grasp::gridsim {
 namespace {
@@ -114,6 +116,54 @@ TEST(Trace, PerKindCountersMatchManualScan) {
   tr.record(ev(0.0, TraceEventKind::FarmerPromoted));
   EXPECT_EQ(tr.count(TraceEventKind::FarmerPromoted), 1u);
   verify_all_kinds();
+}
+
+TEST(Trace, CountOnlyCountsWithoutStoring) {
+  TraceRecorder tr;
+  tr.record(ev(0.0, TraceEventKind::CalibrationStarted));
+  tr.count_only(TraceEventKind::TaskCompleted);
+  tr.count_only(TraceEventKind::TaskCompleted);
+  EXPECT_EQ(tr.count(TraceEventKind::TaskCompleted), 2u);
+  EXPECT_EQ(tr.count(TraceEventKind::CalibrationStarted), 1u);
+  ASSERT_EQ(tr.events().size(), 1u);
+  EXPECT_EQ(tr.events()[0].kind, TraceEventKind::CalibrationStarted);
+  EXPECT_FALSE(tr.all_stored(TraceEventKind::TaskCompleted));
+  EXPECT_TRUE(tr.all_stored(TraceEventKind::CalibrationStarted));
+  EXPECT_TRUE(tr.all_stored(TraceEventKind::TaskDispatched));
+  tr.clear();
+  EXPECT_TRUE(tr.all_stored(TraceEventKind::TaskCompleted));
+}
+
+// Series over records that were only counted would read zeros; they throw.
+TEST(Trace, ThroughputSeriesThrowsWhenCompletionsWereNotStored) {
+  for (const TraceEventKind k :
+       {TraceEventKind::TaskCompleted, TraceEventKind::ItemCompleted}) {
+    TraceRecorder tr;
+    tr.record(ev(0.5, TraceEventKind::TaskCompleted, 0, 1));
+    tr.count_only(k);
+    EXPECT_THROW((void)tr.throughput_series(Seconds{1.0}, Seconds{3.0}),
+                 std::logic_error)
+        << to_string(k);
+  }
+  // Unstored dispatches do not enter the series.
+  TraceRecorder tr;
+  tr.record(ev(0.5, TraceEventKind::TaskCompleted, 0, 1));
+  tr.count_only(TraceEventKind::TaskDispatched);
+  EXPECT_EQ(tr.throughput_series(Seconds{1.0}, Seconds{1.0}),
+            std::vector<double>{1.0});
+}
+
+TEST(Trace, NodeBusyFractionThrowsWhenDispatchesOrCompletionsWereNotStored) {
+  for (const TraceEventKind k :
+       {TraceEventKind::TaskDispatched, TraceEventKind::TaskCompleted}) {
+    TraceRecorder tr;
+    tr.record(ev(0.0, TraceEventKind::TaskDispatched, 0, 1));
+    tr.record(ev(4.0, TraceEventKind::TaskCompleted, 0, 1));
+    tr.count_only(k);
+    EXPECT_THROW((void)tr.node_busy_fraction(1, Seconds{10.0}),
+                 std::logic_error)
+        << to_string(k);
+  }
 }
 
 }  // namespace

@@ -42,14 +42,19 @@ TEST(EmitTable, CrashKindsCarryTheBlameMarker) {
     EXPECT_STREQ(kEmitTable[static_cast<std::size_t>(k)].instant,
                  "crash_detected");
   // Per-task kinds stay trace-only: they sit on the hot path.
-  for (const TraceEventKind k :
-       {TraceEventKind::TaskDispatched, TraceEventKind::TaskCompleted,
-        TraceEventKind::ItemCompleted}) {
-    const EmitRow& row = kEmitTable[static_cast<std::size_t>(k)];
+  std::size_t per_task_rows = 0;
+  for (const EmitRow& row : kEmitTable) {
+    const bool hot = row.kind == TraceEventKind::TaskDispatched ||
+                     row.kind == TraceEventKind::TaskCompleted ||
+                     row.kind == TraceEventKind::ItemCompleted;
+    EXPECT_EQ(row.per_task, hot) << gridsim::to_string(row.kind);
+    if (!row.per_task) continue;
+    ++per_task_rows;
     EXPECT_EQ(row.counter, nullptr);
     EXPECT_EQ(row.instant, nullptr);
     EXPECT_EQ(row.flight_kind, nullptr);
   }
+  EXPECT_EQ(per_task_rows, 3u);
 }
 
 TEST(Emitter, OneEmitWritesEverySinkItsRowNames) {
@@ -107,6 +112,31 @@ TEST(Emitter, DetailOffKeepsTraceCountersAndFlight) {
   EXPECT_EQ(tel.metrics.counter_value(rm.results_rolled_back), 1u);
   EXPECT_EQ(tel.metrics.counter_value(rm.tasks_redispatched), 1u);
   EXPECT_TRUE(tel.spans.records().empty());  // instants are detail tier
+}
+
+TEST(Emitter, DetailOffCountsPerTaskKindsWithoutStoringThem) {
+  ManualClock clock;
+  Telemetry tel(/*detail=*/false);
+  tel.set_clock(&clock);
+  gridsim::TraceRecorder trace;
+  Emitter ev(clock, trace, tel.spans, nullptr);
+  ev.emit(TraceEventKind::TaskDispatched, NodeId{1}, TaskId{4});
+  ev.emit(TraceEventKind::CalibrationStarted, NodeId{1});
+  ev.emit(TraceEventKind::TaskCompleted, NodeId{1}, TaskId{4}, 2.0);
+  ev.emit(TraceEventKind::ItemCompleted, NodeId{1}, TaskId{5});
+  EXPECT_EQ(trace.count(TraceEventKind::TaskDispatched), 1u);
+  EXPECT_EQ(trace.count(TraceEventKind::TaskCompleted), 1u);
+  EXPECT_EQ(trace.count(TraceEventKind::ItemCompleted), 1u);
+  ASSERT_EQ(trace.events().size(), 1u);
+  EXPECT_EQ(trace.events()[0].kind, TraceEventKind::CalibrationStarted);
+
+  // The switch is read per event: turning detail on stores from then on.
+  tel.set_detail_enabled(true);
+  ev.emit(TraceEventKind::TaskCompleted, NodeId{1}, TaskId{6});
+  EXPECT_EQ(trace.count(TraceEventKind::TaskCompleted), 2u);
+  ASSERT_EQ(trace.events().size(), 2u);
+  EXPECT_EQ(trace.events()[1].task, TaskId{6});
+  EXPECT_FALSE(trace.all_stored(TraceEventKind::TaskCompleted));
 }
 
 TEST(Emitter, WithoutCountersOrFlightOnlyTraceAndSpansAreWritten) {
@@ -505,7 +535,10 @@ TEST(EmitFingerprint, PipelineChurn) {
 TEST(EmitFingerprint, GridServiceTwoJobStream) {
   const gridsim::Grid grid = gridsim::make_uniform_grid(8, 100.0);
   core::SimBackend backend(grid);
-  svc::GridService service(backend, grid, grid.node_ids());
+  Telemetry tel;  // tenants inherit its detail tier
+  svc::GridService::Params sp;
+  sp.telemetry = &tel;
+  svc::GridService service(backend, grid, grid.node_ids(), sp);
   svc::JobOptions opt_a;
   opt_a.name = "tenant-a";
   opt_a.max_share = 0.5;

@@ -29,6 +29,7 @@
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::testing {
@@ -108,8 +109,12 @@ inline ChurnRun run_churn_scenario(std::uint64_t seed,
   tp.seed = 31 * seed + 5;
   const workloads::TaskSet tasks = workloads::make_task_set(tp);
   core::SimBackend backend(grid);
-  core::FarmReport report = core::TaskFarm(make_property_params(cfg))
-                                .run(backend, grid, grid.node_ids(), tasks);
+  // Detail tier: the invariants read the per-task trace records.
+  obs::Telemetry tel;
+  core::FarmParams params = make_property_params(cfg);
+  params.telemetry = &tel;
+  core::FarmReport report =
+      core::TaskFarm(params).run(backend, grid, grid.node_ids(), tasks);
   return {std::move(report), cfg.tasks, cfg, *grid.churn()};
 }
 

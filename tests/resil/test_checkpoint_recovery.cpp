@@ -12,6 +12,7 @@
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::core {
@@ -189,6 +190,8 @@ TEST(CheckpointRecovery, ReissueTwinSkipsCheckpointedPrefix) {
   FarmParams p = checkpointed_params();
   p.chunk_size = 4;
   p.straggler_factor = 4.0;
+  obs::Telemetry tel;  // detail tier: the check reads the dispatches
+  p.telemetry = &tel;
   const workloads::TaskSet ts = uniform_tasks(10, 200.0);
   SimBackend backend(grid);
   const FarmReport r = TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
@@ -212,6 +215,7 @@ TEST(CheckpointRecovery, ReissueTwinSkipsCheckpointedPrefix) {
         break;
       }
     }
+    ASSERT_NE(slow_first_task, TaskId::invalid().value);
     EXPECT_EQ(reissued.count(slow_first_task), 0u);
   }
 }

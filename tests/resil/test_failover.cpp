@@ -13,6 +13,7 @@
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
 #include "gridsim/grid.hpp"
+#include "obs/telemetry.hpp"
 #include "resil/chunk_ledger.hpp"
 #include "resil/replica_log.hpp"
 #include "workloads/generators.hpp"
@@ -189,8 +190,11 @@ constexpr double kHeartbeat = 1.0;
 constexpr double kTimeout = 5.0;
 constexpr double kHandshake = 2.0;
 
-FarmParams failover_params(std::size_t standbys = 1) {
+/// Runs record into `tel`, at the detail tier by default:
+/// expect_exactly_once reads the per-task trace records.
+FarmParams failover_params(obs::Telemetry& tel, std::size_t standbys = 1) {
   FarmParams p = core::make_adaptive_farm_params();
+  p.telemetry = &tel;
   p.chunk_size = 2;
   p.resilience.enabled = true;
   p.resilience.detector.heartbeat_period = Seconds{kHeartbeat};
@@ -243,8 +247,9 @@ TEST(FarmerFailover, CrashPromotesLowestIdStandbyWithinBound) {
   const gridsim::Grid grid = planted_grid({{0, 40.0, -1.0}});
   SimBackend backend(grid);
   const workloads::TaskSet ts = tasks(500);
+  obs::Telemetry tel;
   const FarmReport report =
-      TaskFarm(failover_params()).run(backend, grid, grid.node_ids(), ts);
+      TaskFarm(failover_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   expect_exactly_once(report, 500u);
   EXPECT_EQ(report.resilience.failovers, 1u);
@@ -273,8 +278,9 @@ TEST(FarmerFailover, CompletionsRacingTheCrashAreRolledBackAndRerun) {
   const gridsim::Grid grid = planted_grid({{0, 40.9, -1.0}});
   SimBackend backend(grid);
   const workloads::TaskSet ts = tasks(500, 7);
+  obs::Telemetry tel;
   const FarmReport report =
-      TaskFarm(failover_params()).run(backend, grid, grid.node_ids(), ts);
+      TaskFarm(failover_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   expect_exactly_once(report, 500u);
   EXPECT_EQ(report.resilience.failovers, 1u);
@@ -289,8 +295,9 @@ TEST(FarmerFailover, DoubleCrashPromotesTwice) {
   const gridsim::Grid grid = planted_grid({{0, 40.0, -1.0}, {1, 120.0, -1.0}});
   SimBackend backend(grid);
   const workloads::TaskSet ts = tasks(900, 3);
+  obs::Telemetry tel;
   const FarmReport report =
-      TaskFarm(failover_params()).run(backend, grid, grid.node_ids(), ts);
+      TaskFarm(failover_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   expect_exactly_once(report, 900u);
   EXPECT_EQ(report.resilience.failovers, 2u);
@@ -305,8 +312,9 @@ TEST(FarmerFailover, CrashDuringPromotionFallsToNextStandby) {
   const gridsim::Grid grid = planted_grid({{0, 40.0, -1.0}, {1, 47.0, -1.0}});
   SimBackend backend(grid);
   const workloads::TaskSet ts = tasks(500, 11);
+  obs::Telemetry tel;
   const FarmReport report =
-      TaskFarm(failover_params(2)).run(backend, grid, grid.node_ids(), ts);
+      TaskFarm(failover_params(tel, 2)).run(backend, grid, grid.node_ids(), ts);
 
   expect_exactly_once(report, 500u);
   EXPECT_EQ(report.resilience.failovers, 1u);
@@ -327,8 +335,9 @@ TEST(FarmerFailover, AnnouncedLeaveHandsOverWithoutLoss) {
   const gridsim::Grid grid = planted_grid({}, /*farmer_leaves_at_40=*/true);
   SimBackend backend(grid);
   const workloads::TaskSet ts = tasks(500, 5);
+  obs::Telemetry tel;
   const FarmReport report =
-      TaskFarm(failover_params()).run(backend, grid, grid.node_ids(), ts);
+      TaskFarm(failover_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   expect_exactly_once(report, 500u);
   EXPECT_EQ(report.resilience.failovers, 1u);
@@ -348,8 +357,9 @@ TEST(FarmerFailover, FarmerRejoinRecoversWhenNoStandbyLives) {
   const gridsim::Grid grid = planted_grid({{0, 40.0, 60.0}, {1, 40.0, -1.0}});
   SimBackend backend(grid);
   const workloads::TaskSet ts = tasks(500, 13);
+  obs::Telemetry tel;
   const FarmReport report =
-      TaskFarm(failover_params()).run(backend, grid, grid.node_ids(), ts);
+      TaskFarm(failover_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   expect_exactly_once(report, 500u);
   EXPECT_EQ(report.resilience.failovers, 1u);
@@ -370,7 +380,8 @@ TEST(FarmerFailover, DisabledSubsystemKeepsFarmerReliableContract) {
   const gridsim::Grid grid = planted_grid({{3, 40.0, -1.0}});
   SimBackend backend(grid);
   const workloads::TaskSet ts = tasks(400, 17);
-  FarmParams p = failover_params(0);
+  obs::Telemetry tel;
+  FarmParams p = failover_params(tel, 0);
   const FarmReport report =
       TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
   EXPECT_EQ(report.tasks_completed + report.calibration_tasks, 400u);
@@ -388,7 +399,8 @@ TEST(FarmerFailover, PerWorkerHandshakeSurfacesInReportAndSlowsPromotion) {
   const auto run_with = [&](double handshake) {
     const gridsim::Grid grid = planted_grid({{0, 40.0, -1.0}});
     SimBackend backend(grid);
-    FarmParams p = failover_params(1);
+    obs::Telemetry tel;
+    FarmParams p = failover_params(tel, 1);
     p.resilience.failover.handshake = Seconds{handshake};
     return TaskFarm(p).run(backend, grid, grid.node_ids(), ts);
   };

@@ -16,6 +16,7 @@
 #include "core/pipeline.hpp"
 #include "core/task_farm.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "workloads/applications.hpp"
 #include "workloads/generators.hpp"
 
@@ -212,6 +213,8 @@ TEST(FarmChurn, DispatchTimeDeathKeepsTheWaveInWorkerOrder) {
       {{Seconds{0.5}, gridsim::ChurnEventKind::Crash, NodeId{1}}}));
   FarmParams p = resilient_params();
   p.chunk_size = 1;
+  obs::Telemetry tel;  // detail tier: the wave is read off the dispatches
+  p.telemetry = &tel;
   workloads::TaskSetParams tp;
   tp.count = 60;
   tp.mean_mops = 100.0;

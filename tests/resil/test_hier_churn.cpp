@@ -12,6 +12,7 @@
 #include "core/backend_sim.hpp"
 #include "core/hier_farm.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::testing {
@@ -32,8 +33,11 @@ workloads::TaskSet hier_tasks(std::size_t n, double mean_mops,
   return workloads::make_task_set(tp);
 }
 
-HierFarmParams hier_params() {
+/// Runs record into `tel`, at the detail tier by default: the invariants
+/// below read the per-task trace records.
+HierFarmParams hier_params(obs::Telemetry& tel) {
   HierFarmParams p;
+  p.telemetry = &tel;
   p.workers_per_shard = 4;
   p.detector.heartbeat_period = Seconds{1.0};
   p.detector.timeout = Seconds{4.0};
@@ -108,8 +112,9 @@ TEST(HierChurnProperty, SubFarmerCrashPromotesWithinTheShard) {
 
   core::SimBackend backend(grid);
   const workloads::TaskSet ts = hier_tasks(160, 2000.0, 17);
+  obs::Telemetry tel;
   const HierFarmReport r =
-      HierFarm(hier_params()).run(backend, grid, grid.node_ids(), ts);
+      HierFarm(hier_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   check_hier_invariants(r, 160);
   EXPECT_EQ(r.trace.count(TraceEventKind::FarmerCrashDetected), 1u);
@@ -151,8 +156,9 @@ TEST(HierChurnProperty, SubFarmerCrashRedispatchesOnlyTheSuffix) {
 
   core::SimBackend backend(grid);
   const workloads::TaskSet ts = hier_tasks(240, 2000.0, 23);
+  obs::Telemetry tel;
   const HierFarmReport r =
-      HierFarm(hier_params()).run(backend, grid, grid.node_ids(), ts);
+      HierFarm(hier_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   check_hier_invariants(r, 240);
   ASSERT_EQ(r.promotions, 1u);
@@ -197,7 +203,8 @@ TEST(HierChurnProperty, SubFarmerCrashRetractsUnflushedCompletions) {
        {Seconds{14.5}, gridsim::ChurnEventKind::Crash, standby},
        {Seconds{18.5}, gridsim::ChurnEventKind::Rejoin, standby}}));
 
-  HierFarmParams p = hier_params();
+  obs::Telemetry tel;
+  HierFarmParams p = hier_params(tel);
   p.workers_per_shard = 8;
   p.standby_count = 1;
   core::SimBackend backend(grid);
@@ -233,8 +240,9 @@ TEST(HierChurnProperty, WorkerCrashStaysLocalToItsShard) {
 
   core::SimBackend backend(grid);
   const workloads::TaskSet ts = hier_tasks(160, 2000.0, 29);
+  obs::Telemetry tel;
   const HierFarmReport r =
-      HierFarm(hier_params()).run(backend, grid, grid.node_ids(), ts);
+      HierFarm(hier_params(tel)).run(backend, grid, grid.node_ids(), ts);
 
   check_hier_invariants(r, 160);
   // A worker loss is a shard-local affair: no promotion, no root churn.
@@ -268,8 +276,9 @@ TEST(HierChurnProperty, SeededChurnConservesTasksExactlyOnce) {
 
     core::SimBackend backend(grid);
     const workloads::TaskSet ts = hier_tasks(200, 1500.0, 31 * seed + 5);
+    obs::Telemetry tel;
     const HierFarmReport r =
-        HierFarm(hier_params()).run(backend, grid, grid.node_ids(), ts);
+        HierFarm(hier_params(tel)).run(backend, grid, grid.node_ids(), ts);
     check_hier_invariants(r, 200);
   }
 }

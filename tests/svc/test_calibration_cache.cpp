@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "core/backend_sim.hpp"
 #include "core/baselines.hpp"
 #include "core/task_farm.hpp"
@@ -48,6 +52,35 @@ TEST(SvcCalibrationCache, EntriesExpireAfterMaxAge) {
   const auto refreshed = cache.lookup(NodeId{1}, Seconds{200.0});
   ASSERT_TRUE(refreshed.has_value());
   EXPECT_DOUBLE_EQ(*refreshed, 0.015);
+}
+
+TEST(SvcCalibrationCache, RejectsNaNMaxAge) {
+  // Unchecked, NaN never expires: an entry stored at t = 0 hit at t = 1e9.
+  CalibrationCache::Params p;
+  p.max_age = Seconds{std::nan("")};
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  EXPECT_THROW(CalibrationCache{p}, std::invalid_argument);
+}
+
+TEST(SvcCalibrationCache, RejectsNegativeMaxAge) {
+  // Unchecked, a negative age misses even at the instant of the store.
+  CalibrationCache::Params p;
+  p.max_age = Seconds{-1.0};
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  EXPECT_THROW(CalibrationCache{p}, std::invalid_argument);
+}
+
+TEST(SvcCalibrationCache, ZeroAndInfiniteMaxAgeStayLegal) {
+  CalibrationCache::Params p;
+  p.max_age = Seconds{0.0};
+  CalibrationCache same_instant(p);
+  same_instant.store(NodeId{1}, 0.01, Seconds{5.0});
+  EXPECT_TRUE(same_instant.lookup(NodeId{1}, Seconds{5.0}).has_value());
+  EXPECT_FALSE(same_instant.lookup(NodeId{1}, Seconds{5.5}).has_value());
+  p.max_age = Seconds{std::numeric_limits<double>::infinity()};
+  CalibrationCache forever(p);
+  forever.store(NodeId{1}, 0.01, Seconds{0.0});
+  EXPECT_TRUE(forever.lookup(NodeId{1}, Seconds{1e9}).has_value());
 }
 
 TEST(SvcCalibrationCache, LatestStoreWins) {

@@ -59,6 +59,10 @@ void expect_reports_equal(const core::FarmReport& a,
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.final_chosen, b.final_chosen);
   EXPECT_EQ(a.trace.events().size(), b.trace.events().size());
+  for (std::size_t k = 0; k < gridsim::kTraceEventKindCount; ++k) {
+    const auto kind = static_cast<gridsim::TraceEventKind>(k);
+    EXPECT_EQ(a.trace.count(kind), b.trace.count(kind)) << to_string(kind);
+  }
 }
 
 TEST(GridService, InlineSingleJobMatchesRunEngine) {

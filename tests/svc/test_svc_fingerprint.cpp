@@ -22,6 +22,7 @@
 #include "core/backend_thread.hpp"
 #include "core/baselines.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/telemetry.hpp"
 #include "svc/grid_service.hpp"
 #include "tests/fingerprint.hpp"
 #include "workloads/applications.hpp"
@@ -50,6 +51,14 @@ std::string job_digest(const JobHandle& job) {
         .add(std::uint64_t{r.resilience.failovers});
   }
   return d.hex();
+}
+
+/// Service params whose tenants record into `tel`'s detail tier, so their
+/// traces hold the per-task records the digests cover.
+GridService::Params detail_params(obs::Telemetry& tel) {
+  GridService::Params p;
+  p.telemetry = &tel;
+  return p;
 }
 
 gridsim::Grid churn_grid() {
@@ -101,7 +110,8 @@ workloads::TaskSet stream_tasks(std::size_t n, std::uint64_t seed) {
 TEST(GridServiceFingerprint, SubmitAtStreamOnChurnGrid) {
   const gridsim::Grid grid = churn_grid();
   core::SimBackend backend(grid);
-  GridService service(backend, grid, grid.node_ids());
+  obs::Telemetry tel;  // detail on: tenants store per-task trace records
+  GridService service(backend, grid, grid.node_ids(), detail_params(tel));
 
   struct Expected {
     JobStatus status;
@@ -174,7 +184,8 @@ TEST(GridServiceFingerprint, PipelineBesideRecalibratingFarm) {
   for (std::uint64_t i = 0; i < 4; ++i)
     gridsim::inject_load_step_on(grid, NodeId{i}, Seconds{40.0}, 9.0);
   core::SimBackend backend(grid);
-  GridService service(backend, grid, grid.node_ids());
+  obs::Telemetry tel;
+  GridService service(backend, grid, grid.node_ids(), detail_params(tel));
 
   JobOptions half;
   half.max_share = 0.5;
