@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -173,6 +174,10 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
   const gridsim::ChurnTimeline* churn = grid.churn();
   const bool grasp = params_.mode == HierMode::Grasp;
   const bool resil_on = churn != nullptr;
+  // The grid's liveness cursor: every detector beat, shard log flush and
+  // zombie test reads it at the loop's clock.
+  std::optional<gridsim::LivenessCursor> live;
+  if (churn != nullptr) live.emplace(*churn);
 
   // ----------------------------------------------------------- topology
   const std::vector<NodeId> live0 =
@@ -744,19 +749,16 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
 
   const auto liveness_tick = [&] {
     const Seconds now = now_s();
-    const auto alive = [&](NodeId n, Seconds t) {
-      return churn->is_member(n, t);
-    };
     for (std::size_t k = 0; k < shards.size(); ++k) {
       Shard& sh = shards[k];
       if (sh.dead) continue;
-      sh.detector.advance(now, alive);
+      sh.detector.advance(now, *live);
       for (NodeId w : sh.detector.suspects(now)) worker_crash(k, w);
-      sh.log.flush([&](NodeId n) { return churn->is_member(n, now); });
+      sh.log.flush(*live, now);
       ++sh.events;  // the sub-farmer ran its own tick
       ++shard_events;
     }
-    root_det.advance(now, alive);
+    root_det.advance(now, *live);
     for (NodeId s : root_det.suspects(now)) {
       for (std::size_t k = 0; k < shards.size(); ++k)
         if (!shards[k].dead && shards[k].sub == s) {
@@ -873,7 +875,7 @@ HierFarmReport HierFarm::run(Backend& backend, const gridsim::Grid& grid,
         // Zombie test: the chunk's holder died inside the dispatch window;
         // physically the work never finished.
         if (churn != nullptr &&
-            churn->crashed_during(a->node, a->dispatched, now)) {
+            live->crashed_during(a->node, a->dispatched, now)) {
           ++zombies;
           if (auto entry = sh.ledger.invalidate(token, is_done); entry) {
             sh.inflight_tasks -=

@@ -125,8 +125,8 @@ class FarmRun final : public FarmEngine {
     exec_monitor_.emplace(traits_, params_.threshold);
 
     elastic_.emplace(params_.resilience.pool);
+    if (churn_ != nullptr) tracker_.emplace(*churn_, pool_);
     if (resil_on_) {
-      tracker_.emplace(*churn_, pool_);
       detector_.emplace(params_.resilience.detector);
       for (const NodeId n : initial_members_) detector_->watch(n, now);
     }
@@ -366,7 +366,7 @@ class FarmRun final : public FarmEngine {
       // a dead node would fail at connection time, not stall forever).
       std::vector<NodeId> alive;
       for (const NodeId n : recal_pool)
-        if (churn_->is_member(n, backend_.now())) alive.push_back(n);
+        if (live_member_now(n)) alive.push_back(n);
         else declare_dead(n, "dispatch failed");
       recal_pool = std::move(alive);
     }
@@ -498,8 +498,8 @@ class FarmRun final : public FarmEngine {
   [[nodiscard]] bool farmer_down() const {
     return failover_on_ && failover_->farmer_down();
   }
-  [[nodiscard]] bool live_member_now(NodeId n) const {
-    return churn_ != nullptr && churn_->is_member(n, backend_.now());
+  [[nodiscard]] bool live_member_now(NodeId n) {
+    return churn_ != nullptr && tracker_->live().is_member(n, backend_.now());
   }
 
   void replicate_baseline() {
@@ -511,8 +511,8 @@ class FarmRun final : public FarmEngine {
     // (sample results live distributed at the workers that produced them
     // and are re-delivered on the reconnect handshake).
     if (live_member_now(farmer_))
-      failover_->account_flush(failover_->log().flush(
-          [this](NodeId n) { return live_member_now(n); }));
+      failover_->account_flush(
+          failover_->log().flush(tracker_->live(), backend_.now()));
   }
 
   bool swallow_dead_token(OpToken token) {
@@ -745,9 +745,7 @@ class FarmRun final : public FarmEngine {
   void consume_membership(Seconds now) {
     using Kind = gridsim::TraceEventKind;
     if (!resil_on_) return;
-    detector_->advance(now, [&](NodeId n, Seconds t) {
-      return churn_->is_member(n, t);
-    });
+    detector_->advance(now, tracker_->live());
     for (const auto& e : tracker_->poll(now)) {
       switch (e.kind) {
         case gridsim::ChurnEventKind::Crash:
@@ -767,8 +765,8 @@ class FarmRun final : public FarmEngine {
                 // A graceful departure ships its unflushed suffix on the
                 // way out: the successor starts from complete state and
                 // nothing rolls back.
-                failover_->account_flush(failover_->log().flush(
-                    [this](NodeId n) { return live_member_now(n); }));
+                failover_->account_flush(
+                    failover_->log().flush(tracker_->live(), now));
                 if (failover_span_ == 0)
                   failover_span_ = tel_.spans.begin("failover", 0, e.node);
                 ev_.emit(Kind::FarmerCrashDetected, e.node, TaskId::invalid(),
@@ -848,7 +846,8 @@ class FarmRun final : public FarmEngine {
       // whatever was checkpointed before the crash stays valid (it already
       // reached the farmer), and the completion, when it surfaces, is a
       // zombie.  Announced leavers keep reporting: they drain gracefully.
-      if (churn_->crashed_during(a.node, a.dispatched, backend_.now()))
+      if (tracker_->live().crashed_during(a.node, a.dispatched,
+                                          backend_.now()))
         continue;
       const double frac = backend_.compute_progress(token);
       if (frac <= 0.0) continue;
@@ -964,11 +963,10 @@ class FarmRun final : public FarmEngine {
   // snapshot and start applying the log from its current end.
   void snapshot_and_recruit() {
     if (!failover_on_ || failover_->farmer_down()) return;
-    const auto live = [this](NodeId n) { return live_member_now(n); };
     // Standbys that died during a past outage were kept registered so a
     // rejoin could resume; with the farmer alive again they are dead
     // weight and make room for live recruits.
-    failover_->prune_dead_standbys(live);
+    failover_->prune_dead_standbys(tracker_->live(), backend_.now());
     while (failover_->standby_deficit() > 0) {
       NodeId pick = NodeId::invalid();
       for (const NodeId n : detector_->watched()) {
@@ -1011,20 +1009,17 @@ class FarmRun final : public FarmEngine {
   void failover_step() {
     if (!failover_on_) return;
     const Seconds now = backend_.now();
-    const auto live = [this](NodeId n) { return live_member_now(n); };
+    gridsim::LivenessCursor& live = tracker_->live();
     if (!failover_->farmer_down()) {
       if (!pass_ && live_member_now(farmer_)) {
         // Healthy farmer: ship the unflushed log suffix to every live
         // standby, piggybacked on this tick's heartbeat round, and keep
         // the standby set at strength.
-        failover_->account_flush(failover_->log().flush(live));
+        failover_->account_flush(failover_->log().flush(live, now));
         snapshot_and_recruit();
       }
       // Standby side: watch the farmer's own beats for silence.
-      if (!failover_->advance(now, [&](NodeId n, Seconds t) {
-            return churn_->is_member(n, t);
-          }))
-        return;
+      if (!failover_->advance(now, live)) return;
       if (failover_span_ == 0)
         failover_span_ = tel_.spans.begin("failover", 0, farmer_);
       ev_.emit(gridsim::TraceEventKind::FarmerCrashDetected, farmer_,
@@ -1039,7 +1034,7 @@ class FarmRun final : public FarmEngine {
     // still declared within timeout + heartbeat_period.
     if (pass_) return;
     if (handshake_token_ != 0) return;  // reconnect handshake under way
-    if (const auto s = failover_->successor(live)) {
+    if (const auto s = failover_->successor(live, now)) {
       // Deterministic promotion: lowest-id live standby wins.  Its
       // watermark divides history — roll back everything it never
       // received before it starts acting on the replicated state.
@@ -1119,7 +1114,7 @@ class FarmRun final : public FarmEngine {
       // Dispatch-time liveness check: opening the connection to a dead node
       // fails fast, so the farmer learns of the crash here even before the
       // heartbeat timeout.
-      if (resil_on_ && !churn_->is_member(n, backend_.now())) {
+      if (resil_on_ && !live_member_now(n)) {
         const std::size_t before = elastic_->revision();
         declare_dead(n, "dispatch failed");
         from = elastic_->revision() == before ? p + 1 : p;
@@ -1139,7 +1134,7 @@ class FarmRun final : public FarmEngine {
       for (const NodeId n : probationers) {
         if (source_.empty()) break;
         if (busy_.at_or_default(n)) continue;
-        if (!churn_->is_member(n, backend_.now())) {
+        if (!live_member_now(n)) {
           declare_dead(n, "dispatch failed");
           continue;
         }
@@ -1177,8 +1172,7 @@ class FarmRun final : public FarmEngine {
     std::size_t probation_targets = 0;
     if (resil_on_) {
       for (const NodeId n : elastic_->probationers()) {
-        if (busy_.at_or_default(n) == 0 &&
-            churn_->is_member(n, backend_.now())) {
+        if (busy_.at_or_default(n) == 0 && live_member_now(n)) {
           idle.push_back(n);
           ++probation_targets;
         }
@@ -1264,7 +1258,8 @@ class FarmRun final : public FarmEngine {
       throw std::logic_error("TaskFarm: unknown completion token");
 
     if (churn_ != nullptr &&
-        churn_->crashed_during(live->node, live->dispatched, backend_.now())) {
+        tracker_->live().crashed_during(live->node, live->dispatched,
+                                        backend_.now())) {
       // Zombie chunk observed before the detector fired: the work is lost;
       // re-queue it here, exactly once (the ledger entry dies with it).
       Assignment a = in_flight_.take(c.token).second;
@@ -1492,7 +1487,9 @@ class FarmRun final : public FarmEngine {
   // Resilience components.  The tracker/detector pair is the farmer's two
   // sources of membership knowledge: announcements (leave/join events) and
   // silence (heartbeat timeout).  The ledger guarantees exactly-once
-  // re-dispatch of work lost to crashes.
+  // re-dispatch of work lost to crashes.  The tracker is engaged on every
+  // churn grid: its liveness cursor answers each "alive now?" check, the
+  // zombie test and the detector's beats, with or without resilience.
   std::optional<resil::MembershipTracker> tracker_;
   std::optional<resil::FailureDetector> detector_;
   resil::ChunkLedger ledger_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -108,6 +109,14 @@ bool ChurnTimeline::crashed_during(NodeId node, Seconds from,
   return it != run.data() + run.size() && it->at <= to;
 }
 
+Seconds ChurnTimeline::next_change(NodeId node, Seconds t) const {
+  const auto run = of_node(by_node_, node_start_, node);
+  const ChurnEvent* it = after(run, t);
+  return it == run.data() + run.size()
+             ? Seconds{std::numeric_limits<double>::infinity()}
+             : it->at;
+}
+
 std::vector<ChurnEvent> ChurnTimeline::events_between(Seconds from,
                                                       Seconds to) const {
   std::vector<ChurnEvent> out;
@@ -125,6 +134,52 @@ std::vector<NodeId> ChurnTimeline::members_at(const std::vector<NodeId>& pool,
   for (const NodeId n : pool)
     if (is_member(n, t)) out.push_back(n);
   return out;
+}
+
+LivenessCursor::LivenessCursor(const ChurnTimeline& timeline)
+    : timeline_(&timeline),
+      at_(Seconds{-std::numeric_limits<double>::infinity()}) {
+  std::size_t ids = 0;
+  for (const ChurnEvent& e : timeline.events())
+    ids = std::max<std::size_t>(ids, e.node.value + 1);
+  member_.resize(ids);
+  for (std::size_t v = 0; v < ids; ++v)
+    member_[v] = timeline.initially_member(NodeId{v}) ? 1 : 0;
+  last_crash_.assign(ids, at_);
+  apply_through(at_);  // the cursor starts at -inf: events there are past
+}
+
+void LivenessCursor::apply_through(Seconds now) {
+  const std::vector<ChurnEvent>& events = timeline_->events();
+  for (; next_ < events.size() && events[next_].at <= now; ++next_) {
+    const ChurnEvent& e = events[next_];
+    switch (e.kind) {
+      case ChurnEventKind::Crash:
+        last_crash_[e.node.value] = e.at;
+        [[fallthrough]];
+      case ChurnEventKind::Leave:
+        member_[e.node.value] = 0;
+        break;
+      case ChurnEventKind::Join:
+      case ChurnEventKind::Rejoin:
+        member_[e.node.value] = 1;
+        break;
+    }
+  }
+  at_ = now;
+}
+
+bool LivenessCursor::is_member(NodeId node, Seconds now) {
+  if (!reach(now)) return timeline_->is_member(node, now);
+  if (!node.is_valid() || node.value >= member_.size())
+    return timeline_->initially_member(node);
+  return member_[node.value] != 0;
+}
+
+bool LivenessCursor::crashed_during(NodeId node, Seconds from, Seconds now) {
+  if (!reach(now)) return timeline_->crashed_during(node, from, now);
+  if (!node.is_valid() || node.value >= last_crash_.size()) return false;
+  return last_crash_[node.value] > from;
 }
 
 ChurnTimeline ChurnModel::generate(const std::vector<NodeId>& churnable,

@@ -9,10 +9,12 @@
 //   Join   — a node not in the initial pool becomes available
 //   Rejoin — a previously crashed/left node returns
 //
-// Engines consume the timeline through the queries below (ground truth) or
-// through resil::MembershipTracker (incremental notification).  ChurnModel
-// generates Poisson (exponential inter-arrival) schedules per node;
-// trace-driven timelines are built directly from an event list.
+// Engines consume the timeline through the queries below (ground truth at
+// any time), through a LivenessCursor (ground truth at a clock that moves
+// forward) or through resil::MembershipTracker (incremental notification,
+// built on a cursor).  ChurnModel generates Poisson (exponential
+// inter-arrival) schedules per node; trace-driven timelines are built
+// directly from an event list.
 #pragma once
 
 #include <algorithm>
@@ -71,6 +73,10 @@ class ChurnTimeline {
   [[nodiscard]] bool crashed_during(NodeId node, Seconds from,
                                     Seconds to) const;
 
+  /// Time of `node`'s first event strictly after t; +inf when it has none.
+  /// Membership cannot change in (t, next_change(node, t)).  O(log k).
+  [[nodiscard]] Seconds next_change(NodeId node, Seconds t) const;
+
   /// Events with from < at <= to, in time order.
   [[nodiscard]] std::vector<ChurnEvent> events_between(Seconds from,
                                                        Seconds to) const;
@@ -94,6 +100,51 @@ class ChurnTimeline {
   std::vector<std::size_t> node_start_;
   std::vector<std::size_t> crash_start_;
   std::vector<NodeId> initially_absent_;  ///< sorted, unique
+};
+
+/// The simulated grid's liveness source: a cursor over a timeline's events
+/// that moves forward with the clock.  It keeps each node's current
+/// membership and the time of its last crash in dense tables, so is_member
+/// and crashed_during at a non-decreasing `now` cost O(1) amortised; a time
+/// before the cursor falls back to the timeline's O(log k) query.  Every
+/// answer equals the timeline's own.  The timeline must outlive the cursor.
+class LivenessCursor {
+ public:
+  explicit LivenessCursor(const ChurnTimeline& timeline);
+
+  [[nodiscard]] const ChurnTimeline& timeline() const { return *timeline_; }
+
+  /// Apply every event at or before `now`.  A `now` before the cursor (or
+  /// NaN) leaves it where it is.
+  void advance_to(Seconds now) { (void)reach(now); }
+
+  /// ChurnTimeline::is_member(node, now).
+  [[nodiscard]] bool is_member(NodeId node, Seconds now);
+
+  /// ChurnTimeline::crashed_during(node, from, now): the node's last crash
+  /// at or before `now` lies after `from`.
+  [[nodiscard]] bool crashed_during(NodeId node, Seconds from, Seconds now);
+
+  /// The events at or before the cursor are events()[0, applied()).
+  [[nodiscard]] std::size_t applied() const { return next_; }
+
+ private:
+  /// advance_to(now); false when `now` lies before the cursor.
+  bool reach(Seconds now) {
+    if (!(now >= at_)) return false;
+    if (now > at_) apply_through(now);
+    return true;
+  }
+  /// Apply the events in (at_, now] and move the cursor to `now`.
+  void apply_through(Seconds now);
+
+  const ChurnTimeline* timeline_;
+  std::size_t next_ = 0;  ///< first event not yet applied
+  Seconds at_;            ///< every event at or before it is applied
+  /// Indexed by node id up to the largest event id; a node past the end has
+  /// no events, so it keeps its initial state and never crashes.
+  std::vector<char> member_;
+  std::vector<Seconds> last_crash_;  ///< -inf before the first crash
 };
 
 /// Poisson churn-schedule generator.

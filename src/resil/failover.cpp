@@ -32,17 +32,16 @@ void FailoverCoordinator::standby_lost(NodeId node) {
   if (!farmer_down_) log_.remove_replica(node);
 }
 
-void FailoverCoordinator::prune_dead_standbys(
-    const std::function<bool(NodeId)>& alive_now) {
+void FailoverCoordinator::prune_dead_standbys(gridsim::LivenessCursor& live,
+                                              Seconds now) {
   if (farmer_down_) return;  // mid-outage a corpse may rejoin and resume
   for (const NodeId s : log_.replicas())
-    if (!alive_now(s)) log_.remove_replica(s);
+    if (!live.is_member(s, now)) log_.remove_replica(s);
 }
 
-bool FailoverCoordinator::advance(
-    Seconds now, const std::function<bool(NodeId, Seconds)>& alive) {
+bool FailoverCoordinator::advance(Seconds now, gridsim::LivenessCursor& live) {
   if (farmer_down_) return false;
-  farmer_watch_.advance(now, alive);
+  farmer_watch_.advance(now, live);
   if (farmer_watch_.suspects(now).empty()) return false;
   open_outage(now);
   return true;
@@ -65,10 +64,10 @@ void FailoverCoordinator::open_outage(Seconds now) {
 }
 
 std::optional<NodeId> FailoverCoordinator::successor(
-    const std::function<bool(NodeId)>& alive_now) const {
+    gridsim::LivenessCursor& live, Seconds now) const {
   std::optional<NodeId> best;
   for (const NodeId s : log_.replicas()) {
-    if (!alive_now(s)) continue;
+    if (!live.is_member(s, now)) continue;
     if (!best || s < *best) best = s;
   }
   return best;

@@ -85,20 +85,19 @@ class FailoverCoordinator {
   /// farmer a replacement arrives by snapshot, and a corpse's stale
   /// watermark would otherwise pin log compaction forever and silently
   /// shrink the effective replication degree.
-  void prune_dead_standbys(const std::function<bool(NodeId)>& alive_now);
+  void prune_dead_standbys(gridsim::LivenessCursor& live, Seconds now);
 
   /// Advance the standbys' view of the farmer's heartbeats.  Returns true
   /// exactly once per outage: when the farmer first becomes suspect.
-  bool advance(Seconds now,
-               const std::function<bool(NodeId, Seconds)>& alive);
+  bool advance(Seconds now, gridsim::LivenessCursor& live);
   /// Announced farmer departure: enter the down state immediately (no
   /// timeout to wait out).  Returns true when this opened a new outage.
   bool farmer_leaving(Seconds now);
 
-  /// Deterministic promotion rule: the lowest-id registered standby for
-  /// which `alive_now` holds.  Empty while no standby is reachable.
-  [[nodiscard]] std::optional<NodeId> successor(
-      const std::function<bool(NodeId)>& alive_now) const;
+  /// Deterministic promotion rule: the lowest-id registered standby that
+  /// is a member at `now`.  Empty while no standby is reachable.
+  [[nodiscard]] std::optional<NodeId> successor(gridsim::LivenessCursor& live,
+                                                Seconds now) const;
 
   /// Commit the promotion of `node` (already rolled back by the engine):
   /// it leaves the registry and becomes the watched farmer; the outage is

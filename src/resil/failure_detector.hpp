@@ -7,11 +7,21 @@
 // period.  The detector is transport-agnostic: a caller records a received
 // beat with `heartbeat`, and `advance` synthesises the beats an available
 // node would have sent in simulation.
+//
+// In simulation the beats come from the grid's liveness cursor.  A node's
+// membership only changes at its own churn events, so the detector caches,
+// per node, the time of the node's next event after its last scanned tick.
+// While that event lies ahead, every tick crossed by an advance sees the
+// state the cursor holds now: an alive node is credited the latest tick and
+// a dead one nothing, with no timeline query.  Only a node whose cached
+// event has passed replays the exact per-tick backward scan.  An advance
+// that crosses no tick is O(1); one that does is O(watched) plus
+// O(ticks x log k) per node that changed.
 #pragma once
 
-#include <functional>
 #include <vector>
 
+#include "gridsim/churn.hpp"
 #include "support/flat_map.hpp"
 #include "support/ids.hpp"
 
@@ -46,14 +56,20 @@ class FailureDetector {
 
   /// Simulated transport: for every watched node, credit the latest
   /// heartbeat tick (a multiple of heartbeat_period in (last_advance, now])
-  /// at which `alive(node, tick)` holds.  `now` must be non-decreasing.
-  void advance(Seconds now,
-               const std::function<bool(NodeId, Seconds)>& alive);
+  /// at which `live.is_member(node, tick)` holds.  A `now` at or before the
+  /// last advance does nothing.  Throws std::invalid_argument, before any
+  /// state changes, when `now` is not finite.
+  void advance(Seconds now, gridsim::LivenessCursor& live);
 
   /// Watched nodes whose silence exceeds the timeout, in id order.  Returns
   /// at once, with no slot walk, while even the oldest credited heartbeat
   /// is within the timeout.
-  [[nodiscard]] std::vector<NodeId> suspects(Seconds now) const;
+  [[nodiscard]] std::vector<NodeId> suspects(Seconds now) const {
+    // `now - last` cannot exceed `now - oldest_` (rounding is monotone), so
+    // no watched node is suspect while the bound is within the timeout.
+    if (!(now - oldest_ > params_.timeout)) return {};
+    return scan_suspects(now);
+  }
 
   /// Every watched node, in id order (the farmer's live view of the pool).
   [[nodiscard]] std::vector<NodeId> watched() const;
@@ -69,6 +85,10 @@ class FailureDetector {
   /// exactly what last_heartbeat reports for unwatched nodes).
   static constexpr double kUnwatched = -1.0;
 
+  /// A time below which floor(now / heartbeat_period) < tick.
+  [[nodiscard]] Seconds quiet_bound(long long tick) const;
+  [[nodiscard]] std::vector<NodeId> scan_suspects(Seconds now) const;
+
   Params params_;
   /// Per-tick state, indexed directly by node id (NodeMap): the suspect
   /// scan and heartbeat credit walk a flat array in id order — no hashing,
@@ -79,8 +99,15 @@ class FailureDetector {
   /// only lower it; heartbeat() and unwatch() raise the true minimum, so
   /// the bound stays valid without being touched.
   Seconds oldest_;
+  /// Per node: its first churn event after the last tick advance() scanned
+  /// for it (-inf before the first scan).  Valid across unwatch/watch: the
+  /// ticks of a later advance all lie at or after that scanned tick.
+  NodeMap<Seconds> next_change_;
   std::size_t watched_count_ = 0;
   Seconds last_advance_{0.0};
+  /// advance() to a time below it crosses no tick: quiet_bound of the
+  /// first tick after last_advance_.
+  Seconds quiet_until_;
 };
 
 }  // namespace grasp::resil

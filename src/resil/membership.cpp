@@ -1,39 +1,32 @@
 #include "resil/membership.hpp"
 
-#include <algorithm>
-
 namespace grasp::resil {
 
 MembershipTracker::MembershipTracker(const gridsim::ChurnTimeline& timeline,
-                                     std::vector<NodeId> pool)
-    : timeline_(&timeline), pool_(std::move(pool)) {
-  members_ = timeline_->members_at(pool_, Seconds::zero());
-  // Events at exactly t=0 are consumed by the first poll.
-}
-
-bool MembershipTracker::tracked(NodeId node) const {
-  return std::find(pool_.begin(), pool_.end(), node) != pool_.end();
-}
-
-bool MembershipTracker::is_member(NodeId node) const {
-  return std::find(members_.begin(), members_.end(), node) != members_.end();
+                                     const std::vector<NodeId>& pool)
+    : live_(timeline) {
+  // Events at exactly t=0 shape the initial view and are still reported by
+  // the first poll.
+  for (const NodeId n : pool)
+    view_[n] = live_.is_member(n, Seconds::zero()) ? kMember : kAbsent;
 }
 
 std::vector<gridsim::ChurnEvent> MembershipTracker::poll(Seconds now) {
   std::vector<gridsim::ChurnEvent> out;
-  const auto& events = timeline_->events();
-  while (cursor_ < events.size() && events[cursor_].at <= now) {
-    const gridsim::ChurnEvent& e = events[cursor_++];
-    if (!tracked(e.node)) continue;
+  live_.advance_to(now);
+  const auto& events = live_.timeline().events();
+  for (; reported_ < live_.applied() && events[reported_].at <= now;
+       ++reported_) {
+    const gridsim::ChurnEvent& e = events[reported_];
+    if (view_.at_or_default(e.node) == 0) continue;  // not tracked
     switch (e.kind) {
       case gridsim::ChurnEventKind::Crash:
       case gridsim::ChurnEventKind::Leave:
-        members_.erase(std::remove(members_.begin(), members_.end(), e.node),
-                       members_.end());
+        view_[e.node] = kAbsent;
         break;
       case gridsim::ChurnEventKind::Join:
       case gridsim::ChurnEventKind::Rejoin:
-        if (!is_member(e.node)) members_.push_back(e.node);
+        view_[e.node] = kMember;
         break;
     }
     out.push_back(e);

@@ -1,46 +1,51 @@
 // MembershipTracker: incremental consumer of a grid's ChurnTimeline.
 //
 // The timeline is an immutable schedule; engines advance a virtual (or real)
-// clock.  The tracker sits between them: each poll() returns the membership
-// events crossed since the previous poll, restricted to the engine's pool,
-// and maintains the current ground-truth member set.  This is the
-// notification half of the Grid membership API — the timeline answers "who
-// is a member at t", the tracker answers "what changed since I last looked".
+// clock.  The tracker sits between them, built on the grid's liveness
+// cursor (gridsim::LivenessCursor): each poll() returns the membership
+// events the cursor crossed since the previous poll, restricted to the
+// engine's pool, and updates the member view the engine has been told
+// about.  The cursor itself answers "who is a member now" for any node;
+// the tracker answers "what changed since I last looked".
 #pragma once
 
 #include <vector>
 
 #include "gridsim/churn.hpp"
+#include "support/flat_map.hpp"
 
 namespace grasp::resil {
 
 class MembershipTracker {
  public:
   /// Track membership of `pool` against `timeline`.  The timeline must
-  /// outlive the tracker.  The member set starts at the timeline's t=0
+  /// outlive the tracker.  The member view starts at the timeline's t=0
   /// state.
   MembershipTracker(const gridsim::ChurnTimeline& timeline,
-                    std::vector<NodeId> pool);
+                    const std::vector<NodeId>& pool);
 
   /// Events with previous-poll < at <= now for tracked nodes, in time
-  /// order.  Updates the member set.  `now` must be non-decreasing.
+  /// order.  Updates the member view.  `now` must be non-decreasing.
   [[nodiscard]] std::vector<gridsim::ChurnEvent> poll(Seconds now);
 
-  /// Current ground-truth members (initial order, joiners appended).
-  [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
+  /// Member as of the last poll: a pool node present at t=0 or polled in,
+  /// and not polled out since.  O(1).
+  [[nodiscard]] bool is_member(NodeId node) const {
+    return view_.at_or_default(node) == kMember;
+  }
 
-  [[nodiscard]] bool is_member(NodeId node) const;
-
-  /// Every tracked node (members plus absent/future joiners).
-  [[nodiscard]] const std::vector<NodeId>& pool() const { return pool_; }
+  /// Ground-truth liveness at the engine's clock (any node, pool or not).
+  [[nodiscard]] gridsim::LivenessCursor& live() { return live_; }
 
  private:
-  [[nodiscard]] bool tracked(NodeId node) const;
+  /// view_ states; untracked nodes read as the default 0.
+  static constexpr unsigned char kAbsent = 1;
+  static constexpr unsigned char kMember = 2;
 
-  const gridsim::ChurnTimeline* timeline_;
-  std::vector<NodeId> pool_;
-  std::vector<NodeId> members_;
-  std::size_t cursor_ = 0;  ///< next unconsumed timeline event
+  gridsim::LivenessCursor live_;
+  NodeMap<unsigned char> view_;
+  /// Events before it were reported; never past live_.applied().
+  std::size_t reported_ = 0;
 };
 
 }  // namespace grasp::resil

@@ -50,11 +50,11 @@ std::uint64_t ReplicaLog::watermark(NodeId standby) const {
   return mark == nullptr ? 0 : *mark;
 }
 
-ReplicaLog::FlushStats ReplicaLog::flush(
-    const std::function<bool(NodeId)>& alive) {
+ReplicaLog::FlushStats ReplicaLog::flush(gridsim::LivenessCursor& live,
+                                         Seconds now) {
   FlushStats stats;
   for (auto& item : marks_) {
-    if (!alive(item.key)) continue;  // a dead standby receives nothing
+    if (!live.is_member(item.key, now)) continue;  // a dead standby gets nothing
     for (std::uint64_t seq = std::max(item.value, base_); seq < end_seq();
          ++seq) {
       const Record& r = records_[static_cast<std::size_t>(seq - base_)];

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "gridsim/churn.hpp"
 #include "support/flat_map.hpp"
 #include "support/ids.hpp"
 #include "workloads/task.hpp"
@@ -98,10 +99,10 @@ class ReplicaLog {
   /// Unregistered standbys report 0.
   [[nodiscard]] std::uint64_t watermark(NodeId standby) const;
 
-  /// Ship the unflushed suffix to every registered standby for which
-  /// `alive` holds (dead standbys receive nothing and keep their stale
+  /// Ship the unflushed suffix to every registered standby that is a member
+  /// at `now` (dead standbys receive nothing and keep their stale
   /// watermark), then drop records every registered standby already holds.
-  FlushStats flush(const std::function<bool(NodeId)>& alive);
+  FlushStats flush(gridsim::LivenessCursor& live, Seconds now);
 
   /// Roll history back to `seq`: `undo` is invoked for each record above it
   /// in reverse append order, the suffix is dropped, and watermarks above

@@ -226,8 +226,12 @@ void GridService::try_admit() {
   // tenant wastes its allocation (and an all-dead grant kills the engine
   // at t=0).  Churn-free grids take the identity path.
   const gridsim::ChurnTimeline* churn = grid_.churn();
-  const std::vector<NodeId> live =
-      churn != nullptr ? churn->members_at(pool_, now) : pool_;
+  std::vector<NodeId> members;
+  if (churn != nullptr) members = churn->members_at(pool_, now);
+  const std::vector<NodeId>& live = churn != nullptr ? members : pool_;
+  // Reused across head iterations: each admission re-derives them.
+  NodeMap<char> busy;
+  std::vector<NodeCapacity> free_nodes;
   while (!queue_.empty()) {
     if (params_.max_concurrent_jobs != 0 &&
         running_.size() >= params_.max_concurrent_jobs)
@@ -248,12 +252,12 @@ void GridService::try_admit() {
       ++min_nodes_reclamps_;
       if (telemetry_ != nullptr) telemetry_->metrics.inc(met_.reclamped);
     }
-    NodeMap<char> busy;
+    busy.clear();
     for (const auto& r : running_)
       for (const NodeId node : r->nodes) busy[node] = 1;
     double running_weight = 0.0;
     for (const auto& r : running_) running_weight += r->weight;
-    std::vector<NodeCapacity> free_nodes;
+    free_nodes.clear();
     double total_mops = 0.0;
     for (const NodeId node : live) {
       const double mops = capacity_mops(node);

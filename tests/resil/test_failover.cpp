@@ -48,8 +48,11 @@ TEST(ReplicaLog, FlushAdvancesLiveWatermarksOnly) {
   with_state.state_bytes = 100.0;
   log.append(std::move(with_state));
 
-  const auto stats =
-      log.flush([](NodeId n) { return n == NodeId{1}; });  // node 2 is down
+  // Node 2 is down until it joins at t=1.
+  const gridsim::ChurnTimeline timeline(
+      {{Seconds{1.0}, ChurnEventKind::Join, NodeId{2}}}, {NodeId{2}});
+  gridsim::LivenessCursor live(timeline);
+  const auto stats = log.flush(live, Seconds{0.0});
   EXPECT_EQ(stats.records, 2u);  // two records, one live standby
   // Each record copy costs its fixed 32 bytes plus the state riding it.
   EXPECT_DOUBLE_EQ(stats.bytes, 2 * 32.0 + 100.0);
@@ -59,7 +62,7 @@ TEST(ReplicaLog, FlushAdvancesLiveWatermarksOnly) {
   EXPECT_EQ(log.base_seq(), 0u);
   EXPECT_EQ(log.retained(), 2u);
 
-  const auto both = log.flush([](NodeId) { return true; });
+  const auto both = log.flush(live, Seconds{1.0});
   EXPECT_EQ(both.records, 2u);  // only node 2 still lacked them
   EXPECT_DOUBLE_EQ(both.bytes, 2 * 32.0 + 100.0);
   EXPECT_EQ(log.watermark(NodeId{2}), 2u);
@@ -76,7 +79,9 @@ TEST(ReplicaLog, RollbackUndoesSuffixInReverseAndClampsWatermarks) {
   a.id = TaskId{10};
   b.id = TaskId{11};
   log.append(complete_record(NodeId{7}, {a}));
-  log.flush([](NodeId n) { return n == NodeId{2}; });  // node 2 holds seq 0
+  const gridsim::ChurnTimeline only_2({}, {NodeId{1}});
+  gridsim::LivenessCursor live(only_2);
+  log.flush(live, Seconds{0.0});  // node 2 holds seq 0
   log.append(complete_record(NodeId{7}, {b}));
   log.append(complete_record(NodeId{8}, {}));
 
@@ -154,7 +159,10 @@ TEST(FailoverCoordinator, PruneDropsOutageSurvivingCorpsesOnceFarmerIsBack) {
   // Dead node 1 still occupies a registry slot: without pruning the
   // deficit under-counts and its stale watermark pins compaction.
   EXPECT_EQ(c.standby_deficit(), 1u);
-  c.prune_dead_standbys([](NodeId n) { return n != NodeId{1}; });
+  const gridsim::ChurnTimeline timeline(
+      {{Seconds{11.0}, ChurnEventKind::Crash, NodeId{1}}});
+  gridsim::LivenessCursor live(timeline);
+  c.prune_dead_standbys(live, Seconds{12.0});
   EXPECT_FALSE(c.is_standby(NodeId{1}));
   EXPECT_EQ(c.standby_deficit(), 2u);  // both slots open for live recruits
 }
