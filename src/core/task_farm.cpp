@@ -1626,6 +1626,7 @@ TaskFarm::TaskFarm(FarmParams params) : params_(std::move(params)) {
       !finite_at_least(res.failover.handshake.value, 0.0))
     throw std::invalid_argument(
         "TaskFarm: failover handshake must be finite and non-negative");
+  params_.slos.validate();
 }
 
 

@@ -3,9 +3,8 @@
 // One self-describing JSON object per line (`"type"` discriminates:
 // span / instant / counter / gauge / histogram / log), so downstream
 // tooling can stream-filter a run without loading it whole.  The writer
-// is thread-safe per line — `support/log` routes Info+ lines here when a
-// writer is attached via `attach_log_sink`, and those arrive from worker
-// threads.
+// is the one obs type that is thread-safe (see obs/telemetry.hpp): each
+// line is written under a lock.
 #pragma once
 
 #include <iosfwd>
@@ -36,6 +35,11 @@ class JsonlWriter {
   void write_line(const std::string& line);
 
   std::ostream* out_;
+  /// Safety code, not a leftover: this is the one place in obs where two
+  /// threads really meet.  As the log sink (attach_log_sink) the writer
+  /// takes lines from whichever thread logs — a task body running on a
+  /// ThreadBackend worker, say — while the engine's thread may be writing
+  /// spans or metrics to the same stream.  The lock keeps lines whole.
   std::mutex mutex_;
 };
 

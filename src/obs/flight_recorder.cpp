@@ -7,45 +7,17 @@
 
 namespace grasp::obs {
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity),
-      capacity_(capacity == 0 ? 1 : capacity) {}
-
 void FlightRecorder::note(double at_s, const char* kind, const char* name,
                           NodeId node, double value, const char* detail) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ring_.push({at_s, kind, name, node, value, detail});
   ++seen_;
 }
 
-std::vector<FlightEvent> FlightRecorder::events() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.to_vector();
-}
-
-std::size_t FlightRecorder::seen() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return seen_;
-}
-
-void FlightRecorder::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  seen_ = 0;
-}
-
 void FlightRecorder::dump_jsonl(std::ostream& out) const {
-  std::vector<FlightEvent> evs;
-  std::size_t seen;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    evs = ring_.to_vector();
-    seen = seen_;
-  }
-  out << "{\"type\": \"flight_header\", \"seen\": " << seen
-      << ", \"retained\": " << evs.size() << ", \"capacity\": " << capacity_
-      << "}\n";
-  for (const FlightEvent& e : evs) {
+  out << "{\"type\": \"flight_header\", \"seen\": " << seen_
+      << ", \"retained\": " << ring_.size()
+      << ", \"capacity\": " << ring_.capacity() << "}\n";
+  for (const FlightEvent& e : events()) {
     out << "{\"type\": \"flight\", \"at_s\": " << e.at_s << ", \"kind\": \""
         << json_escape(e.kind) << "\", \"name\": \"" << json_escape(e.name)
         << "\"";
@@ -71,21 +43,6 @@ void FlightRecorder::dump_chrome(std::ostream& out) const {
     first = false;
   }
   out << "\n], \"displayTimeUnit\": \"ms\"}\n";
-}
-
-void FlightRecorder::set_dump_path(std::string prefix) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  dump_path_ = std::move(prefix);
-}
-
-bool FlightRecorder::dump() const {
-  std::string prefix;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    prefix = dump_path_;
-  }
-  if (prefix.empty()) return false;
-  return dump(prefix);
 }
 
 bool FlightRecorder::dump(const std::string& prefix) const {

@@ -11,16 +11,15 @@
 // dies: on an engine exception (GridService dumps failed jobs), a failed
 // --smoke gate, or an explicit dump().
 //
-// Notes take a mutex: they are rare (per-event, never per-task) and one
-// recorder may be shared by runs on different threads, so correctness
-// beats the nanoseconds.  Event strings must be static-lifetime literals,
-// mirroring SpanRecord's contract.
+// Single-threaded, like all of Telemetry (obs/telemetry.hpp).  Event
+// strings must be static-lifetime literals, mirroring SpanRecord's
+// contract.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/ids.hpp"
@@ -39,7 +38,8 @@ struct FlightEvent {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::size_t capacity = 1024);
+  /// Throws std::invalid_argument on a zero capacity.
+  explicit FlightRecorder(std::size_t capacity = 1024) : ring_(capacity) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -50,12 +50,17 @@ class FlightRecorder {
             const char* detail = "");
 
   /// Snapshot of the retained events, oldest first.
-  [[nodiscard]] std::vector<FlightEvent> events() const;
+  [[nodiscard]] std::vector<FlightEvent> events() const {
+    return ring_.to_vector();
+  }
   /// Total events ever noted (>= retained size; the difference is the
   /// count the ring evicted).
-  [[nodiscard]] std::size_t seen() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear();
+  [[nodiscard]] std::size_t seen() const { return seen_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  void clear() {
+    ring_.clear();
+    seen_ = 0;
+  }
 
   /// One JSON object per line; first line is a header carrying
   /// seen/retained/capacity so a dump is self-describing.
@@ -66,18 +71,16 @@ class FlightRecorder {
 
   /// Default dump destination: dump() writes `<prefix>.jsonl` and
   /// `<prefix>.trace.json`.  Empty (the default) disables dump().
-  void set_dump_path(std::string prefix);
+  void set_dump_path(std::string prefix) { dump_path_ = std::move(prefix); }
   [[nodiscard]] const std::string& dump_path() const { return dump_path_; }
 
   /// Dump both formats to the configured prefix; false when no prefix is
   /// set or a file cannot be opened.
-  bool dump() const;
+  bool dump() const { return !dump_path_.empty() && dump(dump_path_); }
   bool dump(const std::string& prefix) const;
 
  private:
-  mutable std::mutex mutex_;
   RingBuffer<FlightEvent> ring_;
-  std::size_t capacity_;
   std::size_t seen_ = 0;
   std::string dump_path_;
 };

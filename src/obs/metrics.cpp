@@ -20,20 +20,6 @@ std::size_t bucket_index(const HistogramSpec& spec, double v) {
   return static_cast<std::size_t>(std::max(idx, 1.0));
 }
 
-void atomic_min(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 double HistogramSnapshot::lower_bound(std::size_t i) const {
@@ -72,85 +58,46 @@ double HistogramSnapshot::percentile(double p) const {
 }
 
 CounterHandle MetricsRegistry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(registration_mutex_);
   for (std::uint32_t i = 0; i < counters_.size(); ++i)
-    if (counters_[i].name == name) return CounterHandle{i};
-  counters_.emplace_back(std::string(name));
+    if (counters_[i].first == name) return CounterHandle{i};
+  counters_.emplace_back(std::string(name), 0);
   return CounterHandle{static_cast<std::uint32_t>(counters_.size() - 1)};
 }
 
 GaugeHandle MetricsRegistry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(registration_mutex_);
   for (std::uint32_t i = 0; i < gauges_.size(); ++i)
-    if (gauges_[i].name == name) return GaugeHandle{i};
-  gauges_.emplace_back(std::string(name));
+    if (gauges_[i].first == name) return GaugeHandle{i};
+  gauges_.emplace_back(std::string(name), 0.0);
   return GaugeHandle{static_cast<std::uint32_t>(gauges_.size() - 1)};
 }
 
 HistogramHandle MetricsRegistry::histogram(std::string_view name,
                                            HistogramSpec spec) {
-  const std::lock_guard<std::mutex> lock(registration_mutex_);
   for (std::uint32_t i = 0; i < histograms_.size(); ++i)
     if (histograms_[i].name == name) return HistogramHandle{i};
-  histograms_.emplace_back(std::string(name), spec);
+  histograms_.push_back({.name = std::string(name),
+                         .spec = spec,
+                         .min = std::numeric_limits<double>::infinity(),
+                         .max = -std::numeric_limits<double>::infinity(),
+                         .buckets = std::vector<std::uint64_t>(
+                             spec.bucket_count + 1)});
   return HistogramHandle{static_cast<std::uint32_t>(histograms_.size() - 1)};
 }
 
 void MetricsRegistry::observe_always(HistogramHandle h, double v) {
-  HistogramSlot& slot = histograms_[h.slot];
-  slot.buckets[bucket_index(slot.spec, v)].fetch_add(
-      1, std::memory_order_relaxed);
-  slot.count.fetch_add(1, std::memory_order_relaxed);
-  slot.sum.fetch_add(v, std::memory_order_relaxed);
-  atomic_min(slot.min, v);
-  atomic_max(slot.max, v);
+  HistogramSnapshot& slot = histograms_[h.slot];
+  ++slot.buckets[bucket_index(slot.spec, v)];
+  ++slot.count;
+  slot.sum += v;
+  slot.min = std::min(slot.min, v);  // a NaN sample moves neither extreme
+  slot.max = std::max(slot.max, v);
 }
 
 HistogramSnapshot MetricsRegistry::histogram_snapshot(
     HistogramHandle h) const {
-  const HistogramSlot& slot = histograms_[h.slot];
-  HistogramSnapshot snap;
-  snap.name = slot.name;
-  snap.spec = slot.spec;
-  snap.count = slot.count.load(std::memory_order_relaxed);
-  snap.sum = slot.sum.load(std::memory_order_relaxed);
-  snap.buckets.reserve(slot.buckets.size());
-  for (const auto& b : slot.buckets)
-    snap.buckets.push_back(b.load(std::memory_order_relaxed));
-  if (snap.count == 0) {
-    snap.min = snap.max = 0.0;
-  } else {
-    snap.min = slot.min.load(std::memory_order_relaxed);
-    snap.max = slot.max.load(std::memory_order_relaxed);
-  }
+  HistogramSnapshot snap = histograms_[h.slot];
+  if (snap.count == 0) snap.min = snap.max = 0.0;
   return snap;
-}
-
-void MetricsRegistry::merge_histogram(HistogramHandle h,
-                                      const HistogramSnapshot& snap) {
-  if (snap.count == 0) return;
-  HistogramSlot& slot = histograms_[h.slot];
-  const std::size_t shared = std::min(slot.buckets.size(),
-                                      snap.buckets.size());
-  for (std::size_t i = 0; i < shared; ++i)
-    slot.buckets[i].fetch_add(snap.buckets[i], std::memory_order_relaxed);
-  std::uint64_t excess = 0;
-  for (std::size_t i = shared; i < snap.buckets.size(); ++i)
-    excess += snap.buckets[i];
-  if (excess > 0)
-    slot.buckets.back().fetch_add(excess, std::memory_order_relaxed);
-  slot.count.fetch_add(snap.count, std::memory_order_relaxed);
-  slot.sum.fetch_add(snap.sum, std::memory_order_relaxed);
-  double cur = slot.min.load(std::memory_order_relaxed);
-  while (snap.min < cur &&
-         !slot.min.compare_exchange_weak(cur, snap.min,
-                                         std::memory_order_relaxed)) {
-  }
-  cur = slot.max.load(std::memory_order_relaxed);
-  while (snap.max > cur &&
-         !slot.max.compare_exchange_weak(cur, snap.max,
-                                         std::memory_order_relaxed)) {
-  }
 }
 
 void MetricsRegistry::import_scoped(std::string_view prefix,
@@ -169,24 +116,15 @@ void MetricsRegistry::import_scoped(std::string_view prefix,
   for (const auto& h : snap.histograms) {
     name.assign(prefix);
     name += h.name;
-    merge_histogram(histogram(name, h.spec), h);
+    const HistogramHandle slot = histogram(name, h.spec);
+    merge_into(histograms_[slot.slot], h);
   }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  const std::lock_guard<std::mutex> lock(registration_mutex_);
-  MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& c : counters_)
-    snap.counters.emplace_back(c.name,
-                               c.value.load(std::memory_order_relaxed));
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& g : gauges_)
-    snap.gauges.emplace_back(g.name,
-                             g.value.load(std::memory_order_relaxed));
-  snap.histograms.reserve(histograms_.size());
-  for (std::uint32_t i = 0; i < histograms_.size(); ++i)
-    snap.histograms.push_back(histogram_snapshot(HistogramHandle{i}));
+  MetricsSnapshot snap{counters_, gauges_, histograms_};
+  for (HistogramSnapshot& h : snap.histograms)
+    if (h.count == 0) h.min = h.max = 0.0;
   return snap;
 }
 
@@ -231,11 +169,6 @@ MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& base) const {
     out.histograms.push_back(std::move(d));
   }
   return out;
-}
-
-MetricsSnapshot subtract(const MetricsSnapshot& after,
-                         const MetricsSnapshot& before) {
-  return after.diff(before);
 }
 
 void merge_into(HistogramSnapshot& dst, const HistogramSnapshot& src) {

@@ -1,35 +1,27 @@
 // Metrics registry: named counters, gauges and log-scale histograms.
 //
 // Engines resolve names to dense slot handles once, at registration; the
-// hot path is then an index into pre-allocated atomic storage — no string
-// hashing, no map lookup, no lock.  Registration is idempotent per name
-// (re-registering returns the existing slot), which lets a component
-// re-register its metric block on every run against a shared registry and
-// keep accumulating into the same slots.
+// hot path is then an index into the slot vector — no string hashing, no
+// map lookup.  Registration is idempotent per name (re-registering returns
+// the existing slot), which lets a component re-register its metric block
+// on every run against a shared registry and keep accumulating into the
+// same slots.  Handles are indices, so they survive later registrations.
 //
 // Two tiers of recording:
 //   * counters and gauges are ALWAYS live.  They are the engine's
 //     authoritative accounting — `ResilienceReport` and `RunSummary` are
 //     snapshots read out of this registry, so these cannot be optional.
-//   * histograms honour the registry-wide `enabled` flag (one relaxed
-//     atomic load + branch when disabled), and compile out entirely under
-//     GRASP_OBS_DISABLE.  This is the "detail" tier benchmarked by
+//   * histograms honour the registry-wide `enabled` flag (one load and
+//     branch when disabled).  This is the "detail" tier benchmarked by
 //     bench_micro M6: the disabled path must stay within noise of no
 //     telemetry at all.
 //
-// Thread-safety: recording through handles is lock-free and safe from any
-// thread.  Registration takes a mutex and may run concurrently with
-// recording, but handles must not be used before registration returns.
-// Snapshots use relaxed reads: exact once the recording threads have
-// quiesced (end of run), approximate mid-run.
+// Single-threaded, like all of Telemetry: see obs/telemetry.hpp.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,13 +99,9 @@ struct MetricsSnapshot {
   [[nodiscard]] MetricsSnapshot diff(const MetricsSnapshot& base) const;
 };
 
-/// Free-function spelling of `after.diff(before)`.
-[[nodiscard]] MetricsSnapshot subtract(const MetricsSnapshot& after,
-                                       const MetricsSnapshot& before);
-
-/// Merge `src` into `dst` with MetricsRegistry::merge_histogram semantics
-/// (bucket-wise add, excess source buckets collapse into overflow, min/max
-/// widen), but on snapshots — no registry required.
+/// Merge `src` into `dst`: bucket-wise add, excess source buckets collapse
+/// into `dst`'s overflow bucket, count and sum accumulate, min/max widen.
+/// The one merge rule: MetricsRegistry::import_scoped uses it too.
 void merge_into(HistogramSnapshot& dst, const HistogramSnapshot& src);
 
 /// Roll scoped histograms up across their scopes: every histogram named
@@ -138,91 +126,51 @@ class MetricsRegistry {
 
   // ---------------------------------------------------------- recording
   void inc(CounterHandle h, std::uint64_t n = 1) {
-    counters_[h.slot].value.fetch_add(n, std::memory_order_relaxed);
+    counters_[h.slot].second += n;
   }
   /// Overwrite a counter (used to import a component's own end-of-run
   /// total, e.g. the ChunkLedger's checkpoint count).
   void set_counter(CounterHandle h, std::uint64_t v) {
-    counters_[h.slot].value.store(v, std::memory_order_relaxed);
+    counters_[h.slot].second = v;
   }
-  void set(GaugeHandle h, double v) {
-    gauges_[h.slot].value.store(v, std::memory_order_relaxed);
-  }
-  void add(GaugeHandle h, double v) {
-    gauges_[h.slot].value.fetch_add(v, std::memory_order_relaxed);
-  }
+  void set(GaugeHandle h, double v) { gauges_[h.slot].second = v; }
+  void add(GaugeHandle h, double v) { gauges_[h.slot].second += v; }
   void observe(HistogramHandle h, double v) {
-#if !defined(GRASP_OBS_DISABLE)
-    if (enabled_.load(std::memory_order_relaxed)) observe_always(h, v);
-#else
-    (void)h;
-    (void)v;
-#endif
+    if (enabled_) observe_always(h, v);
   }
   /// Histogram recording that bypasses the enabled gate (tests).
   void observe_always(HistogramHandle h, double v);
 
-  /// Merge an already-recorded histogram into slot `h`: bucket counts,
-  /// count, sum and min/max all accumulate.  Mismatched layouts collapse
-  /// the source's excess buckets into the overflow bucket.  Bypasses the
-  /// enabled gate — the data was recorded elsewhere; this is an import,
-  /// not a new observation.
-  void merge_histogram(HistogramHandle h, const HistogramSnapshot& snap);
-
   /// Import a whole snapshot under `prefix` (e.g. "job.3."): counters and
   /// gauges are set to the source values, histograms merged via
-  /// merge_histogram.  This is how the service layer publishes each
-  /// retired job's private registry into the shared one — read back with
-  /// filter_snapshot for a per-job view.
+  /// merge_into, bypassing the enabled gate (the data was recorded
+  /// elsewhere; this is an import, not a new observation).  This is how
+  /// the service layer publishes each retired job's private registry into
+  /// the shared one — read back with filter_snapshot for a per-job view.
   void import_scoped(std::string_view prefix, const MetricsSnapshot& snap);
 
   /// Gate for the detail tier (histograms; span recording mirrors it in
   /// SpanRecorder).  Counters and gauges ignore this.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  void set_enabled(bool on) { enabled_ = on; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   // ------------------------------------------------------------ reading
   [[nodiscard]] std::uint64_t counter_value(CounterHandle h) const {
-    return counters_[h.slot].value.load(std::memory_order_relaxed);
+    return counters_[h.slot].second;
   }
   [[nodiscard]] double gauge_value(GaugeHandle h) const {
-    return gauges_[h.slot].value.load(std::memory_order_relaxed);
+    return gauges_[h.slot].second;
   }
   [[nodiscard]] HistogramSnapshot histogram_snapshot(HistogramHandle h) const;
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  struct CounterSlot {
-    explicit CounterSlot(std::string n) : name(std::move(n)) {}
-    std::string name;
-    std::atomic<std::uint64_t> value{0};
-  };
-  struct GaugeSlot {
-    explicit GaugeSlot(std::string n) : name(std::move(n)) {}
-    std::string name;
-    std::atomic<double> value{0.0};
-  };
-  struct HistogramSlot {
-    HistogramSlot(std::string n, HistogramSpec s)
-        : name(std::move(n)), spec(s), buckets(s.bucket_count + 1) {}
-    std::string name;
-    HistogramSpec spec;
-    std::vector<std::atomic<std::uint64_t>> buckets;  // bucket_count + 1
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{std::numeric_limits<double>::infinity()};
-    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-  };
-
-  // Deques: growth never moves existing slots, so handles taken before a
-  // later registration stay valid and recording never races a realloc.
-  std::deque<CounterSlot> counters_;
-  std::deque<GaugeSlot> gauges_;
-  std::deque<HistogramSlot> histograms_;
-  std::atomic<bool> enabled_{true};
-  mutable std::mutex registration_mutex_;
+  std::vector<std::pair<std::string, std::uint64_t>> counters_;
+  std::vector<std::pair<std::string, double>> gauges_;
+  /// A slot is its own snapshot, except that an empty one holds min +inf
+  /// and max -inf (reads report 0 for both).
+  std::vector<HistogramSnapshot> histograms_;
+  bool enabled_ = true;
 };
 
 /// The sub-snapshot whose metric names start with `prefix` — the per-job

@@ -8,10 +8,8 @@
 // time, and the recorder never knows the difference.
 //
 // Recording is append-only into a vector; `end` is O(1) because ids are
-// indices + 1.  The recorder is deliberately NOT thread-safe: the sim
-// engines are single-threaded, and the threaded farm records only from
-// the coordinator thread.  (Counters, which workers do touch, live in
-// MetricsRegistry and are atomic there.)
+// indices + 1.  Single-threaded, like all of Telemetry: see
+// obs/telemetry.hpp.
 #pragma once
 
 #include <cstddef>

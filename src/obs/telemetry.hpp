@@ -14,6 +14,15 @@
 // Pass a fresh Telemetry per run when you want per-run numbers; a reused
 // one keeps accumulating counters, which the engines tolerate by
 // snapshotting counter baselines at run start and reporting deltas.
+//
+// Threading contract.  Telemetry is written by one thread: the thread that
+// steps the engine or the service.  The metrics registry, the span
+// recorder and the flight recorder are plain single-threaded types — no
+// atomics, no locks — and must not be shared across threads without
+// outside synchronisation.  ThreadBackend's workers run task bodies only
+// and hand completions back through wait_next; they never touch these.
+// The one exception is obs::JsonlWriter (obs/export_jsonl.hpp): as the log
+// sink it takes lines from any thread that logs, so it locks per line.
 #pragma once
 
 #include "obs/metrics.hpp"

@@ -1,9 +1,19 @@
 #include "obs/watchdog.hpp"
 
+#include <stdexcept>
+
 #include "obs/flight_recorder.hpp"
 #include "support/log.hpp"
 
 namespace grasp::obs {
+
+void SloRules::validate() const {
+  for (const double bound : {heartbeat_staleness_s, detection_latency_s,
+                             wasted_mops_rate, calibration_stall_s})
+    if (!(bound >= 0.0))  // also catches NaN
+      throw std::invalid_argument(
+          "SloRules: every bound must be non-negative (0 disables a rule)");
+}
 
 Watchdog::Watchdog(const SloRules& rules, Telemetry& telemetry)
     : rules_(rules), telemetry_(&telemetry) {

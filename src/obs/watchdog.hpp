@@ -34,8 +34,9 @@
 
 namespace grasp::obs {
 
-/// Declarative SLO bounds; 0 disables a rule.  The task farm carries
-/// these in its params (`FarmParams::slos`).
+/// Declarative SLO bounds; 0 disables a rule, +inf keeps it armed but
+/// unreachable.  The task farm carries these in its params
+/// (`FarmParams::slos`) and validates them whether or not any is set.
 struct SloRules {
   double heartbeat_staleness_s = 0.0;
   double detection_latency_s = 0.0;
@@ -46,6 +47,9 @@ struct SloRules {
     return heartbeat_staleness_s > 0.0 || detection_latency_s > 0.0 ||
            wasted_mops_rate > 0.0 || calibration_stall_s > 0.0;
   }
+  /// Throws std::invalid_argument on a NaN or negative bound: either
+  /// would compare false against 0 and silently switch its rule off.
+  void validate() const;
 };
 
 struct SloBreach {

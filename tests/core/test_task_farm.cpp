@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "core/backend_sim.hpp"
 #include "core/backend_thread.hpp"
 #include "core/baselines.hpp"
 #include "gridsim/churn.hpp"
 #include "gridsim/scenarios.hpp"
+#include "obs/export_jsonl.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "support/log.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::core {
@@ -399,6 +407,23 @@ TEST(TaskFarm, ValidationErrors) {
       p.resilience.pool.evict_ratio = bad;
     });
   }
+  // A NaN or negative SLO bound would compare false against 0 and switch
+  // its rule off silently; it is rejected even when no other rule is set.
+  for (const double bad : {nan, -1.0, -inf}) {
+    SCOPED_TRACE(bad);
+    rejects([&](FarmParams& p) { p.slos.heartbeat_staleness_s = bad; });
+    rejects([&](FarmParams& p) { p.slos.detection_latency_s = bad; });
+    rejects([&](FarmParams& p) { p.slos.wasted_mops_rate = bad; });
+    rejects([&](FarmParams& p) { p.slos.calibration_stall_s = bad; });
+  }
+  // 0 (off) and +inf (armed, never reached) stay legal, as do the large
+  // finite bounds bench_micro's M7 arms every rule with.
+  for (const double ok : {0.0, inf, 1e6, 1e12}) {
+    SCOPED_TRACE(ok);
+    FarmParams slo_ok;
+    slo_ok.slos = {ok, ok, ok, ok};
+    EXPECT_NO_THROW(TaskFarm{slo_ok});
+  }
   // Zero target seconds is legal: every adaptive chunk clamps to 1 task.
   FarmParams zero_target;
   zero_target.target_chunk_seconds = 0.0;
@@ -429,6 +454,66 @@ TEST(TaskFarm, TaskBodyRunsExactlyOncePerTaskOnThreadBackend) {
   EXPECT_EQ(report.tasks_completed + report.calibration_tasks, 30u);
   EXPECT_EQ(executions.load(), 30);
   for (auto& count : per_task) EXPECT_EQ(count.load(), 1);
+}
+
+// The threading contract of obs/telemetry.hpp on real threads: task
+// bodies run on ThreadBackend workers and log through the JSONL sink while
+// the engine's thread records detail telemetry (registry, spans, flight
+// ring) and the caller then writes to the same JsonlWriter.  Under TSan
+// this proves no worker reaches the single-threaded registry or recorder.
+TEST(TaskFarm, DetailTelemetryAndJsonlLogSinkOnThreadBackend) {
+  constexpr std::size_t kTasks = 30;
+  const gridsim::Grid grid = gridsim::make_uniform_grid(3, 1000.0);
+  obs::Telemetry telemetry(true);
+  obs::FlightRecorder flight(64);
+  telemetry.flight = &flight;
+  FarmParams params = make_demand_farm_params();
+  params.monitor.period = Seconds{5.0};
+  params.telemetry = &telemetry;
+  params.calibration.task_body = [](const workloads::TaskSpec& t) {
+    GRASP_LOG_INFO("task_body") << "ran task " << t.id.value;
+  };
+  std::ostringstream out;
+  obs::JsonlWriter writer(out);
+  struct SinkGuard {
+    LogLevel level = log_level();
+    explicit SinkGuard(obs::JsonlWriter& w) { obs::attach_log_sink(&w); }
+    ~SinkGuard() {
+      obs::attach_log_sink(nullptr);
+      set_log_level(level);
+    }
+  } sink(writer);
+  set_log_level(LogLevel::Off);  // the sink still receives Info and above
+  ThreadBackend::Params bp;
+  bp.time_scale = 1e-4;
+  ThreadBackend backend(grid, bp);
+  const FarmReport report = TaskFarm(params).run(
+      backend, grid, grid.node_ids(), tasks(kTasks, 10.0));
+  EXPECT_EQ(report.tasks_completed + report.calibration_tasks, kTasks);
+  writer.write_metrics(telemetry.metrics.snapshot());
+  writer.write_spans(telemetry.spans.records());
+
+  std::istringstream lines(out.str());
+  std::string line;
+  std::size_t body_logs = 0, metrics = 0, spans = 0;
+  while (std::getline(lines, line)) {
+    std::string error;
+    const auto doc = obs::parse_json(line, &error);
+    ASSERT_TRUE(doc.has_value()) << error << " in line: " << line;
+    const std::string& type = doc->find("type")->as_string();
+    // The engine's own Info lines (calibration) share the stream.
+    if (type == "log" && doc->find("component")->as_string() == "task_body")
+      ++body_logs;
+    if (type == "counter" || type == "histogram") ++metrics;
+    if (type == "span") ++spans;
+  }
+  EXPECT_EQ(body_logs, kTasks);
+  EXPECT_GT(metrics, 0u);
+  EXPECT_GT(spans, 0u);
+  const std::vector<obs::FlightEvent> notes = flight.events();
+  EXPECT_TRUE(std::any_of(notes.begin(), notes.end(), [](const auto& e) {
+    return std::string_view(e.name) == "farm_begin";
+  }));
 }
 
 TEST(TaskFarm, TaskBodyIgnoredOnSimBackend) {

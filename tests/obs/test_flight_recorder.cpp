@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/backend_sim.hpp"
@@ -36,6 +37,13 @@ TEST(FlightRecorder, RingEvictsOldestAndCountsSeen) {
   rec.clear();
   EXPECT_TRUE(rec.events().empty());
   EXPECT_EQ(rec.seen(), 0u);
+}
+
+// A ring with no room would retain nothing; it is a configuration error,
+// not a capacity-1 recorder.
+TEST(FlightRecorder, ZeroCapacityIsRejected) {
+  EXPECT_THROW(FlightRecorder{0}, std::invalid_argument);
+  EXPECT_EQ(FlightRecorder{1}.capacity(), 1u);
 }
 
 TEST(FlightRecorder, JsonlDumpParsesLineByLine) {

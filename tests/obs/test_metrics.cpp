@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-#include <thread>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace grasp::obs {
@@ -147,34 +149,36 @@ TEST(Metrics, SnapshotCarriesEveryRegisteredMetric) {
   EXPECT_EQ(snap.histograms[0].count, 1u);
 }
 
-// Handles taken early must survive later registrations (deque storage),
-// and concurrent recording must not lose increments.
-TEST(Metrics, ConcurrentRecordingIsLossFree) {
+// Handles are indices: ones taken before later registrations still
+// address their own slots after the storage has grown.
+TEST(Metrics, HandlesSurviveLaterRegistrations) {
   MetricsRegistry reg;
-  const CounterHandle c = reg.counter("concurrent.count");
-  const GaugeHandle g = reg.gauge("concurrent.gauge");
-  const HistogramHandle h = reg.histogram("concurrent.hist", {1.0, 2.0, 8});
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        reg.inc(c);
-        reg.add(g, 1.0);
-        reg.observe_always(h, static_cast<double>(t + 1));
-      }
-    });
+  const CounterHandle c = reg.counter("early.count");
+  const GaugeHandle g = reg.gauge("early.gauge");
+  const HistogramHandle h = reg.histogram("early.hist", {1.0, 2.0, 8});
+  reg.inc(c);
+  for (int i = 0; i < 50; ++i) {
+    const std::string name = "other." + std::to_string(i);
+    reg.inc(reg.counter(name), 100);
+    reg.set(reg.gauge(name), 100.0);
+    reg.observe_always(reg.histogram(name), 100.0);
   }
-  // Registration is allowed to run concurrently with recording.
-  for (int i = 0; i < 50; ++i) (void)reg.counter("other." + std::to_string(i));
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(reg.counter_value(c),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(reg.gauge_value(g), static_cast<double>(kThreads) *
-                                           kPerThread);
-  EXPECT_EQ(reg.histogram_snapshot(h).count,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  reg.inc(c, 2);
+  reg.add(g, 1.5);
+  reg.add(g, 1.5);
+  reg.observe_always(h, 3.0);
+  reg.observe_always(h, 0.5);
+  EXPECT_EQ(reg.counter_value(c), 3u);
+  EXPECT_EQ(reg.gauge_value(g), 3.0);
+  const HistogramSnapshot snap = reg.histogram_snapshot(h);
+  EXPECT_EQ(snap.name, "early.hist");
+  EXPECT_EQ(snap.count, 2u);
+  EXPECT_EQ(snap.sum, 3.5);
+  EXPECT_EQ(snap.min, 0.5);
+  EXPECT_EQ(snap.max, 3.0);
+  EXPECT_EQ(snap.buckets,
+            (std::vector<std::uint64_t>{1, 0, 1, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(reg.snapshot().counters.size(), 51u);
 }
 
 TEST(Metrics, SingleBucketHistogramPercentileBoundaries) {
@@ -237,10 +241,74 @@ TEST(Metrics, DiffClampsCountersAndMatchesByName) {
   reg.set_counter(a, 1);
   const MetricsSnapshot rewound = reg.snapshot().diff(before);
   EXPECT_EQ(rewound.counters[0].second, 0u);
+}
 
-  // Free-function spelling is the same operation.
-  const MetricsSnapshot free_delta = subtract(after, before);
-  EXPECT_EQ(free_delta.counters[0].second, 3u);
+// import_scoped into a prefix that already holds samples: counters and
+// gauges take the source values, histograms accumulate.  Every double is
+// compared bit for bit, so the merge order (destination first) is pinned.
+TEST(Metrics, ImportScopedMergesIntoExistingPrefixBitForBit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double inf = std::numeric_limits<double>::infinity();
+  MetricsRegistry reg;
+  reg.inc(reg.counter("job.1.done"), 3);
+  reg.set(reg.gauge("job.1.level"), 1.5);
+  const HistogramHandle held = reg.histogram("job.1.wait_s", {1.0, 2.0, 4});
+  reg.observe_always(held, 0.1);
+  reg.observe_always(held, 0.2);
+  reg.observe_always(reg.histogram("job.1.nan", {1.0, 2.0, 4}), 3.0);
+
+  MetricsRegistry src;
+  src.inc(src.counter("done"), 7);
+  src.set(src.gauge("level"), 0.25);
+  // A wider layout: the source's excess buckets collapse into overflow.
+  const HistogramHandle wait = src.histogram("wait_s", {1.0, 2.0, 6});
+  src.observe_always(wait, 0.3);
+  src.observe_always(wait, 20.0);  // (16, 32]: beyond the held layout
+  src.observe_always(wait, 40.0);  // the source's overflow
+  src.observe_always(src.histogram("nan", {1.0, 2.0, 4}), std::nan(""));
+  src.observe_always(src.histogram("fresh_s", {1.0, 2.0, 4}), 2.5);
+  reg.import_scoped("job.1.", src.snapshot());
+
+  const MetricsSnapshot view = filter_snapshot(reg.snapshot(), "job.1.");
+  ASSERT_EQ(view.counters.size(), 1u);
+  EXPECT_EQ(view.counters[0].second, 7u);  // set, not added
+  ASSERT_EQ(view.gauges.size(), 1u);
+  EXPECT_EQ(bits(view.gauges[0].second), bits(0.25));
+  ASSERT_EQ(view.histograms.size(), 3u);
+
+  const HistogramSnapshot& w = view.histograms[0];
+  EXPECT_EQ(w.name, "wait_s");
+  EXPECT_EQ(w.spec.bucket_count, 4u);  // the held layout wins
+  EXPECT_EQ(w.count, 5u);
+  EXPECT_EQ(bits(w.sum), bits((0.1 + 0.2) + ((0.3 + 20.0) + 40.0)));
+  EXPECT_EQ(bits(w.min), bits(0.1));
+  EXPECT_EQ(bits(w.max), bits(40.0));
+  EXPECT_EQ(w.buckets, (std::vector<std::uint64_t>{3, 0, 0, 0, 2}));
+
+  // A NaN-only source keeps the held extrema and poisons only the sum.
+  const HistogramSnapshot& n = view.histograms[1];
+  EXPECT_EQ(n.name, "nan");
+  EXPECT_EQ(n.count, 2u);
+  EXPECT_TRUE(std::isnan(n.sum));
+  EXPECT_EQ(bits(n.min), bits(3.0));
+  EXPECT_EQ(bits(n.max), bits(3.0));
+  EXPECT_EQ(n.buckets, (std::vector<std::uint64_t>{1, 0, 1, 0, 0}));
+
+  // A name new to the prefix arrives with the source's layout and values;
+  // a NaN-only one arrives with the registry's untouched extrema.
+  const HistogramSnapshot& f = view.histograms[2];
+  EXPECT_EQ(f.name, "fresh_s");
+  EXPECT_EQ(f.count, 1u);
+  EXPECT_EQ(bits(f.sum), bits(2.5));
+  EXPECT_EQ(bits(f.min), bits(2.5));
+  EXPECT_EQ(bits(f.max), bits(2.5));
+  EXPECT_EQ(f.buckets, (std::vector<std::uint64_t>{0, 0, 1, 0, 0}));
+  reg.import_scoped("job.2.", filter_snapshot(src.snapshot(), "nan", false));
+  const HistogramSnapshot only_nan = reg.snapshot().histograms.back();
+  EXPECT_EQ(only_nan.name, "job.2.nan");
+  EXPECT_EQ(only_nan.count, 1u);
+  EXPECT_EQ(bits(only_nan.min), bits(inf));
+  EXPECT_EQ(bits(only_nan.max), bits(-inf));
 }
 
 TEST(Metrics, MergeIntoAccumulatesAndWidensExtrema) {
