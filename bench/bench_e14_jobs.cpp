@@ -23,6 +23,11 @@
 // tasks (completed + calibration == its own set size), and (c) the
 // makespan p99 is finite — the CI gate on the service scheduler.
 //
+// Both modes print the cache-on stream's calibration-cache lookups (hits
+// + misses) per arrival and exit non-zero above kMaxLookupsPerArrival, so
+// admission that slides back to re-reading the pool on every backend
+// event fails the run.
+//
 // The telemetry export flags (bench/common.hpp) attach a detail-tier
 // telemetry to the cache-on stream's service and export it at exit; the
 // printed rows do not move.
@@ -41,6 +46,12 @@
 using namespace grasp;
 
 namespace {
+
+/// Ceiling on the cache-on stream's cache lookups per arrival.  Admission
+/// that re-evaluated a waiting head job on every backend event read 996
+/// per arrival on the full stream (752 on the smoke stream); evaluating it
+/// only when its verdict can change reads 23.5 (22.9).
+constexpr double kMaxLookupsPerArrival = 100.0;
 
 gridsim::Grid make_pool_grid() {
   gridsim::ScenarioParams sp;
@@ -90,6 +101,7 @@ struct StreamResult {
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::size_t cache_hits = 0;
+  std::size_t cache_lookups = 0;  ///< hits + misses
   std::size_t cache_stores = 0;
   bool conserved = true;
 };
@@ -134,6 +146,7 @@ StreamResult run_stream(const std::vector<workloads::JobArrival>& arrivals,
   out.completed = service.jobs_completed();
   out.failed = service.jobs_failed();
   out.cache_hits = service.calibration_cache().hits();
+  out.cache_lookups = out.cache_hits + service.calibration_cache().misses();
   out.cache_stores = service.calibration_cache().stores();
   for (std::size_t j = 0; j < handles.size(); ++j) {
     const svc::JobHandle& h = handles[j];
@@ -154,6 +167,20 @@ StreamResult run_stream(const std::vector<workloads::JobArrival>& arrivals,
     }
   }
   return out;
+}
+
+/// Print the cache-on stream's lookups per arrival; false above the bound.
+bool lookups_within_bound(const StreamResult& warm, std::size_t arrivals) {
+  const double per_arrival = static_cast<double>(warm.cache_lookups) /
+                             static_cast<double>(arrivals);
+  std::cout << "cache-on lookups per arrival: " << Table::num(per_arrival, 1)
+            << " (" << warm.cache_lookups << " over " << arrivals
+            << " arrivals; bound " << Table::num(kMaxLookupsPerArrival, 0)
+            << ")\n";
+  if (per_arrival <= kMaxLookupsPerArrival) return true;
+  std::cerr << "bench_e14: cache-on lookups per arrival " << per_arrival
+            << " exceed the bound " << kMaxLookupsPerArrival << "\n";
+  return false;
 }
 
 const char* kind_label(std::size_t k) {
@@ -242,6 +269,7 @@ int main(int argc, char** argv) {
       std::cerr << "bench_e14 --smoke: warm cache INCREASED calibration\n";
       ok = false;
     }
+    if (!lookups_within_bound(warm, arrivals.size())) ok = false;
     if (ok)
       std::cout << "bench_e14 --smoke: " << arrivals.size()
                 << " arrivals, peak " << warm.peak_concurrent
@@ -300,10 +328,11 @@ int main(int argc, char** argv) {
             << ", cache-on " << warm.peak_concurrent
             << "; cache hits " << warm.cache_hits
             << "\nbaseline written to BENCH_e14.json\n";
+  const bool bounded = lookups_within_bound(warm, arrivals.size());
   const bool exported =
       !telemetry.has_value() || bench::export_telemetry(*telemetry, obs_opts);
-  return (exported && cold.conserved && warm.conserved && cold.failed == 0 &&
-          warm.failed == 0)
+  return (bounded && exported && cold.conserved && warm.conserved &&
+          cold.failed == 0 && warm.failed == 0)
              ? 0
              : 1;
 }

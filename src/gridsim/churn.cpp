@@ -117,13 +117,19 @@ Seconds ChurnTimeline::next_change(NodeId node, Seconds t) const {
              : it->at;
 }
 
+Seconds ChurnTimeline::next_event_after(Seconds t) const {
+  const ChurnEvent* it = after(events_, t);
+  return it == events_.data() + events_.size()
+             ? Seconds{std::numeric_limits<double>::infinity()}
+             : it->at;
+}
+
 std::vector<ChurnEvent> ChurnTimeline::events_between(Seconds from,
                                                       Seconds to) const {
   std::vector<ChurnEvent> out;
-  auto it = std::upper_bound(
-      events_.begin(), events_.end(), from,
-      [](Seconds f, const ChurnEvent& e) { return f < e.at; });
-  for (; it != events_.end() && !(it->at > to); ++it) out.push_back(*it);
+  for (const ChurnEvent* it = after(events_, from);
+       it != events_.data() + events_.size() && !(it->at > to); ++it)
+    out.push_back(*it);
   return out;
 }
 

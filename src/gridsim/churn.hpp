@@ -77,6 +77,10 @@ class ChurnTimeline {
   /// Membership cannot change in (t, next_change(node, t)).  O(log k).
   [[nodiscard]] Seconds next_change(NodeId node, Seconds t) const;
 
+  /// Time of the first event strictly after t, on any node; +inf when
+  /// there is none.  O(log k) in all k events.
+  [[nodiscard]] Seconds next_event_after(Seconds t) const;
+
   /// Events with from < at <= to, in time order.
   [[nodiscard]] std::vector<ChurnEvent> events_between(Seconds from,
                                                        Seconds to) const;

@@ -57,31 +57,39 @@ double HistogramSnapshot::percentile(double p) const {
   return max;  // unreachable when bucket totals match `count`
 }
 
+std::pair<std::uint32_t, bool> MetricsRegistry::slot_of(
+    NameIndex& index, std::string_view name, std::size_t next) {
+  if (const auto it = index.find(name); it != index.end())
+    return {it->second, false};
+  const auto slot = static_cast<std::uint32_t>(next);
+  index.emplace(std::string(name), slot);
+  return {slot, true};
+}
+
 CounterHandle MetricsRegistry::counter(std::string_view name) {
-  for (std::uint32_t i = 0; i < counters_.size(); ++i)
-    if (counters_[i].first == name) return CounterHandle{i};
-  counters_.emplace_back(std::string(name), 0);
-  return CounterHandle{static_cast<std::uint32_t>(counters_.size() - 1)};
+  const auto [slot, added] = slot_of(counter_slots_, name, counters_.size());
+  if (added) counters_.emplace_back(std::string(name), 0);
+  return CounterHandle{slot};
 }
 
 GaugeHandle MetricsRegistry::gauge(std::string_view name) {
-  for (std::uint32_t i = 0; i < gauges_.size(); ++i)
-    if (gauges_[i].first == name) return GaugeHandle{i};
-  gauges_.emplace_back(std::string(name), 0.0);
-  return GaugeHandle{static_cast<std::uint32_t>(gauges_.size() - 1)};
+  const auto [slot, added] = slot_of(gauge_slots_, name, gauges_.size());
+  if (added) gauges_.emplace_back(std::string(name), 0.0);
+  return GaugeHandle{slot};
 }
 
 HistogramHandle MetricsRegistry::histogram(std::string_view name,
                                            HistogramSpec spec) {
-  for (std::uint32_t i = 0; i < histograms_.size(); ++i)
-    if (histograms_[i].name == name) return HistogramHandle{i};
-  histograms_.push_back({.name = std::string(name),
-                         .spec = spec,
-                         .min = std::numeric_limits<double>::infinity(),
-                         .max = -std::numeric_limits<double>::infinity(),
-                         .buckets = std::vector<std::uint64_t>(
-                             spec.bucket_count + 1)});
-  return HistogramHandle{static_cast<std::uint32_t>(histograms_.size() - 1)};
+  const auto [slot, added] =
+      slot_of(histogram_slots_, name, histograms_.size());
+  if (added)
+    histograms_.push_back({.name = std::string(name),
+                           .spec = spec,
+                           .min = std::numeric_limits<double>::infinity(),
+                           .max = -std::numeric_limits<double>::infinity(),
+                           .buckets = std::vector<std::uint64_t>(
+                               spec.bucket_count + 1)});
+  return HistogramHandle{slot};
 }
 
 void MetricsRegistry::observe_always(HistogramHandle h, double v) {

@@ -6,6 +6,9 @@
 // the existing slot), which lets a component re-register its metric block
 // on every run against a shared registry and keep accumulating into the
 // same slots.  Handles are indices, so they survive later registrations.
+// A name resolves through a hash index, so registering or importing n
+// names costs O(n) however many the registry already holds; the slots
+// stay in registration order, which is the order snapshots report.
 //
 // Two tiers of recording:
 //   * counters and gauges are ALWAYS live.  They are the engine's
@@ -21,9 +24,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace grasp::obs {
@@ -165,11 +171,27 @@ class MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
+  /// Name → slot, with lookup by string_view (no temporary string).
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using NameIndex =
+      std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>;
+  /// `name`'s slot in `index`, and whether it was new: a new name gets
+  /// slot `next`, the size of its kind's slot vector.
+  static std::pair<std::uint32_t, bool> slot_of(NameIndex& index,
+                                                std::string_view name,
+                                                std::size_t next);
+
   std::vector<std::pair<std::string, std::uint64_t>> counters_;
   std::vector<std::pair<std::string, double>> gauges_;
   /// A slot is its own snapshot, except that an empty one holds min +inf
   /// and max -inf (reads report 0 for both).
   std::vector<HistogramSnapshot> histograms_;
+  NameIndex counter_slots_, gauge_slots_, histogram_slots_;
   bool enabled_ = true;
 };
 

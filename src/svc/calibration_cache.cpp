@@ -1,5 +1,7 @@
 #include "svc/calibration_cache.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace grasp::svc {
@@ -22,8 +24,7 @@ std::optional<double> CalibrationCache::lookup(NodeId node,
     ++misses_;
     return std::nullopt;
   }
-  const double age = (now - it->second.at).value;
-  if (age > params_.max_age.value) {
+  if (expired(it->second.at, now)) {
     ++misses_;
     return std::nullopt;
   }
@@ -34,14 +35,28 @@ std::optional<double> CalibrationCache::lookup(NodeId node,
 void CalibrationCache::store(NodeId node, double spm, Seconds now) {
   entries_[node] = Entry{spm, now};
   ++stores_;
+  ++version_;
 }
 
 bool CalibrationCache::invalidate(NodeId node) {
   const bool removed = entries_.erase(node) > 0;
-  if (removed) ++invalidations_;
+  if (removed) {
+    ++invalidations_;
+    ++version_;
+  }
   return removed;
 }
 
-void CalibrationCache::clear() { entries_.clear(); }
+void CalibrationCache::clear() {
+  entries_.clear();
+  ++version_;
+}
+
+Seconds CalibrationCache::oldest_fresh(Seconds now) const {
+  Seconds oldest{std::numeric_limits<double>::infinity()};
+  for (const auto& [node, entry] : entries_)
+    if (!expired(entry.at, now)) oldest = std::min(oldest, entry.at);
+  return oldest;
+}
 
 }  // namespace grasp::svc

@@ -16,6 +16,7 @@
 // from the one thread that calls it.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 
@@ -57,13 +58,27 @@ class CalibrationCache final : public core::SpmCache {
   /// stored entries including ones that would now read as stale).
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   /// Lookups served by a fresh entry / total lookups that found nothing
-  /// usable / stores.
+  /// usable / stores.  Two callers look up: a tenant's initial Algorithm-1
+  /// pass (once per pool node, warm_start) and GridService admission (once
+  /// per live node each time it evaluates a waiting head job).
   [[nodiscard]] std::size_t hits() const { return hits_; }
   [[nodiscard]] std::size_t misses() const { return misses_; }
   [[nodiscard]] std::size_t stores() const { return stores_; }
   /// Entries removed via invalidate (counts removals, not no-op calls).
   [[nodiscard]] std::size_t invalidations() const { return invalidations_; }
   void clear();
+
+  /// Bumped by every store, removal and clear.  Between two bumps a
+  /// lookup's answer changes only when its entry expires.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+  /// Stamp of the oldest entry fresh at `now`, +inf when none is: until
+  /// expired(stamp, later) holds, no lookup answer changes without a
+  /// version bump.
+  [[nodiscard]] Seconds oldest_fresh(Seconds now) const;
+  /// The freshness rule: an entry stamped `at` reads as absent at `now`.
+  [[nodiscard]] bool expired(Seconds at, Seconds now) const {
+    return (now - at).value > params_.max_age.value;
+  }
 
  private:
   struct Entry {
@@ -77,6 +92,7 @@ class CalibrationCache final : public core::SpmCache {
   mutable std::size_t misses_ = 0;
   std::size_t stores_ = 0;
   std::size_t invalidations_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace grasp::svc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -218,7 +219,7 @@ bool GridService::pump_one() {
 void GridService::try_admit() {
   const Seconds now = backend_.now();
   invalidate_departed(now);
-  if (queue_.empty()) {
+  if (queue_.empty() || head_still_waits(now)) {
     update_gauges();
     return;
   }
@@ -232,6 +233,11 @@ void GridService::try_admit() {
   // Reused across head iterations: each admission re-derives them.
   NodeMap<char> busy;
   std::vector<NodeCapacity> free_nodes;
+  // The head waits: record what this verdict read.
+  const auto note_wait = [&](const detail::JobState& head) {
+    waiting_ = WaitingHead{head.seq, tenant_epoch_, cache_.version(),
+                           cache_.oldest_fresh(now), next_churn_};
+  };
   while (!queue_.empty()) {
     if (params_.max_concurrent_jobs != 0 &&
         running_.size() >= params_.max_concurrent_jobs)
@@ -243,7 +249,10 @@ void GridService::try_admit() {
       start_job(job, {});
       continue;
     }
-    if (live.empty()) break;  // nobody alive: the head waits for a rejoin
+    if (live.empty()) {  // nobody alive: the head waits for a rejoin
+      note_wait(*job);
+      break;
+    }
     // min_nodes was clamped against the pool at submit; churn may have
     // shrunk live membership below it since, and with FIFO head-only
     // admission an unclamped head would starve the whole queue forever.
@@ -267,23 +276,40 @@ void GridService::try_admit() {
     std::vector<NodeId> allocation = pick_allocation(
         free_nodes, total_mops, running_weight,
         ShareRequest{job->weight, job->min_nodes, job->max_share});
-    if (allocation.empty()) break;  // head-of-line waits: FIFO, no skipping
+    if (allocation.empty()) {  // head-of-line waits: FIFO, no skipping
+      note_wait(*job);
+      break;
+    }
     queue_.pop_front();
     start_job(job, std::move(allocation));
   }
   update_gauges();
 }
 
+bool GridService::head_still_waits(Seconds now) const {
+  return waiting_.has_value() && waiting_->seq == queue_.front()->seq &&
+         waiting_->tenants == tenant_epoch_ &&
+         waiting_->cache == cache_.version() &&
+         !cache_.expired(waiting_->oldest_fresh, now) &&
+         now < waiting_->next_churn;
+}
+
 void GridService::invalidate_departed(Seconds now) {
-  if (!params_.use_calibration_cache) return;
+  if (now < next_churn_) return;
   const gridsim::ChurnTimeline* churn = grid_.churn();
-  if (churn == nullptr) return;
-  for (const auto& ev : churn->events_between(churn_scan_, now)) {
-    if (ev.kind == gridsim::ChurnEventKind::Crash ||
-        ev.kind == gridsim::ChurnEventKind::Leave)
-      cache_.invalidate(ev.node);
+  if (churn == nullptr) {
+    next_churn_ = Seconds{std::numeric_limits<double>::infinity()};
+    return;
+  }
+  if (params_.use_calibration_cache) {
+    for (const auto& ev : churn->events_between(churn_scan_, now)) {
+      if (ev.kind == gridsim::ChurnEventKind::Crash ||
+          ev.kind == gridsim::ChurnEventKind::Leave)
+        cache_.invalidate(ev.node);
+    }
   }
   churn_scan_ = now;
+  next_churn_ = churn->next_event_after(now);
 }
 
 double GridService::capacity_mops(NodeId node) const {
@@ -301,6 +327,7 @@ void GridService::start_job(const StatePtr& job,
   job->nodes = std::move(allocation);
   prepare_params(*job);
   running_.push_back(job);
+  ++tenant_epoch_;
   peak_running_ = std::max(peak_running_, running_.size());
   update_gauges();
   job->port.emplace(backend_, job->seq);
@@ -375,6 +402,7 @@ void GridService::reap() {
     }
     const StatePtr job = std::move(running_[i]);
     running_.erase(running_.begin() + i);
+    ++tenant_epoch_;
     finalize(job);
   }
 }

@@ -62,7 +62,8 @@ class GridService {
     /// checked when their timer fires).  Default: never reject.
     std::size_t max_queued_jobs = static_cast<std::size_t>(-1);
     /// Thread the pool-wide calibration cache through every job (cached
-    /// spm entries stay fresh for 600 s, grid_service.cpp).
+    /// spm entries stay fresh for kCalibrationMaxAge = 600 s,
+    /// grid_service.cpp).
     bool use_calibration_cache = true;
     /// Shared observability sink (non-owning; may be null).  Service
     /// counters live here, and each retired job's private telemetry is
@@ -146,7 +147,14 @@ class GridService {
   /// (or rejects) its job, a job op steps its owner's engine, a retired
   /// tenant's zombie is dropped.  False when the backend had nothing left.
   bool pump_one();
+  /// Start queued jobs, head first, while the head gets an allocation.
+  /// Runs after every event, but a head found waiting is evaluated again
+  /// only once something its verdict read has changed: the running
+  /// tenants, the cache's contents, the expiry of its oldest fresh entry,
+  /// or the next churn event.  Until then the call returns at once.
   void try_admit();
+  /// The recorded verdict on the queue's head still stands at `now`.
+  [[nodiscard]] bool head_still_waits(Seconds now) const;
   void start_job(const StatePtr& job, std::vector<NodeId> allocation);
   /// Step `job`'s engine with one completion, or with end-of-stream when
   /// `completion` is null, then settle it.
@@ -164,8 +172,9 @@ class GridService {
   [[nodiscard]] detail::JobState* find_running(std::uint64_t seq) const;
   [[nodiscard]] double capacity_mops(NodeId node) const;
   /// Drop cached spm for nodes with a churn Crash/Leave in
-  /// (churn_scan_, now]; advances the watermark.  No-op without a churn
-  /// timeline or with the cache disabled.
+  /// (churn_scan_, now] (none with the cache disabled), then move the
+  /// watermark to `now` and next_churn_ past it.  Returns at once while
+  /// now < next_churn_: no churn event lies in (churn_scan_, now] then.
   void invalidate_departed(Seconds now);
   void update_gauges();
 
@@ -201,6 +210,20 @@ class GridService {
   std::size_t min_nodes_reclamps_ = 0;
   /// High-water mark of the churn-event scan feeding cache invalidation.
   Seconds churn_scan_{0.0};
+  /// First churn event after churn_scan_ (0 before the first scan, +inf
+  /// without a timeline).
+  Seconds next_churn_{0.0};
+  /// Bumped whenever running_ gains or loses a job.
+  std::uint64_t tenant_epoch_ = 0;
+  /// What try_admit's last "the head waits" verdict read.
+  struct WaitingHead {
+    std::uint64_t seq = 0;      ///< the head job
+    std::uint64_t tenants = 0;  ///< tenant_epoch_
+    std::uint64_t cache = 0;    ///< cache_.version()
+    Seconds oldest_fresh;       ///< cache_.oldest_fresh(now)
+    Seconds next_churn;         ///< first churn event after now
+  };
+  std::optional<WaitingHead> waiting_;
 };
 
 }  // namespace grasp::svc

@@ -101,6 +101,19 @@ TEST(ChurnTimelineIndex, QueriesMatchALinearScan) {
       ASSERT_EQ(tl.is_member(node, Seconds{100.0}),
                 scan_is_member(tl, node, Seconds{100.0}));
     }
+    for (int q = 0; q < 60; ++q) {
+      const Seconds t = grid_time(rng);
+      Seconds next{std::numeric_limits<double>::infinity()};
+      std::size_t between = 0;  // events in (t, t + 3]
+      for (const ChurnEvent& e : tl.events()) {
+        if (e.at > t && next.value == std::numeric_limits<double>::infinity())
+          next = e.at;
+        if (e.at > t && e.at <= t + Seconds{3.0}) ++between;
+      }
+      ASSERT_EQ(tl.next_event_after(t), next) << "t " << t.value;
+      ASSERT_EQ(tl.events_between(t, t + Seconds{3.0}).size(), between)
+          << "t " << t.value;
+    }
   }
 }
 
@@ -115,6 +128,8 @@ TEST(ChurnTimelineIndex, EmptyTimelineAnswersFromTheInitialState) {
                 node != NodeId{2} && node != NodeId{9});
       EXPECT_FALSE(none.crashed_during(node, Seconds{-1.0}, Seconds{t}));
       EXPECT_FALSE(absent_only.crashed_during(node, Seconds{-1.0}, Seconds{t}));
+      EXPECT_EQ(none.next_event_after(Seconds{t}).value,
+                std::numeric_limits<double>::infinity());
     }
   }
 }

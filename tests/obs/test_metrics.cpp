@@ -181,6 +181,93 @@ TEST(Metrics, HandlesSurviveLaterRegistrations) {
   EXPECT_EQ(reg.snapshot().counters.size(), 51u);
 }
 
+// Registration resolves names through a hash index; the slots must still
+// come out dense, in registration order, and stable under re-registration.
+TEST(Metrics, TenThousandRegistrationsKeepHandlesAndOrder) {
+  MetricsRegistry reg;
+  constexpr std::uint32_t kNames = 10000;
+  const auto name = [](std::uint32_t i) { return "m." + std::to_string(i); };
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    const CounterHandle c = reg.counter(name(i));
+    const GaugeHandle g = reg.gauge(name(i));
+    const HistogramHandle h = reg.histogram(name(i), {1.0, 2.0, 4});
+    ASSERT_EQ(c.slot, i);
+    ASSERT_EQ(g.slot, i);
+    ASSERT_EQ(h.slot, i);
+    reg.inc(c, i);
+    reg.set(g, 0.5 * i);
+    reg.observe_always(h, static_cast<double>(i));
+  }
+  for (std::uint32_t i = kNames; i-- > 0;) {
+    ASSERT_EQ(reg.counter(name(i)).slot, i);
+    ASSERT_EQ(reg.gauge(name(i)).slot, i);
+    ASSERT_EQ(reg.histogram(name(i)).slot, i);
+  }
+  const MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), kNames);
+  ASSERT_EQ(snap.gauges.size(), kNames);
+  ASSERT_EQ(snap.histograms.size(), kNames);
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(snap.counters[i].first, name(i));
+    ASSERT_EQ(snap.counters[i].second, i);
+    ASSERT_EQ(snap.gauges[i].first, name(i));
+    ASSERT_EQ(snap.gauges[i].second, 0.5 * i);
+    ASSERT_EQ(snap.histograms[i].name, name(i));
+    ASSERT_EQ(snap.histograms[i].count, 1u);
+    ASSERT_EQ(snap.histograms[i].buckets.size(), 5u) << "first spec kept";
+  }
+}
+
+// The service imports every retired job's registry under "job.<seq>.".
+// Over thousands of prefixes each import lands in its own slots, a
+// repeated prefix merges into them, and the rollup sums every job.
+TEST(Metrics, ImportScopedOverManyJobPrefixesSums) {
+  MetricsRegistry job;
+  job.inc(job.counter("tasks"), 3);
+  job.set(job.gauge("level"), 1.5);
+  const HistogramHandle h = job.histogram("service_s", {1.0, 2.0, 8});
+  job.observe_always(h, 0.5);
+  job.observe_always(h, 3.0);
+  const MetricsSnapshot one = job.snapshot();
+
+  MetricsRegistry shared;
+  shared.inc(shared.counter("svc.jobs_submitted"));
+  constexpr std::uint64_t kJobs = 2000;
+  for (std::uint64_t seq = 1; seq <= kJobs; ++seq)
+    shared.import_scoped("job." + std::to_string(seq) + ".", one);
+  shared.import_scoped("job.7.", one);
+
+  const MetricsSnapshot snap = shared.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1 + kJobs);
+  EXPECT_EQ(snap.counters.front().first, "svc.jobs_submitted");
+  EXPECT_EQ(snap.counters[1].first, "job.1.tasks");
+  EXPECT_EQ(snap.counters.back().first, "job.2000.tasks");
+  ASSERT_EQ(snap.gauges.size(), kJobs);
+  ASSERT_EQ(snap.histograms.size(), kJobs);
+  EXPECT_EQ(snap.histograms[kJobs - 1].name, "job.2000.service_s");
+
+  // Counters and gauges are set by an import, histograms merged.
+  const MetricsSnapshot seven = filter_snapshot(snap, "job.7.");
+  ASSERT_EQ(seven.counters.size(), 1u);
+  EXPECT_EQ(seven.counters[0].second, 3u);
+  EXPECT_EQ(seven.gauges[0].second, 1.5);
+  ASSERT_EQ(seven.histograms.size(), 1u);
+  EXPECT_EQ(seven.histograms[0].count, 4u);
+  EXPECT_EQ(seven.histograms[0].sum, 7.0);
+  EXPECT_EQ(filter_snapshot(snap, "job.8.").histograms[0].count, 2u);
+
+  const auto rollups = rollup_histograms(snap, "job");
+  ASSERT_EQ(rollups.size(), 1u);
+  EXPECT_EQ(rollups[0].name, "service_s");
+  EXPECT_EQ(rollups[0].count, 2 * (kJobs + 1));
+  EXPECT_EQ(rollups[0].sum, 3.5 * static_cast<double>(kJobs + 1));
+  EXPECT_EQ(rollups[0].min, 0.5);
+  EXPECT_EQ(rollups[0].max, 3.0);
+  std::vector<std::uint64_t> buckets(9, 0);
+  buckets[0] = buckets[2] = kJobs + 1;
+  EXPECT_EQ(rollups[0].buckets, buckets);
+}
+
 TEST(Metrics, SingleBucketHistogramPercentileBoundaries) {
   MetricsRegistry reg;
   // One finite bucket plus overflow: everything <= 10 piles into bucket 0.

@@ -25,6 +25,40 @@ workloads::TaskSet tasks(std::size_t n, std::uint64_t seed = 42) {
   return workloads::make_task_set(p);
 }
 
+// What GridService's admission gate keys on: a version that every store,
+// removal and clear bumps, and the stamp of the oldest fresh entry, whose
+// expiry is the first lookup answer to change between two bumps.
+TEST(SvcCalibrationCache, VersionAndOldestFreshEntry) {
+  CalibrationCache::Params p;
+  p.max_age = Seconds{100.0};
+  CalibrationCache cache(p);
+  const double never = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(cache.version(), 0u);
+  EXPECT_EQ(cache.oldest_fresh(Seconds{0.0}).value, never);
+  EXPECT_FALSE(cache.expired(Seconds{never}, Seconds{1e12}));
+
+  cache.store(NodeId{1}, 0.02, Seconds{10.0});
+  cache.store(NodeId{2}, 0.03, Seconds{40.0});
+  EXPECT_EQ(cache.version(), 2u);
+  (void)cache.lookup(NodeId{1}, Seconds{50.0});
+  EXPECT_EQ(cache.version(), 2u) << "a lookup changes nothing";
+  EXPECT_EQ(cache.oldest_fresh(Seconds{50.0}).value, 10.0);
+  // Node 1's entry reads fresh at 110 s (age 100) and stale after it.
+  EXPECT_FALSE(cache.expired(Seconds{10.0}, Seconds{110.0}));
+  EXPECT_TRUE(cache.lookup(NodeId{1}, Seconds{110.0}).has_value());
+  EXPECT_TRUE(cache.expired(Seconds{10.0}, Seconds{110.5}));
+  EXPECT_FALSE(cache.lookup(NodeId{1}, Seconds{110.5}).has_value());
+  EXPECT_EQ(cache.oldest_fresh(Seconds{110.5}).value, 40.0);
+  EXPECT_EQ(cache.oldest_fresh(Seconds{200.0}).value, never);
+
+  EXPECT_FALSE(cache.invalidate(NodeId{7}));
+  EXPECT_EQ(cache.version(), 2u) << "a no-op removal is no change";
+  EXPECT_TRUE(cache.invalidate(NodeId{2}));
+  EXPECT_EQ(cache.version(), 3u);
+  cache.clear();
+  EXPECT_EQ(cache.version(), 4u);
+}
+
 TEST(SvcCalibrationCache, StoreThenLookupWithinMaxAge) {
   CalibrationCache::Params p;
   p.max_age = Seconds{100.0};

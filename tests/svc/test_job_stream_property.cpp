@@ -10,15 +10,20 @@
 //   * genuine multi-tenancy — at least two jobs overlap in time;
 //   * the shared calibration cache only ever helps — a warm second pass
 //     over the same pool spends no more calibration tasks than the first.
+//
+// Admission is pinned exactly as well: a digest of every job's status,
+// start instant and nodes across the churn seeds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/backend_sim.hpp"
 #include "core/baselines.hpp"
 #include "gridsim/scenarios.hpp"
 #include "svc/grid_service.hpp"
+#include "tests/fingerprint.hpp"
 #include "workloads/generators.hpp"
 
 namespace grasp::svc {
@@ -66,6 +71,7 @@ workloads::TaskSet stream_tasks(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(JobStreamProperty, ConcurrentTenantsConserveTasksUnderChurn) {
+  test::Digest admission;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
     const gridsim::Grid grid = make_churny_grid(seed);
@@ -95,8 +101,13 @@ TEST(JobStreamProperty, ConcurrentTenantsConserveTasksUnderChurn) {
       // Per-job exactly-once conservation, churn or not.
       EXPECT_EQ(r.tasks_completed + r.calibration_tasks, sizes[j]);
       EXPECT_GT(handles[j].makespan_s(), 0.0);
+      admission.add(std::string(to_string(handles[j].status())))
+          .add(handles[j].started_at().value);
+      for (const NodeId n : handles[j].nodes()) admission.add(n.value);
     }
   }
+  // Which tenant started when, on which nodes, over all five seeds.
+  EXPECT_EQ(admission.hex(), "f3ee0b7387b2753a");
 }
 
 TEST(JobStreamProperty, WarmCacheNeverCostsCalibrationTasks) {
